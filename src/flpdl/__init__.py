@@ -1,13 +1,13 @@
 """Finitely-valued propositional dynamic logic over finite FL-algebras.
 
 The package is organised bottom-up: `algebra` builds and validates the
-truth-value algebras, `relations` gives weighted relations and their
-compositions and closures, `syntax`/`parser` define formulas and programs,
-`semantics` evaluates them over models, `filtration` compresses models
-through formula closures, `decision` searches for countermodels,
-`proofs` checks Hilbert-style proof scripts, and `selftest` re-runs the
-whole verification suite. `cli.main` exposes everything as the fl-pdl
-command.
+truth-value algebras, `syntax`/`parser` define formulas and programs,
+`kernel` evaluates them over batches of models, `relations` and
+`semantics` serve single relations and models from it, `filtration`
+compresses models through formula closures, `decision` searches for
+countermodels, `proofs` checks Hilbert-style proof scripts, `oracles`
+holds the independent cross-checks, and `selftest` re-runs the whole
+verification suite. `cli.main` exposes everything as the fl-pdl command.
 """
 
 from .algebra import (FLAlgebra, PropertyCheck, PropertyReport,

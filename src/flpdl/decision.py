@@ -10,8 +10,9 @@ partitioning of the index space across workers must still report the
 canonically first hit.
 
 Enumeration is vectorized: candidates are decoded from their index in
-blocks and evaluated with table lookups, and every hit is re-verified by
-the scalar evaluator before being returned.
+blocks and evaluated by the kernel, and every hit is re-verified by the
+reference evaluator in `oracles`, which shares no code with the kernel,
+before being returned.
 
 Exhausting every frame up to the class-count bound |algebra| ** |closure|
 proves validity; anything less only reports the bound reached. Sampling
@@ -26,13 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .algebra import FLAlgebra
 from .errors import BudgetExceeded
+from .oracles import reference_values
 from .relations import XRelation
-from .semantics import Frame, Model, valid_in_model
-from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
-                     LDiv, Or, Plus, RDiv, Seq, Var, action_atoms, closure_of,
-                     variables)
+from .semantics import Frame, Model
+from .syntax import Atom, Formula, Var, action_atoms, closure_of, variables
 
 DEFAULT_BUDGET = 10 ** 6
 _CHUNK = 1 << 14
@@ -91,141 +92,29 @@ class ValidByExhaustion:
 DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
 
 
-# -- batch evaluation over candidate blocks ----------------------------------
+# -- candidate blocks through the kernel ---------------------------------------
 
-def _candidate_count(size: int, n: int, n_atoms: int, n_vars: int) -> int:
-    return size ** (n_atoms * n * n + n_vars * n)
-
-
-def _decode(indices: np.ndarray, size: int, n: int,
-            atoms: tuple[int, ...], vars_: tuple[int, ...]):
-    """Mixed-radix decode of candidate indices into relation and valuation digits."""
-    digits_total = len(atoms) * n * n + len(vars_) * n
-    block = len(indices)
-    digits = np.empty((digits_total, block), dtype=np.int64)
-    rem = indices.astype(np.int64, copy=True)
-    for d in range(digits_total - 1, -1, -1):
-        rem, digits[d] = np.divmod(rem, size)
-    rels: dict[int, np.ndarray] = {}
-    pos = 0
-    for a in atoms:
-        rels[a] = digits[pos:pos + n * n].T.reshape(block, n, n)
-        pos += n * n
-    vals: dict[int, np.ndarray] = {}
-    for p in vars_:
-        vals[p] = digits[pos:pos + n].T
-        pos += n
-    return rels, vals
-
-
-def _compose_batch(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = r.shape[1]
-    out = None
-    for x in range(n):
-        term = arrs.fuse[r[:, :, x][:, :, None], q[:, x, :][:, None, :]]
-        out = term if out is None else arrs.join[out, term]
-    return out
-
-
-def _closure_batch(arrs, r: np.ndarray, size: int) -> np.ndarray:
-    n = r.shape[1]
-    t = r
-    for _ in range(n * n * size + 1):
-        t2 = arrs.join[r, _compose_batch(arrs, t, r)]
-        if np.array_equal(t2, t):
-            return t
-        t = t2
-    raise AssertionError("transitive closure failed to stabilize")
-
-
-def _action_batch(action: ActionExp, rels: dict[int, np.ndarray], arrs,
-                  size: int, bottom: int, block: int, n: int,
-                  memo: dict[ActionExp, np.ndarray]) -> np.ndarray:
-    hit = memo.get(action)
-    if hit is not None:
-        return hit
-    if isinstance(action, Atom):
-        out = rels.get(action.index)
-        if out is None:
-            out = np.full((block, n, n), bottom, dtype=np.int64)
-    elif isinstance(action, Choice):
-        out = arrs.join[_action_batch(action.left, rels, arrs, size, bottom, block, n, memo),
-                        _action_batch(action.right, rels, arrs, size, bottom, block, n, memo)]
-    elif isinstance(action, Seq):
-        out = _compose_batch(arrs,
-                             _action_batch(action.left, rels, arrs, size, bottom, block, n, memo),
-                             _action_batch(action.right, rels, arrs, size, bottom, block, n, memo))
-    elif isinstance(action, Plus):
-        out = _closure_batch(arrs, _action_batch(action.body, rels, arrs, size, bottom, block, n, memo), size)
-    else:
-        raise TypeError(f"not an action expression: {action!r}")
-    memo[action] = out
-    return out
-
-
-def _eval_batch(formula: Formula, algebra: FLAlgebra,
-                rels: dict[int, np.ndarray], vals: dict[int, np.ndarray],
-                block: int, n: int,
-                fmemo: dict[Formula, np.ndarray],
-                amemo: dict[ActionExp, np.ndarray]) -> np.ndarray:
-    """Formula value per candidate and state, shape (block, n)."""
-    hit = fmemo.get(formula)
-    if hit is not None:
-        return hit
-    arrs = algebra.arrays
-    if isinstance(formula, Var):
-        out = vals.get(formula.index)
-        if out is None:
-            out = np.full((block, n), algebra.zero, dtype=np.int64)
-    elif isinstance(formula, Const):
-        out = np.full((block, n), formula.index, dtype=np.int64)
-    elif isinstance(formula, Box):
-        rel = _action_batch(formula.action, rels, arrs, algebra.size,
-                            algebra.bottom, block, n, amemo)
-        body = _eval_batch(formula.body, algebra, rels, vals, block, n, fmemo, amemo)
-        out = np.full((block, n), algebra.top, dtype=np.int64)
-        for t in range(n):
-            out = arrs.meet[out, arrs.imp[rel[:, :, t], body[:, t][:, None]]]
-    else:
-        left = _eval_batch(formula.left, algebra, rels, vals, block, n, fmemo, amemo)
-        right = _eval_batch(formula.right, algebra, rels, vals, block, n, fmemo, amemo)
-        table = {And: arrs.meet, Or: arrs.join, Fuse: arrs.fuse,
-                 LDiv: arrs.ldiv}.get(type(formula))
-        if table is not None:
-            out = table[left, right]
-        elif isinstance(formula, RDiv):
-            out = arrs.imp[left, right]
-        else:
-            raise TypeError(f"not a formula: {formula!r}")
-    fmemo[formula] = out
-    return out
-
-
-def _scan_block(formula: Formula, algebra: FLAlgebra, n: int,
-                atoms: tuple[int, ...], vars_: tuple[int, ...],
-                indices: np.ndarray):
-    """Evaluate one block of candidates; return (hit position or None, per-state values)."""
-    block = len(indices)
-    rels, vals = _decode(indices, algebra.size, n, atoms, vars_)
-    values = _eval_batch(formula, algebra, rels, vals, block, n, {}, {})
+def _first_hit(formula: Formula, algebra: FLAlgebra, rels: dict, vals: dict,
+               batch: int, n: int) -> int | None:
+    """Position of the first candidate refuting the formula, if any."""
+    # copies, since the kernel adds every subterm to the memos it is given
+    values = kernel.evaluate(formula, algebra, dict(vals), dict(rels), batch, n)
     ok = algebra.arrays.leq[algebra.one, values].all(axis=1)
-    if ok.all():
-        return None, None, None
-    pos = int(np.argmin(ok))
-    return pos, rels, vals
+    return None if ok.all() else int(np.argmin(ok))
 
 
-def _materialize(algebra: FLAlgebra, n: int, atoms, vars_, rels, vals, pos: int) -> Model:
-    relations = {a: XRelation.from_rows(algebra, rels[a][pos].tolist()) for a in atoms}
-    valuation = {p: tuple(int(v) for v in vals[p][pos]) for p in vars_}
+def _materialize(algebra: FLAlgebra, n: int, rels, vals, pos: int) -> Model:
+    relations = {a.index: XRelation.from_array(algebra, r[pos]) for a, r in rels.items()}
+    valuation = {p.index: tuple(v[pos].tolist()) for p, v in vals.items()}
     return Model(Frame(algebra, n, relations), valuation)
 
 
 def _verify_hit(model: Model, formula: Formula, checked: int) -> Countermodel:
-    ok, witness, value = valid_in_model(model, formula)
-    if ok:
-        raise AssertionError("batch scan reported a countermodel the scalar evaluator rejects")
-    return Countermodel(model, witness, value, checked)
+    A = model.algebra
+    for state, value in enumerate(reference_values(model, formula)):
+        if not A.leq(A.one, value):
+            return Countermodel(model, state, value, checked)
+    raise AssertionError("batch scan reported a countermodel the reference evaluator rejects")
 
 
 def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
@@ -249,8 +138,8 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     if budget < 1:
         raise ValueError("budget must be positive")
 
-    atoms = action_atoms(formula)
-    vars_ = variables(formula)
+    atoms = tuple(Atom(a) for a in action_atoms(formula))
+    vars_ = tuple(Var(p) for p in variables(formula))
     size = algebra.size
     checked = 0
 
@@ -267,23 +156,20 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                         for a in atoms}
                 vals = {p: rng.integers(0, size, size=(g, n), dtype=np.int64)
                         for p in vars_}
-                values = _eval_batch(formula, algebra, rels, vals, g, n, {}, {})
-                ok = algebra.arrays.leq[algebra.one, values].all(axis=1)
-                if not ok.all():
-                    pos = int(np.argmin(ok))
+                pos = _first_hit(formula, algebra, rels, vals, g, n)
+                if pos is not None:
                     stream = int(sel[pos])
                     if best is None or stream < best[0]:
                         best = (stream, n, rels, vals, pos)
             if best is not None:
                 stream, n, rels, vals, pos = best
                 checked += stream + 1
-                model = _materialize(algebra, n, atoms, vars_, rels, vals, pos)
-                return _verify_hit(model, formula, checked)
+                return _verify_hit(_materialize(algebra, n, rels, vals, pos), formula, checked)
             checked += block
         return NoCountermodelUpTo(max_states, checked, exhaustive=False)
 
     for n in range(1, max_states + 1):
-        total = _candidate_count(size, n, len(atoms), len(vars_))
+        total = size ** (len(atoms) * n * n + len(vars_) * n)
         start = 0
         while start < total:
             if checked >= budget:
@@ -293,11 +179,11 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                               "models_checked": checked, "max_states": max_states})
             block = min(_CHUNK, total - start, budget - checked)
             indices = np.arange(start, start + block, dtype=np.int64)
-            pos, rels, vals = _scan_block(formula, algebra, n, atoms, vars_, indices)
+            rels, vals = kernel.decode(indices, size, n, atoms, vars_)
+            pos = _first_hit(formula, algebra, rels, vals, block, n)
             if pos is not None:
                 checked += pos + 1
-                model = _materialize(algebra, n, atoms, vars_, rels, vals, pos)
-                return _verify_hit(model, formula, checked)
+                return _verify_hit(_materialize(algebra, n, rels, vals, pos), formula, checked)
             checked += block
             start += block
 

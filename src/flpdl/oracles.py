@@ -1,14 +1,15 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here shares code with the main evaluation path: the classical
-checker works on sets, the closure oracles work by brute-force candidate
-enumeration and by explicit walk enumeration with plain capped addition.
-Slow on purpose; correctness over speed.
+Nothing here shares code with the main evaluation path, `kernel`: the
+reference evaluator applies the definitions one scalar lookup at a time,
+the classical checker works on sets, the closure oracles work by
+brute-force candidate enumeration and by explicit walk enumeration with
+plain capped addition. Slow on purpose; correctness over speed.
 """
 
 from __future__ import annotations
 
-import itertools
+from functools import cache, reduce
 
 import numpy as np
 
@@ -17,6 +18,59 @@ from .relations import XRelation
 from .semantics import Model
 from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
                      LDiv, Or, Plus, RDiv, Seq, Var)
+
+
+# -- the definitional evaluator --------------------------------------------------
+
+def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
+    """Value of the formula at every state, read off the definitions.
+
+    Scalar operations state by state; [A]f at s is the meet over t of
+    R_A(s,t) => f(t); u joins, ; composes (join over x of R(s,x) * Q(x,t)),
+    and + iterates T <- R u T;R to its fixpoint. Unmapped atoms are bottom.
+    """
+    A = model.algebra
+    states = range(model.frame.size)
+
+    def union(r, q):
+        return tuple(tuple(A.join(a, b) for a, b in zip(rs, qs)) for rs, qs in zip(r, q))
+
+    def compose(r, q):
+        return tuple(tuple(reduce(A.join, (A.fuse(r[s][x], q[x][t]) for x in states), A.bottom)
+                           for t in states) for s in states)
+
+    @cache
+    def relation(action: ActionExp):
+        if isinstance(action, Atom):
+            rel = model.frame.atomic.get(action.index)
+            return rel.values if rel is not None else ((A.bottom,) * len(states),) * len(states)
+        if isinstance(action, Choice):
+            return union(relation(action.left), relation(action.right))
+        if isinstance(action, Seq):
+            return compose(relation(action.left), relation(action.right))
+        if isinstance(action, Plus):
+            r = t = relation(action.body)
+            while (nxt := union(r, compose(t, r))) != t:
+                t = nxt
+            return t
+        raise TypeError(f"not an action expression: {action!r}")
+
+    @cache
+    def values(f: Formula) -> tuple[int, ...]:
+        if isinstance(f, Var):
+            return model.var_row(f.index)
+        if isinstance(f, Const):
+            return (f.index,) * len(states)
+        if isinstance(f, Box):
+            rel, body = relation(f.action), values(f.body)
+            return tuple(reduce(A.meet, (A.imp(rel[s][t], body[t]) for t in states), A.top)
+                         for s in states)
+        op = {And: A.meet, Or: A.join, Fuse: A.fuse, LDiv: A.ldiv, RDiv: A.imp}.get(type(f))
+        if op is None:
+            raise TypeError(f"not a formula: {f!r}")
+        return tuple(op(a, b) for a, b in zip(values(f.left), values(f.right)))
+
+    return values(formula)
 
 
 # -- two-valued reference checker ---------------------------------------------
@@ -137,31 +191,15 @@ def least_transitive_extension(algebra: FLAlgebra, rel: XRelation,
     return None
 
 
-def cost_walk_join(rel: XRelation, cap: int) -> np.ndarray:
+def cost_walk_join_fast(rel: XRelation, cap: int) -> np.ndarray:
     """Transitive closure of a cost-chain relation by explicit walk enumeration.
 
     Works with plain numbers only: edge weights add (capped), a walk's
     value is its total, and the best value per state pair is the minimum
-    over every walk with fewer than states * (cap + 1) intermediate stops.
-    The main code path's join and fusion tables are never consulted.
+    over every walk with fewer than states * (cap + 1) intermediate stops,
+    all walks of one length enumerated as one array. The main code path's
+    join and fusion tables are never consulted.
     """
-    n = rel.size
-    weights = np.array(rel.values, dtype=np.int64)
-    best = np.full((n, n), cap, dtype=np.int64)
-    max_mid = n * (cap + 1)
-    for mid in range(max_mid):
-        for walk in itertools.product(range(n), repeat=mid + 2):
-            total = 0
-            for a, b in zip(walk, walk[1:]):
-                total = min(total + int(weights[a, b]), cap)
-            s, t = walk[0], walk[-1]
-            if total < best[s, t]:
-                best[s, t] = total
-    return best
-
-
-def cost_walk_join_fast(rel: XRelation, cap: int) -> np.ndarray:
-    """Same result as cost_walk_join, with the walks enumerated as arrays."""
     n = rel.size
     weights = np.array(rel.values, dtype=np.int64)
     best = np.full((n, n), cap, dtype=np.int64)

@@ -12,6 +12,11 @@ becomes [A+]f & f; anywhere deeper it is rejected.
 
 Parsing requires the ambient algebra: constants are resolved and
 range-checked against it, and negation desugars to -> #bot.
+
+Nesting, both of the parse and of the syntax tree it builds, is capped at
+MAX_NESTING levels, which keeps every recursive walk over a tree well
+inside Python's recursion limit; past it parsing stops with a
+FormulaSyntaxError at the token that crosses the cap.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
                      LDiv, Or, Plus, RDiv, Seq, Var, neg, star_box)
 
 _SINGLE_OPS = set("&|*\\!;+[]<>()")
+MAX_NESTING = 64
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,8 @@ class _Parser:
         self.algebra = algebra
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0   # nested parses in progress
+        self.depth = 0  # syntax-tree depth of what the last parse step returned
 
     # -- token helpers --
 
@@ -126,6 +134,29 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {text!r}", tok.pos)
         return tok
 
+    # -- nesting --
+
+    def descend(self, tok: _Token, parse):
+        """Run one nested parse, refusing to pass MAX_NESTING at tok."""
+        self.open += 1
+        if self.open > MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        out = parse()
+        self.open -= 1
+        return out
+
+    def deeper(self, tok: _Token, node, *depths: int):
+        """The node built at tok over subtrees this deep, refused past MAX_NESTING."""
+        self.depth = 1 + max(depths)
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        return node
+
+    def joined(self, tok: _Token, left, build, operand):
+        """build(left, operand()) for the binary operator at tok."""
+        depth = self.depth
+        return self.deeper(tok, build(left, operand()), depth, self.depth)
+
     # -- formulas --
 
     def formula(self) -> Formula:
@@ -137,14 +168,14 @@ class _Parser:
 
     def _or(self) -> Formula:
         f = self._and()
-        while self.accept_op("|"):
-            f = Or(f, self._and())
+        while tok := self.accept_op("|"):
+            f = self.joined(tok, f, Or, self._and)
         return f
 
     def _and(self) -> Formula:
         f = self._imp()
-        while self.accept_op("&"):
-            f = And(f, self._imp())
+        while tok := self.accept_op("&"):
+            f = self.joined(tok, f, And, self._imp)
         return f
 
     def _imp(self) -> Formula:
@@ -152,46 +183,49 @@ class _Parser:
         tok = self.accept_op("->", "\\", "<->")
         if tok is None:
             return f
-        rest = self._imp()
-        if tok.text == "->":
-            return RDiv(f, rest)
-        if tok.text == "\\":
-            return LDiv(f, rest)
-        return And(RDiv(f, rest), RDiv(rest, f))
+        left = self.depth
+        rest = self.descend(tok, self._imp)
+        if tok.text == "<->":
+            return self.deeper(tok, And(RDiv(f, rest), RDiv(rest, f)), left + 1, self.depth + 1)
+        return self.deeper(tok, (RDiv if tok.text == "->" else LDiv)(f, rest), left, self.depth)
 
     def _fuse(self) -> Formula:
         f = self._unary()
-        while self.accept_op("*"):
-            f = Fuse(f, self._unary())
+        while tok := self.accept_op("*"):
+            f = self.joined(tok, f, Fuse, self._unary)
         return f
 
     def _unary(self) -> Formula:
+        # depths as desugared: !f is f -> #bot, [A*]f is [A+]f & f, <A>f is !([A]!f)
         tok = self.peek()
         if tok.kind == "op" and tok.text == "!":
             self.take()
-            return neg(self._unary(), self.algebra)
+            return self.deeper(tok, neg(self.descend(tok, self._unary), self.algebra), self.depth)
         if tok.kind == "op" and tok.text == "[":
             self.take()
             action, starred = self._box_action("]")
-            body = self._unary()
-            return star_box(action, body) if starred else Box(action, body)
+            over = self.depth
+            body = self.descend(tok, self._unary)
+            return self.deeper(tok, star_box(action, body) if starred else Box(action, body),
+                               over + starred, self.depth + starred)
         if tok.kind == "op" and tok.text == "<":
             self.take()
             action, starred = self._box_action(">")
-            body = self._unary()
-            inner = star_box(action, neg(body, self.algebra)) if starred \
-                else Box(action, neg(body, self.algebra))
-            return neg(inner, self.algebra)
+            over = self.depth
+            body = neg(self.descend(tok, self._unary), self.algebra)
+            inner = star_box(action, body) if starred else Box(action, body)
+            return self.deeper(tok, neg(inner, self.algebra), over + starred + 1, self.depth + starred + 2)
         return self._primary()
 
     def _primary(self) -> Formula:
         tok = self.take()
+        self.depth = 0
         if tok.kind == "var":
             return Var(int(tok.text[1:]))
         if tok.kind == "const":
             return Const(self._resolve_const(tok))
         if tok.kind == "op" and tok.text == "(":
-            f = self._or()
+            f = self.descend(tok, self._or)
             self.expect_op(")")
             return f
         raise FormulaSyntaxError(f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos)
@@ -230,30 +264,29 @@ class _Parser:
 
     def _action_choice(self):
         a = self._action_seq()
-        while self.accept_op("u"):
-            a = Choice(a, self._action_seq())
+        while tok := self.accept_op("u"):
+            a = self.joined(tok, a, Choice, self._action_seq)
         return a
 
     def _action_seq(self):
         a = self._action_post()
-        while self.accept_op(";"):
-            a = Seq(a, self._action_post())
+        while tok := self.accept_op(";"):
+            a = self.joined(tok, a, Seq, self._action_post)
         return a
 
     def _action_post(self):
         a = self._action_prim()
-        while True:
-            tok = self.accept_op("+", "*")
-            if tok is None:
-                return a
-            a = Plus(a) if tok.text == "+" else _Star(a, tok.pos)
+        while tok := self.accept_op("+", "*"):
+            a = self.deeper(tok, Plus(a) if tok.text == "+" else _Star(a, tok.pos), self.depth)
+        return a
 
     def _action_prim(self):
         tok = self.take()
+        self.depth = 0
         if tok.kind == "atom":
             return Atom(int(tok.text[1:]))
         if tok.kind == "op" and tok.text == "(":
-            a = self._action_choice()
+            a = self.descend(tok, self._action_choice)
             self.expect_op(")")
             return a
         raise FormulaSyntaxError(f"expected an action, found {tok.text or 'end of input'!r}", tok.pos)

@@ -6,7 +6,8 @@ A script is a list of lines, each a formula with a justification:
     formulas, and constants;
   * a consequence of earlier lines in the algebra's propositional base,
     decided exactly by brute force over atom assignments (variables and
-    outermost boxes are the atoms);
+    outermost boxes are the atoms), evaluated by the kernel as batches of
+    one-state models, 1024 assignments per block;
   * monotonicity: from f -> g conclude [A]f -> [A]g;
   * iteration: from f -> [A]f conclude f -> [A+]f.
 
@@ -18,12 +19,14 @@ fail there) without rejecting the script.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
+from . import kernel
 from .algebra import FLAlgebra, is_commutative, is_integral, load_algebra
 from .errors import AtomBudgetExceeded
 from .parser import parse_formula
@@ -31,6 +34,7 @@ from .syntax import (And, Box, Choice, Const, Formula, Fuse, LDiv, Or, Plus,
                      RDiv, Seq, Var, format_formula)
 
 DEFAULT_ATOM_BUDGET = 10 ** 7
+_BLOCK = 1024  # assignments per log_consequence block; small blocks keep peak memory low
 
 AXIOM_NAMES = ("A-1", "A-reg", "A-const", "A-choice", "A-seq", "A-plus")
 
@@ -171,32 +175,11 @@ def match_axiom(formula: Formula, algebra: FLAlgebra) -> str | None:
 def _collect_atoms(formula: Formula, acc: dict[Formula, None]) -> None:
     if isinstance(formula, (Var, Box)):
         acc[formula] = None
-    elif isinstance(formula, Const):
-        pass
     elif isinstance(formula, (And, Or, Fuse, LDiv, RDiv)):
         _collect_atoms(formula.left, acc)
         _collect_atoms(formula.right, acc)
-    else:
+    elif not isinstance(formula, Const):
         raise TypeError(f"not a formula: {formula!r}")
-
-
-def _assignment_value(formula: Formula, env: dict[Formula, int], A: FLAlgebra) -> int:
-    v = env.get(formula)
-    if v is not None:
-        return v
-    if isinstance(formula, Const):
-        return formula.index
-    left = _assignment_value(formula.left, env, A)
-    right = _assignment_value(formula.right, env, A)
-    if isinstance(formula, And):
-        return A.meet(left, right)
-    if isinstance(formula, Or):
-        return A.join(left, right)
-    if isinstance(formula, Fuse):
-        return A.fuse(left, right)
-    if isinstance(formula, LDiv):
-        return A.ldiv(left, right)
-    return A.imp(left, right)
 
 
 def log_consequence(premises: Sequence[Formula], conclusion: Formula,
@@ -214,18 +197,20 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     for g in premises:
         _collect_atoms(g, atoms)
     _collect_atoms(conclusion, atoms)
-    names = list(atoms)
+    names = tuple(atoms)
     count = algebra.size ** len(names)
     if count > atom_budget:
         raise AtomBudgetExceeded(
             f"{count} assignments over {len(names)} atoms exceed the budget of {atom_budget}")
-    one, top = algebra.one, algebra.top
-    for combo in itertools.product(range(algebra.size), repeat=len(names)):
-        env = dict(zip(names, combo))
-        bound = top
+    arrs = algebra.arrays
+    for start in range(0, count, _BLOCK):
+        block = min(_BLOCK, count - start)
+        # one assignment per one-state model; the atoms are seeded, never looked into
+        _, memo = kernel.decode(np.arange(start, start + block), algebra.size, 1, (), names)
+        refuted = ~arrs.leq[algebra.one, kernel.evaluate(conclusion, algebra, memo, {}, block, 1)]
         for g in premises:
-            bound = algebra.meet(bound, _assignment_value(g, env, algebra))
-        if algebra.leq(one, bound) and not algebra.leq(one, _assignment_value(conclusion, env, algebra)):
+            refuted &= arrs.leq[algebra.one, kernel.evaluate(g, algebra, memo, {}, block, 1)]
+        if refuted.any():
             return False
     return True
 

@@ -4,6 +4,7 @@ and transitive closure.
 
 Relations are immutable. All operations require both arguments to share
 the same algebra object and state count; DimensionMismatch otherwise.
+They are thin wrappers over `kernel`, each relation a batch of one.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .algebra import FLAlgebra
 from .errors import DimensionMismatch
+from .kernel import closure, compose
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,14 @@ class XRelation:
         return cls(algebra, tuple(vals))
 
     @classmethod
+    def from_array(cls, algebra: FLAlgebra, arr: np.ndarray) -> "XRelation":
+        return cls(algebra, tuple(map(tuple, arr.tolist())))
+
+    def array(self) -> np.ndarray:
+        """The matrix as an (n, n) array, the form the kernel works on."""
+        return np.array(self.values, dtype=np.int64)
+
+    @classmethod
     def constant(cls, algebra: FLAlgebra, n: int, value: int) -> "XRelation":
         return cls(algebra, tuple(tuple(value for _ in range(n)) for _ in range(n)))
 
@@ -68,27 +80,14 @@ def _check_compatible(r: XRelation, q: XRelation) -> None:
 def rel_union(r: XRelation, q: XRelation) -> XRelation:
     """Pointwise join."""
     _check_compatible(r, q)
-    join = r.algebra.join_table
-    return XRelation(r.algebra, tuple(
-        tuple(join[a][b] for a, b in zip(ra, qa)) for ra, qa in zip(r.values, q.values)))
+    return XRelation.from_array(r.algebra, r.algebra.arrays.join[r.array(), q.array()])
 
 
 def rel_compose(r: XRelation, q: XRelation) -> XRelation:
     """(r;q)(s,t) = join over x of r(s,x)*q(x,t)."""
     _check_compatible(r, q)
-    A = r.algebra
-    n = r.size
-    fuse, join = A.fusion_table, A.join_table
-    rows = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            acc = A.bottom
-            for x in range(n):
-                acc = join[acc][fuse[r.values[s][x]][q.values[x][t]]]
-            row.append(acc)
-        rows.append(tuple(row))
-    return XRelation(A, tuple(rows))
+    product = compose(r.algebra.arrays, r.array()[None], q.array()[None])
+    return XRelation.from_array(r.algebra, product[0])
 
 
 def transitive_closure(r: XRelation) -> XRelation:
@@ -97,23 +96,14 @@ def transitive_closure(r: XRelation) -> XRelation:
     Computed as the least fixpoint of T |-> r union (T;r) starting from r;
     entries only climb in the finite lattice, so the iteration stabilizes.
     """
-    t = r
-    # each of the n^2 entries can strictly climb at most |X|-1 times
-    for _ in range(r.size * r.size * r.algebra.size + 1):
-        nxt = rel_union(r, rel_compose(t, r))
-        if nxt.values == t.values:
-            return t
-        t = nxt
-    raise AssertionError("transitive closure failed to stabilize")
+    return XRelation.from_array(r.algebra, closure(r.algebra, r.array()[None])[0])
 
 
 def refl_trans_closure(r: XRelation) -> XRelation:
     """r*(s,t) is one when s = t and the transitive-closure value otherwise."""
-    plus = transitive_closure(r)
-    A = r.algebra
-    return XRelation(A, tuple(
-        tuple(A.one if s == t else plus.values[s][t] for t in range(r.size))
-        for s in range(r.size)))
+    star = closure(r.algebra, r.array()[None])[0]
+    np.fill_diagonal(star, r.algebra.one)
+    return XRelation.from_array(r.algebra, star)
 
 
 def path_value(r: XRelation, s: int, path: Sequence[int], t: int) -> int:

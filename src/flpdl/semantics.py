@@ -12,7 +12,9 @@ evaluate computes the value of a formula per state:
     [A]f at s is the meet over t of  R_A(s,t) => f-value at t,
 
 with => the right division. Composite actions get their relation from the
-atoms by union / composition / transitive closure, memoized per frame.
+atoms by union / composition / transitive closure. All of it runs through
+`kernel`, a model being a batch of one; the kernel's relation memo lives on
+the frame, shared by its models, and its formula memo on the model.
 
 Evaluation is deterministic and side-effect free apart from caches whose
 entries are only ever written with the one value they can take, so
@@ -24,11 +26,13 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from . import kernel
 from .algebra import FLAlgebra, algebra_to_json, load_algebra
 from .errors import DimensionMismatch, UnknownAtom
-from .relations import XRelation, bottom_relation, rel_compose, rel_union, transitive_closure
-from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
-                     LDiv, Or, Plus, RDiv, Seq, Var, action_atoms)
+from .relations import XRelation, bottom_relation
+from .syntax import ActionExp, Atom, Formula, Var, action_atoms
 
 
 class Frame:
@@ -47,7 +51,7 @@ class Frame:
                 raise DimensionMismatch(f"relation for a{idx} lives over a different algebra")
             self.atomic[int(idx)] = rel
         self.state_names = tuple(state_names) if state_names is not None else None
-        self._derived: dict[ActionExp, XRelation] = {}
+        self.relation_memo = {Atom(idx): rel.array()[None] for idx, rel in self.atomic.items()}
 
     def atom_relation(self, index: int, strict: bool = False) -> XRelation:
         rel = self.atomic.get(index)
@@ -58,39 +62,20 @@ class Frame:
         return rel
 
     def relation(self, action: ActionExp, strict: bool = False) -> XRelation:
-        """Relation for a composite action, memoized on the action tree."""
+        """Relation for a composite action; the kernel memoizes it on the frame."""
         if strict:
             # checked before the memo so a prior lenient call cannot mask it
-            for idx in _atoms_of(action):
-                if idx not in self.atomic:
-                    raise UnknownAtom(f"frame maps no relation for action atom a{idx}")
-        cached = self._derived.get(action)
-        if cached is not None:
-            return cached
+            self.require_atoms(action)
         if isinstance(action, Atom):
-            rel = self.atom_relation(action.index, strict)
-        elif isinstance(action, Choice):
-            rel = rel_union(self.relation(action.left, strict), self.relation(action.right, strict))
-        elif isinstance(action, Seq):
-            rel = rel_compose(self.relation(action.left, strict), self.relation(action.right, strict))
-        elif isinstance(action, Plus):
-            rel = transitive_closure(self.relation(action.body, strict))
-        else:
-            raise TypeError(f"not an action expression: {action!r}")
-        self._derived[action] = rel
-        return rel
+            return self.atom_relation(action.index, strict)
+        arr = kernel.evaluate(action, self.algebra, {}, self.relation_memo, 1, self.size)
+        return XRelation.from_array(self.algebra, arr[0])
 
-
-def _atoms_of(action: ActionExp):
-    if isinstance(action, Atom):
-        yield action.index
-    elif isinstance(action, Plus):
-        yield from _atoms_of(action.body)
-    elif isinstance(action, (Choice, Seq)):
-        yield from _atoms_of(action.left)
-        yield from _atoms_of(action.right)
-    else:
-        raise TypeError(f"not an action expression: {action!r}")
+    def require_atoms(self, node) -> None:
+        """UnknownAtom unless the frame maps every action atom in node."""
+        for idx in action_atoms(node):
+            if idx not in self.atomic:
+                raise UnknownAtom(f"frame maps no relation for action atom a{idx}")
 
 
 def derived_relation(frame: Frame, action: ActionExp) -> XRelation:
@@ -114,6 +99,7 @@ class Model:
                     raise DimensionMismatch(f"valuation entry {v} is no element index")
             self.valuation[int(var)] = row
         self._values: dict[Formula, tuple[int, ...]] = {}
+        self._memo = {Var(p): np.array([row]) for p, row in self.valuation.items()}
 
     @property
     def algebra(self) -> FLAlgebra:
@@ -128,49 +114,19 @@ class Model:
     def values(self, formula: Formula) -> tuple[int, ...]:
         """Value of the formula at every state."""
         cached = self._values.get(formula)
-        if cached is not None:
-            return cached
-        A = self.algebra
-        n = self.frame.size
-        if isinstance(formula, Var):
-            row = self.var_row(formula.index)
-        elif isinstance(formula, Const):
-            if not (0 <= formula.index < A.size):
-                raise DimensionMismatch(f"constant #{formula.index} is no element index")
-            row = (formula.index,) * n
-        elif isinstance(formula, Box):
-            rel = self.frame.relation(formula.action, self.strict)
-            body = self.values(formula.body)
-            row = tuple(_box_at(A, rel.values[s], body) for s in range(n))
-        else:
-            left = self.values(formula.left)
-            right = self.values(formula.right)
-            if isinstance(formula, And):
-                op = A.meet
-            elif isinstance(formula, Or):
-                op = A.join
-            elif isinstance(formula, Fuse):
-                op = A.fuse
-            elif isinstance(formula, LDiv):
-                op = A.ldiv
-            elif isinstance(formula, RDiv):
-                op = lambda a, b: A.imp(a, b)
-            else:
-                raise TypeError(f"not a formula: {formula!r}")
-            row = tuple(op(a, b) for a, b in zip(left, right))
-        self._values[formula] = row
-        return row
-
-
-def _box_at(A: FLAlgebra, rel_row: tuple[int, ...], body: tuple[int, ...]) -> int:
-    acc = A.top
-    for r, v in zip(rel_row, body):
-        acc = A.meet(acc, A.imp(r, v))
-    return acc
+        if cached is None:
+            if self.strict:
+                self.frame.require_atoms(formula)
+            arr = kernel.evaluate(formula, self.algebra, self._memo, self.frame.relation_memo,
+                                  1, self.frame.size)
+            cached = self._values[formula] = tuple(arr[0].tolist())
+        return cached
 
 
 def evaluate(model: Model, formula: Formula, state: int) -> int:
     """Value of the formula at one state."""
+    if not (0 <= state < model.frame.size):
+        raise DimensionMismatch(f"state {state} is outside 0..{model.frame.size - 1}")
     return model.values(formula)[state]
 
 
@@ -253,8 +209,3 @@ def model_to_json(model: Model) -> dict:
                       for idx, row in sorted(model.valuation.items())},
     }
     return out
-
-
-def model_atoms_cover(model: Model, formula: Formula) -> bool:
-    """Do the frame's relations cover every atom the formula mentions?"""
-    return all(idx in model.frame.atomic for idx in action_atoms(formula))

@@ -193,8 +193,8 @@ def subformulas(f: Formula) -> list[Formula]:
     return list(seen)
 
 
-def action_atoms(f: Formula) -> list[int]:
-    """Sorted indices of action atoms occurring anywhere in f."""
+def action_atoms(f: Formula | ActionExp) -> list[int]:
+    """Sorted indices of action atoms occurring anywhere in a formula or action."""
     out: set[int] = set()
 
     def walk_action(a: ActionExp) -> None:
@@ -206,9 +206,10 @@ def action_atoms(f: Formula) -> list[int]:
             walk_action(a.left)
             walk_action(a.right)
 
-    for g in subformulas(f):
-        if isinstance(g, Box):
-            walk_action(g.action)
+    actions = [f] if isinstance(f, (Atom, Choice, Seq, Plus)) else \
+        [g.action for g in subformulas(f) if isinstance(g, Box)]
+    for a in actions:
+        walk_action(a)
     return sorted(out)
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from flpdl.cli import main
+from flpdl.parser import MAX_NESTING
 
 
 @pytest.fixture()
@@ -110,6 +111,35 @@ def test_input_errors_exit_two(capsys, model_file):
         "decide", "--algebra", "builtin:nope", "--max-states", "1",
         "--formula", "p0"])
     assert code == 2
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("state", ["3", "5", "-1"])
+def test_eval_state_out_of_range_is_input_error(capsys, model_file, state):
+    assert_input_error(*run(capsys, [
+        "eval", "--model", model_file, "--formula", "p0", "--state", state]))
+
+
+def test_eval_nesting_at_cap_and_past_it(capsys, model_file):
+    code, out, _ = run(capsys, [
+        "eval", "--model", model_file, "--formula", "!" * MAX_NESTING + "p0"])
+    assert code == 0
+    # negation is involutive on cost chains, so an even count gives p0 back
+    assert json.loads(out)["values"] == [0, 1, 2]
+    code, out, err = run(capsys, [
+        "eval", "--model", model_file, "--formula", "!" * (MAX_NESTING + 1) + "p0"])
+    assert_input_error(code, out, err)
+    assert f"position {MAX_NESTING}" in err
+    deep = "(" * (MAX_NESTING + 1) + "p0" + ")" * (MAX_NESTING + 1)
+    assert_input_error(*run(capsys, ["eval", "--model", model_file, "--formula", deep]))
+    assert_input_error(*run(capsys, [
+        "eval", "--model", model_file, "--formula", "!" * 3000 + "p0"]))
 
 
 def test_budget_exhaustion_exits_three(capsys):

@@ -9,9 +9,10 @@ from flpdl.decision import (Countermodel, NoCountermodelUpTo,
                             ValidByExhaustion, decide_bounded, default_budget,
                             theoretical_bound)
 from flpdl.errors import BudgetExceeded
+from flpdl.oracles import reference_values
 from flpdl.parser import parse_formula
 from flpdl.relations import XRelation
-from flpdl.semantics import Frame, Model, evaluate, valid_in_model
+from flpdl.semantics import Frame, Model, evaluate
 from flpdl.syntax import action_atoms, variables
 
 
@@ -22,7 +23,9 @@ def slow_first_countermodel(formula, algebra, max_states):
     lexicographically row-major with the first atom most significant,
     then valuation rows with the first variable most significant and
     state 0 the most significant digit. Returns (model, state, value,
-    candidates seen including the hit) or (None, count).
+    candidates seen including the hit) or (None, count). Candidates are
+    judged by the reference evaluator, which shares no code with the
+    kernel that decide_bounded runs.
     """
     atoms = sorted(action_atoms(formula)) or []
     vars_ = sorted(variables(formula)) or []
@@ -40,9 +43,9 @@ def slow_first_countermodel(formula, algebra, max_states):
                     for a, flat in zip(atoms, rel_choice)}
                 vals = {v: row for v, row in zip(vars_, val_choice)}
                 m = Model(Frame(algebra, n, rels), vals)
-                ok, state, value = valid_in_model(m, formula)
-                if not ok:
-                    return m, state, value, seen
+                for state, value in enumerate(reference_values(m, formula)):
+                    if not algebra.leq(algebra.one, value):
+                        return m, state, value, seen
     return None, seen
 
 

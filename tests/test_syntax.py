@@ -4,7 +4,7 @@ import pytest
 
 from flpdl.errors import FormulaSyntaxError, UnknownConstant
 from flpdl.generators import random_action, random_formula
-from flpdl.parser import parse_action, parse_formula
+from flpdl.parser import MAX_NESTING, parse_action, parse_formula
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, Or, Plus, RDiv,
                           Seq, Var, closure_of, diamond, format_action,
                           format_formula, is_closed, neg, star_box,
@@ -168,3 +168,55 @@ def test_subformulas_pin(C3):
     subs = set(subformulas(f))
     assert Var(0) in subs and Const(1) in subs
     assert len(subs) == 5
+
+
+def _depth(node):
+    kids = [c for c in vars(node).values() if not isinstance(c, int)]
+    return 1 + max(map(_depth, kids)) if kids else 0
+
+
+def nested(k):
+    """One formula per way of nesting, each k levels deep as the parser counts."""
+    return {
+        "negation": "!" * k + "p0",
+        "parentheses": "(" * k + "p0" + ")" * k,
+        "and-chain": " & ".join(["p0"] * (k + 1)),
+        "implication-chain": "p0 -> " * k + "p0",
+        "plus-chain": "[a0" + "+" * (k - 1) + "]p0",
+        "action-parentheses": "[" + "(" * k + "a0" + ")" * k + "]p0",
+        "diamonds": "<a0>" * (k // 3) + "!" * (k % 3) + "p0",
+        "starred-box": "[a0*]" + "!" * (k - 2) + "p0",
+        "starred-diamond": "<a0*>" + "!" * (k - 4) + "p0",
+    }
+
+
+@pytest.mark.parametrize("kind", nested(MAX_NESTING))
+def test_every_recursive_walk_succeeds_at_the_nesting_cap(C3, kind):
+    from flpdl.oracles import reference_values
+    from flpdl.proofs import match_axiom
+    from flpdl.semantics import Frame, Model
+
+    f = parse_formula(nested(MAX_NESTING)[kind], C3)
+    # brackets nest the parse, not the tree
+    assert _depth(f) == {"parentheses": 0, "action-parentheses": 1}.get(kind, MAX_NESTING)
+    assert parse_formula(format_formula(f), C3) == f
+    assert hash(f) == hash(parse_formula(format_formula(f), C3))
+    assert subformulas(f)[0] == f
+    match_axiom(f, C3)
+    model = Model(Frame(C3, 2), {0: (0, 2)})
+    assert model.values(f) == reference_values(model, f)
+
+
+@pytest.mark.parametrize("kind", nested(MAX_NESTING))
+def test_nesting_past_the_cap_is_a_syntax_error(C3, kind):
+    with pytest.raises(FormulaSyntaxError, match=f"deeper than {MAX_NESTING}"):
+        parse_formula(nested(MAX_NESTING + 1)[kind], C3)
+
+
+def test_nesting_error_points_at_the_crossing_token(C3):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("!" * 3000 + "p0", C3)
+    assert exc.value.position == MAX_NESTING
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(" & ".join(["p0"] * (MAX_NESTING + 2)), C3)
+    assert exc.value.position == len(" & ".join(["p0"] * (MAX_NESTING + 1))) + 1
