@@ -23,9 +23,26 @@ from .errors import NotALattice, NotAMonoid, NotResiduated
 Table = tuple[tuple[int, ...], ...]
 
 
+def element_indices(values, size: int, what: str, error=ValueError) -> tuple[int, ...]:
+    """The values as a tuple of element indices in 0..size-1.
+
+    Raises `error` naming the first value that is no integer in range; a
+    bool is none. Plain ints in range, the common case, are checked without
+    a Python-level loop.
+    """
+    plain = set(map(type, values)) <= {int}
+    if not (plain and (not values or 0 <= min(values) and max(values) < size)):
+        for v in values:
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < size:
+                raise error(f"{what} {v!r} is no element index in 0..{size - 1}")
+    return tuple(map(int, values))
+
+
 def _as_table(raw, size: int, what: str) -> Table:
     """Normalize a flat row-major list or nested rows into a tuple table."""
-    if len(raw) == size and all(hasattr(row, "__len__") for row in raw):
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{what} table must be a list")
+    if len(raw) == size and all(isinstance(row, (list, tuple)) for row in raw):
         rows = [list(row) for row in raw]
     elif len(raw) == size * size:
         rows = [list(raw[i * size:(i + 1) * size]) for i in range(size)]
@@ -34,10 +51,7 @@ def _as_table(raw, size: int, what: str) -> Table:
     for row in rows:
         if len(row) != size:
             raise ValueError(f"{what} table must be {size}x{size}")
-        for v in row:
-            if not isinstance(v, (int, np.integer)) or not (0 <= v < size):
-                raise ValueError(f"{what} entry {v!r} out of range 0..{size - 1}")
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(element_indices(row, size, f"{what} entry") for row in rows)
 
 
 @dataclass(frozen=True)
@@ -148,16 +162,15 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
 
     Deterministic: identical inputs yield identical derived tables.
     """
-    if not isinstance(size, int) or size < 1:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("size must be a positive integer")
     meet = _as_table(meet, size, "meet")
     join = _as_table(join, size, "join")
     fusion = _as_table(fusion, size, "fusion")
-    for d, what in ((one, "one"), (zero, "zero")):
-        if not isinstance(d, (int, np.integer)) or not (0 <= d < size):
-            raise ValueError(f"distinguished element {what}={d!r} out of range")
-    one, zero = int(one), int(zero)
+    one, zero = element_indices((one, zero), size, "distinguished element one or zero")
     if names is not None:
+        if not isinstance(names, (list, tuple)):
+            raise ValueError("names must be a list")
         names = tuple(str(n) for n in names)
         if len(names) != size:
             raise ValueError("names must list one name per element")

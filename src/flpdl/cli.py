@@ -3,7 +3,8 @@
 One binary, subcommand style. Machine-readable JSON goes to stdout with a
 short human summary on stderr; --format text swaps in the human line only.
 Exit codes: 0 success / valid / accepted, 1 countermodel / invalid /
-rejected, 2 bad input, 3 budget exhausted.
+rejected, 2 bad input, 3 budget exhausted, 4 internal error (a defect,
+reported on one line so it never reads as a verdict).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
 _EXIT_INPUT = 2
 _EXIT_BUDGET = 3
+_EXIT_INTERNAL = 4
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -292,6 +294,10 @@ def main(argv=None) -> int:
     except (FLPDLError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -29,12 +29,20 @@ def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
-    """Least transitive relation above r: iterate T <- r u T;r from r."""
+    """Least transitive relation above r, by repeated squaring T <- T u T;T from r.
+
+    Fusion distributes over finite joins, so `;` is associative and
+    distributes over `u`; after round i, T is the join of r^k over
+    1 <= k <= 2^i, every walk of at most 2^i steps. A fixpoint has
+    T;T <= T and T >= r and never exceeds the join of all r^k, so it is the
+    least transitive relation above r, reached in about log2(n) rounds on
+    relations whose walks stop improving past n steps.
+    """
     arrs = algebra.arrays
     t = r
-    # each of the n^2 entries can strictly climb at most |X|-1 times
+    # T only climbs, and each of the n^2 entries can strictly climb at most |X|-1 times
     for _ in range(r.shape[1] ** 2 * algebra.size + 1):
-        nxt = arrs.join[r, compose(arrs, t, r)]
+        nxt = arrs.join[t, compose(arrs, t, t)]
         if np.array_equal(nxt, t):
             return t
         t = nxt

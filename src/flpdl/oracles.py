@@ -3,8 +3,8 @@
 Nothing here shares code with the main evaluation path, `kernel`: the
 reference evaluator applies the definitions one scalar lookup at a time,
 the classical checker works on sets, the closure oracles work by
-brute-force candidate enumeration and by explicit walk enumeration with
-plain capped addition. Slow on purpose; correctness over speed.
+brute-force candidate enumeration and by cheapest walks with plain capped
+addition. Slow on purpose; correctness over speed.
 """
 
 from __future__ import annotations
@@ -192,24 +192,22 @@ def least_transitive_extension(algebra: FLAlgebra, rel: XRelation,
 
 
 def cost_walk_join_fast(rel: XRelation, cap: int) -> np.ndarray:
-    """Transitive closure of a cost-chain relation by explicit walk enumeration.
+    """Transitive closure of a cost-chain relation as cheapest walks.
 
     Works with plain numbers only: edge weights add (capped), a walk's
     value is its total, and the best value per state pair is the minimum
-    over every walk with fewer than states * (cap + 1) intermediate stops,
-    all walks of one length enumerated as one array. The main code path's
-    join and fusion tables are never consulted.
+    over every walk with at most states * (cap + 1) steps. Walks are
+    extended one step per round, so round L holds the cheapest walk of at
+    most L steps; a round that changes nothing changes nothing after it.
+    The main code path's join and fusion tables are never consulted.
     """
     n = rel.size
     weights = np.array(rel.values, dtype=np.int64)
-    best = np.full((n, n), cap, dtype=np.int64)
-    max_mid = n * (cap + 1)
-    for mid in range(max_mid):
-        length = mid + 2
-        walks = np.indices((n,) * length, dtype=np.int64).reshape(length, -1)
-        totals = np.zeros(walks.shape[1], dtype=np.int64)
-        for step in range(length - 1):
-            totals = np.minimum(totals + weights[walks[step], walks[step + 1]], cap)
-        flat = walks[0] * n + walks[-1]
-        np.minimum.at(best.reshape(-1), flat, totals)
+    best = np.minimum(weights, cap)
+    for _ in range(n * (cap + 1) - 1):
+        longer = (best[:, :, None] + weights[None, :, :]).min(axis=1)
+        nxt = np.minimum(best, np.minimum(longer, cap))
+        if np.array_equal(nxt, best):
+            break
+        best = nxt
     return best

@@ -286,19 +286,24 @@ def _line_from_json(obj: dict, algebra: FLAlgebra, where: str) -> ProofLine:
     if not isinstance(by_raw, dict):
         raise ValueError(f'{where}: "by" must be an object with a "kind"')
     kind = by_raw.get("kind")
+
+    def cited(refs) -> tuple[int, ...]:
+        if not isinstance(refs, list) or not all(
+                isinstance(r, int) and not isinstance(r, bool) for r in refs):
+            raise ValueError(f"{where}: cited lines must be a list of line numbers")
+        return tuple(refs)
+
     if kind == "axiom":
+        if "axiom" not in by_raw:
+            raise ValueError(f'{where}: an axiom line needs "axiom"')
         by: Justification = ByAxiom(str(by_raw["axiom"]))
     elif kind == "log":
-        by = ByLog(tuple(int(r) for r in by_raw.get("refs", ())))
+        by = ByLog(cited(by_raw.get("refs", [])))
     elif kind in ("rmon", "rplus"):
-        if "ref" in by_raw:
-            ref = int(by_raw["ref"])
-        else:
-            refs = by_raw.get("refs", ())
-            if len(refs) != 1:
-                raise ValueError(f"{where}: {kind} takes exactly one cited line")
-            ref = int(refs[0])
-        by = ByRMon(ref) if kind == "rmon" else ByRPlus(ref)
+        refs = cited([by_raw["ref"]] if "ref" in by_raw else by_raw.get("refs", []))
+        if len(refs) != 1:
+            raise ValueError(f"{where}: {kind} takes exactly one cited line")
+        by = ByRMon(refs[0]) if kind == "rmon" else ByRPlus(refs[0])
     else:
         raise ValueError(f"{where}: unknown justification kind {kind!r}")
     return ProofLine(parse_formula(str(obj["formula"]), algebra), by)
@@ -319,7 +324,7 @@ def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:
         if algebra is None and "algebra" in source:
             algebra = load_algebra(source["algebra"])
         raw_lines = source.get("lines")
-        if raw_lines is None:
+        if not isinstance(raw_lines, list):
             raise ValueError('proof dict needs a "lines" array')
     elif isinstance(source, list):
         raw_lines = source

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import FLAlgebra
+from .algebra import FLAlgebra, element_indices
 from .errors import DimensionMismatch
 from .kernel import closure, compose
 
@@ -35,16 +35,14 @@ class XRelation:
 
     @classmethod
     def from_rows(cls, algebra: FLAlgebra, rows: Sequence[Sequence[int]]) -> "XRelation":
+        if not isinstance(rows, (list, tuple)):
+            raise DimensionMismatch("relation matrix must be a list of rows")
         n = len(rows)
-        vals = []
         for row in rows:
-            if len(row) != n:
+            if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise DimensionMismatch("relation matrix must be square")
-            for v in row:
-                if not (0 <= int(v) < algebra.size):
-                    raise DimensionMismatch(f"relation entry {v!r} is no element index")
-            vals.append(tuple(int(v) for v in row))
-        return cls(algebra, tuple(vals))
+        return cls(algebra, tuple(element_indices(row, algebra.size, "relation entry",
+                                                  DimensionMismatch) for row in rows))
 
     @classmethod
     def from_array(cls, algebra: FLAlgebra, arr: np.ndarray) -> "XRelation":
@@ -93,8 +91,9 @@ def rel_compose(r: XRelation, q: XRelation) -> XRelation:
 def transitive_closure(r: XRelation) -> XRelation:
     """Least transitive relation extending r.
 
-    Computed as the least fixpoint of T |-> r union (T;r) starting from r;
-    entries only climb in the finite lattice, so the iteration stabilizes.
+    Computed by `kernel.closure`: repeated squaring T |-> T union (T;T)
+    from r, whose fixpoint is the join of r^k over every k >= 1; entries
+    only climb in the finite lattice, so the iteration stabilizes.
     """
     return XRelation.from_array(r.algebra, closure(r.algebra, r.array()[None])[0])
 

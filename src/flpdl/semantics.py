@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernel
-from .algebra import FLAlgebra, algebra_to_json, load_algebra
+from .algebra import FLAlgebra, algebra_to_json, element_indices, load_algebra
 from .errors import DimensionMismatch, UnknownAtom
 from .relations import XRelation, bottom_relation
 from .syntax import ActionExp, Atom, Formula, Var, action_atoms
@@ -91,13 +91,10 @@ class Model:
         self.strict = strict
         self.valuation: dict[int, tuple[int, ...]] = {}
         for var, row in (valuation or {}).items():
-            row = tuple(int(v) for v in row)
-            if len(row) != frame.size:
+            if not isinstance(row, (list, tuple)) or len(row) != frame.size:
                 raise DimensionMismatch(f"valuation for p{var} must list {frame.size} values")
-            for v in row:
-                if not (0 <= v < frame.algebra.size):
-                    raise DimensionMismatch(f"valuation entry {v} is no element index")
-            self.valuation[int(var)] = row
+            self.valuation[int(var)] = element_indices(row, frame.algebra.size, "valuation entry",
+                                                       DimensionMismatch)
         self._values: dict[Formula, tuple[int, ...]] = {}
         self._memo = {Var(p): np.array([row]) for p, row in self.valuation.items()}
 
@@ -173,13 +170,16 @@ def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -
         algebra = load_algebra(source["algebra"])
 
     states = source.get("states")
-    if isinstance(states, int):
+    if isinstance(states, int) and not isinstance(states, bool):
         size, names = states, None
     elif isinstance(states, list):
         size, names = len(states), [str(s) for s in states]
     else:
         raise ValueError('model field "states" must be a count or a list of names')
 
+    for field in ("relations", "valuation"):
+        if not isinstance(source.get(field) or {}, dict):
+            raise ValueError(f'model field "{field}" must be a map')
     relations = {}
     for key, matrix in (source.get("relations") or {}).items():
         m = _ATOM_KEY.match(str(key))

@@ -120,6 +120,74 @@ def assert_input_error(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def _cost3_inline():
+    rng = range(3)
+    return {"size": 3, "meet": [[max(a, b) for b in rng] for a in rng],
+            "join": [[min(a, b) for b in rng] for a in rng],
+            "fusion": [[min(a + b, 2) for b in rng] for a in rng], "one": 0, "zero": 0}
+
+
+MALFORMED_MODELS = {
+    "relation entry 1.5": {"relations": {"a0": [[0, 1.5], [1, 0]]}},
+    "relation entry '1'": {"relations": {"a0": [[0, "1"], [1, 0]]}},
+    "relation entry true": {"relations": {"a0": [[0, True], [1, 0]]}},
+    "relation not a list": {"relations": {"a0": 5}},
+    "relation row not a list": {"relations": {"a0": [5, 5]}},
+    "relations not a map": {"relations": 5},
+    "valuation entry 1.5": {"valuation": {"p0": [0, 1.5]}},
+    "valuation entry '1'": {"valuation": {"p0": [0, "1"]}},
+    "valuation entry true": {"valuation": {"p0": [0, True]}},
+    "valuation not a list": {"valuation": {"p0": 5}},
+    "states true": {"states": True, "relations": {}, "valuation": {}},
+    "algebra table entry true": {"algebra": dict(_cost3_inline(),
+                                                 meet=[[0, 1, 2], [1, True, 2], [2, 2, 2]])},
+    "algebra zero false": {"algebra": dict(_cost3_inline(), zero=False)},
+    "algebra names not a list": {"algebra": dict(_cost3_inline(), names=5)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_is_input_error(capsys, tmp_path, case):
+    doc = {"algebra": "builtin:cost:3", "states": 2,
+           "relations": {"a0": [[0, 1], [1, 0]]}, "valuation": {"p0": [0, 1]},
+           **MALFORMED_MODELS[case]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert_input_error(*run(capsys, ["eval", "--model", str(path), "--formula", "[a0]p0"]))
+
+
+MALFORMED_PROOF_LINES = {
+    "lines not a list": 5,
+    "axiom missing": [{"formula": "[a0]#one", "by": {"kind": "axiom"}}],
+    "refs not a list": [{"formula": "p0 -> p0", "by": {"kind": "log", "refs": 5}}],
+    "ref not a number": [{"formula": "p0 -> p0", "by": {"kind": "log", "refs": []}},
+                         {"formula": "[a0]p0 -> [a0]p0", "by": {"kind": "rmon", "ref": [0]}}],
+    "ref 0.0": [{"formula": "p0 -> p0", "by": {"kind": "log", "refs": []}},
+                {"formula": "[a0]p0 -> [a0]p0", "by": {"kind": "rmon", "ref": 0.0}}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROOF_LINES))
+def test_malformed_proof_is_input_error(capsys, tmp_path, case):
+    path = tmp_path / "p.json"
+    doc = {"algebra": "builtin:cost:3", "lines": MALFORMED_PROOF_LINES[case]}
+    path.write_text(json.dumps(doc))
+    assert_input_error(*run(capsys, ["prove-check", str(path)]))
+
+
+def test_unmapped_exception_is_internal_error(capsys, monkeypatch, model_file):
+    import flpdl.cli
+
+    def crash(args):
+        raise RuntimeError("boom\non two lines")
+
+    monkeypatch.setattr(flpdl.cli, "_cmd_eval", crash)
+    code, out, err = run(capsys, ["eval", "--model", model_file, "--formula", "p0"])
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: boom on two lines"]
+
+
 @pytest.mark.parametrize("state", ["3", "5", "-1"])
 def test_eval_state_out_of_range_is_input_error(capsys, model_file, state):
     assert_input_error(*run(capsys, [

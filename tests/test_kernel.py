@@ -2,13 +2,14 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flpdl import kernel
-from flpdl.algebra import bool2, cost_chain, product
+from flpdl.algebra import FLAlgebra, bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.oracles import reference_values
 from flpdl.proofs import _BLOCK, log_consequence
@@ -17,7 +18,7 @@ from flpdl.semantics import Frame, Model
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
                           RDiv, Seq, Var, neg)
 
-PROPERTY = settings(max_examples=150, deadline=None,
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -114,3 +115,49 @@ def test_refutation_in_the_last_assignment_block_is_found():
     # refuted only at p0..p11 one and p12 zero, index 8190, also in the last block
     assert not log_consequence(atoms[:12], atoms[12], B)
     assert log_consequence(atoms[:12], functools.reduce(And, atoms[:12]), B)
+
+
+def linear_closure(algebra: FLAlgebra, r):
+    """T <- r u T;r from r to its fixpoint, one scalar lookup at a time."""
+    n = len(r)
+    t = r
+    while True:
+        nxt = [[algebra.join(r[s][u], functools.reduce(
+            algebra.join, (algebra.fuse(t[s][x], r[x][u]) for x in range(n)), algebra.bottom))
+            for u in range(n)] for s in range(n)]
+        if nxt == t:
+            return t
+        t = nxt
+
+
+@PROPERTY
+@given(st.data())
+def test_closure_matches_linear_fixpoint(data):
+    algebra = data.draw(algebras())
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(0, algebra.size - 1)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    batch = data.draw(st.lists(matrix, min_size=1, max_size=4))
+    got = kernel.closure(algebra, np.array(batch, dtype=np.int64))
+    assert got.tolist() == [linear_closure(algebra, r) for r in batch]
+
+
+def test_closure_takes_logarithmically_many_rounds(monkeypatch):
+    n = 64
+    calls = []
+    compose = kernel.compose
+
+    def counting(*args):
+        calls.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(kernel, "compose", counting)
+    algebra = cost_chain(n + 2)
+    # a path: one edge of cost 1 from each state to the next, bottom elsewhere
+    path = np.full((1, n, n), algebra.bottom, dtype=np.int64)
+    path[0, np.arange(n - 1), np.arange(1, n)] = 1
+    got = kernel.closure(algebra, path)[0]
+    assert len(calls) <= math.ceil(math.log2(n)) + 2
+    # the walk from s to t > s costs t - s, and bottom (the cap) is all there is otherwise
+    s, t = np.indices((n, n))
+    assert (got == np.where(t > s, t - s, algebra.bottom)).all()

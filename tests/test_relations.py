@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flpdl.algebra import cost_chain
 from flpdl.algebra_search import find_non_integral
 from flpdl.errors import DimensionMismatch
 from flpdl.generators import random_relation
@@ -116,6 +117,15 @@ def test_closure_matches_capped_walk_oracle(C3, rng):
         p = transitive_closure(r)
         oracle = cost_walk_join_fast(r, cap=2)
         assert p.values == tuple(map(tuple, oracle.tolist()))
+
+
+def test_closure_of_a_long_path_matches_walk_oracle():
+    n = 80
+    C = cost_chain(n + 2)
+    rows = [[1 if t == s + 1 else C.bottom for t in range(n)] for s in range(n)]
+    r = XRelation.from_rows(C, rows)
+    oracle = cost_walk_join_fast(r, cap=C.bottom)
+    assert transitive_closure(r).values == tuple(map(tuple, oracle.tolist()))
 
 
 def test_star_forces_one_on_diagonal(C3, rng):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from flpdl.algebra import algebra_to_json
 from flpdl.errors import DimensionMismatch, UnknownAtom
 from flpdl.generators import random_formula, random_model
 from flpdl.parser import parse_formula
@@ -213,6 +214,32 @@ def test_load_model_errors(C3):
                     "relations": {"walk": [[0, 0], [0, 0]]}})
     with pytest.raises(ValueError):
         load_model("no-such-file.json")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("relations", {"a0": [[0, 1.5], [1, 0]]}),
+    ("relations", {"a0": [[0, "1"], [1, 0]]}),
+    ("relations", {"a0": [[0, True], [1, 0]]}),
+    ("relations", {"a0": 5}),
+    ("relations", {"a0": [5, 5]}),
+    ("valuation", {"p0": [0, 1.5]}),
+    ("valuation", {"p0": [0, "1"]}),
+    ("valuation", {"p0": [0, True]}),
+    ("valuation", {"p0": 5}),
+])
+def test_load_model_rejects_non_index_entries(field, value):
+    doc = {"algebra": "builtin:cost:3", "states": 2, field: value}
+    with pytest.raises(DimensionMismatch):
+        load_model(doc)
+
+
+def test_load_model_rejects_bool_as_number(C3):
+    with pytest.raises(ValueError):
+        load_model({"algebra": "builtin:cost:3", "states": True})
+    inline = algebra_to_json(C3)
+    inline["meet"] = [True if v == 1 else v for v in inline["meet"]]
+    with pytest.raises(ValueError, match="meet entry True"):
+        load_model({"algebra": inline, "states": 1})
 
 
 def test_random_model_generator_shapes(C3, rng):
