@@ -6,6 +6,11 @@ join and fusion tables plus two distinguished elements: the monoid unit
 derived from the fusion table and then re-checked against the residuation
 law, never taken as input.
 
+Each law, in build_algebra and in check_algebra_properties, is one boolean
+numpy expression over `FLAlgebra.arrays`, evaluated a block of first indices
+at a time and, for a large algebra, one first index at a time. A failing law
+reports its first failing index tuple in lexicographic order.
+
 The implication written `a => b` throughout this package is the right
 division b/a (the largest x with x*a <= b). For non-commutative algebras
 the two divisions differ and this choice matters; it is the one used by the
@@ -20,7 +25,10 @@ import numpy as np
 
 from .errors import NotALattice, NotAMonoid, NotResiduated
 
-Table = tuple[tuple[int, ...], ...]
+# Largest builtin algebra (cost chains and products): tables grow as size ** 2
+# and the law checks as size ** 3, so a mistyped size fails fast instead.
+MAX_SIZE = 128
+_BLOCK = 4096  # law entries per numpy call, unless one first index needs more
 
 
 def element_indices(values, size: int, what: str, error=ValueError) -> tuple[int, ...]:
@@ -38,8 +46,8 @@ def element_indices(values, size: int, what: str, error=ValueError) -> tuple[int
     return tuple(map(int, values))
 
 
-def _as_table(raw, size: int, what: str) -> Table:
-    """Normalize a flat row-major list or nested rows into a tuple table."""
+def _as_table(raw, size: int, what: str) -> np.ndarray:
+    """Normalize a flat row-major list or nested rows into a size x size array."""
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"{what} table must be a list")
     if len(raw) == size and all(isinstance(row, (list, tuple)) for row in raw):
@@ -51,12 +59,12 @@ def _as_table(raw, size: int, what: str) -> Table:
     for row in rows:
         if len(row) != size:
             raise ValueError(f"{what} table must be {size}x{size}")
-    return tuple(element_indices(row, size, f"{what} entry") for row in rows)
+    return np.array([element_indices(row, size, f"{what} entry") for row in rows], dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class _Arrays:
-    """numpy views of the operation tables, for vectorized callers."""
+    """numpy forms of the operation tables, for vectorized callers."""
 
     meet: np.ndarray
     join: np.ndarray
@@ -67,27 +75,27 @@ class _Arrays:
 
 
 class FLAlgebra:
-    """A validated finite FL-algebra. Immutable; share freely across threads.
+    """A finite FL-algebra. Immutable; share freely across threads.
 
-    Construct via build_algebra / the builtins, not directly.
+    Construct via build_algebra / the builtins, which check the laws; the
+    constructor takes its tables (nested sequences or arrays) as given.
     """
 
     def __init__(self, size, meet, join, fusion, ldiv, imp, leq,
                  one, zero, bottom, top, names=None, uri=None):
         self.size = size
-        self.meet_table = meet
-        self.join_table = join
-        self.fusion_table = fusion
-        self.ldiv_table = ldiv          # ldiv_table[a][c] = a\c
-        self.imp_table = imp            # imp_table[a][c]  = c/a  (a => c)
-        self.leq_table = leq
+        self.arrays = _Arrays(*(np.asarray(t, dtype=np.int64) for t in (meet, join, fusion, ldiv, imp)),
+                              np.asarray(leq, dtype=bool))
+        (self.meet_table, self.join_table, self.fusion_table,
+         self.ldiv_table,               # ldiv_table[a][c] = a\c
+         self.imp_table,                # imp_table[a][c]  = c/a  (a => c)
+         self.leq_table) = (tuple(map(tuple, t.tolist())) for t in vars(self.arrays).values())
         self.one = one
         self.zero = zero
         self.bottom = bottom
         self.top = top
         self.names = names
         self.uri = uri
-        self._arrays: _Arrays | None = None
 
     # -- scalar operations ------------------------------------------------
 
@@ -115,27 +123,10 @@ class FLAlgebra:
     def leq(self, a: int, b: int) -> bool:
         return self.leq_table[a][b]
 
-    @property
-    def carrier(self) -> range:
-        return range(self.size)
-
     def element_name(self, a: int) -> str:
         if self.names is not None:
             return self.names[a]
         return str(a)
-
-    @property
-    def arrays(self) -> _Arrays:
-        if self._arrays is None:
-            self._arrays = _Arrays(
-                meet=np.array(self.meet_table, dtype=np.int64),
-                join=np.array(self.join_table, dtype=np.int64),
-                fuse=np.array(self.fusion_table, dtype=np.int64),
-                ldiv=np.array(self.ldiv_table, dtype=np.int64),
-                imp=np.array(self.imp_table, dtype=np.int64),
-                leq=np.array(self.leq_table, dtype=bool),
-            )
-        return self._arrays
 
     def same_tables(self, other: "FLAlgebra") -> bool:
         """Structural equality, for tests and fixture comparison."""
@@ -151,22 +142,52 @@ class FLAlgebra:
         return f"FLAlgebra({tag})"
 
 
+def _first_failure(size: int, law) -> tuple[int, ...] | None:
+    """The first index tuple, in lexicographic order, at which `law` fails.
+
+    `law` takes one element index array per variable, as open grids, and
+    returns booleans, true where it holds. Each call covers as many first
+    indices as fit in _BLOCK entries, and at least one.
+    """
+    arity = law.__code__.co_argcount
+    grids = [np.arange(size).reshape([-1 if i == j else 1 for i in range(arity)])
+             for j in range(arity)]
+    step = max(1, _BLOCK // size ** (arity - 1))
+    for start in range(0, size, step):
+        holds = law(grids[0][start:start + step], *grids[1:])
+        if not holds.all():
+            first, *rest = np.unravel_index(np.argmin(holds), holds.shape)
+            return (start + int(first), *map(int, rest))
+    return None
+
+
+def _require(error, size: int, laws) -> None:
+    """Raise `error` at the first failing index tuple of the first failing law."""
+    for message, law in laws:
+        witness = _first_failure(size, law)
+        if witness is not None:
+            raise error(message, witness)
+
+
 def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
                   names=None, uri=None) -> FLAlgebra:
     """Validate the tables and return an algebra with derived residuals.
 
-    Checks, in order: lattice laws for (meet, join); monoid laws for
-    (fusion, one); then derives both residuals as joins and re-checks the
-    residuation law on every triple. Raises NotALattice / NotAMonoid /
-    NotResiduated with the first offending tuple.
+    Checks each law over all its index tuples before the next, in order:
+    meet and join commutative, idempotent, absorptive and associative
+    (else NotALattice); one a two-sided fusion identity, fusion
+    associative (else NotAMonoid); then derives the order, the bounds and
+    both residuals as joins and checks a*b <= c iff b <= a\\c, then
+    a*b <= c iff a <= c/b (else NotResiduated). The error carries the
+    failing law's first index tuple in lexicographic order.
 
     Deterministic: identical inputs yield identical derived tables.
     """
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise ValueError("size must be a positive integer")
-    meet = _as_table(meet, size, "meet")
-    join = _as_table(join, size, "join")
-    fusion = _as_table(fusion, size, "fusion")
+    M = _as_table(meet, size, "meet")
+    J = _as_table(join, size, "join")
+    F = _as_table(fusion, size, "fusion")
     one, zero = element_indices((one, zero), size, "distinguished element one or zero")
     if names is not None:
         if not isinstance(names, (list, tuple)):
@@ -175,78 +196,35 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
         if len(names) != size:
             raise ValueError("names must list one name per element")
 
-    rng = range(size)
-    for a in rng:
-        for b in rng:
-            if meet[a][b] != meet[b][a]:
-                raise NotALattice("meet is not commutative", (a, b))
-            if join[a][b] != join[b][a]:
-                raise NotALattice("join is not commutative", (a, b))
-        if meet[a][a] != a:
-            raise NotALattice("meet is not idempotent", (a,))
-        if join[a][a] != a:
-            raise NotALattice("join is not idempotent", (a,))
-    for a in rng:
-        for b in rng:
-            if meet[a][join[a][b]] != a:
-                raise NotALattice("absorption a /\\ (a \\/ b) = a fails", (a, b))
-            if join[a][meet[a][b]] != a:
-                raise NotALattice("absorption a \\/ (a /\\ b) = a fails", (a, b))
-            for c in rng:
-                if meet[meet[a][b]][c] != meet[a][meet[b][c]]:
-                    raise NotALattice("meet is not associative", (a, b, c))
-                if join[join[a][b]][c] != join[a][join[b][c]]:
-                    raise NotALattice("join is not associative", (a, b, c))
+    _require(NotALattice, size, (
+        ("meet is not commutative", lambda a, b: M[a, b] == M[b, a]),
+        ("join is not commutative", lambda a, b: J[a, b] == J[b, a]),
+        ("meet is not idempotent", lambda a: M[a, a] == a),
+        ("join is not idempotent", lambda a: J[a, a] == a),
+        ("absorption a /\\ (a \\/ b) = a fails", lambda a, b: M[a, J[a, b]] == a),
+        ("absorption a \\/ (a /\\ b) = a fails", lambda a, b: J[a, M[a, b]] == a),
+        ("meet is not associative", lambda a, b, c: M[M[a, b], c] == M[a, M[b, c]]),
+        ("join is not associative", lambda a, b, c: J[J[a, b], c] == J[a, J[b, c]]),
+    ))
+    _require(NotAMonoid, size, (
+        ("one is not a fusion identity", lambda a: (F[one, a] == a) & (F[a, one] == a)),
+        ("fusion is not associative", lambda a, b, c: F[F[a, b], c] == F[a, F[b, c]]),
+    ))
 
     # order a <= b iff a \/ b = b; bounds exist because the lattice is finite
-    leq = tuple(tuple(join[a][b] == b for b in rng) for a in rng)
-    bottom = 0
-    top = 0
-    for a in rng:
-        bottom = meet[bottom][a]
-        top = join[top][a]
-
-    for a in rng:
-        if fusion[one][a] != a or fusion[a][one] != a:
-            raise NotAMonoid("one is not a fusion identity", (a,))
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if fusion[fusion[a][b]][c] != fusion[a][fusion[b][c]]:
-                    raise NotAMonoid("fusion is not associative", (a, b, c))
-
+    L = J == np.arange(size)
+    bottom = int(np.argmax(L.all(axis=1)))
+    top = int(np.argmax(L.all(axis=0)))
     # a\c = join of {b : a*b <= c};  c/a = join of {b : b*a <= c}
-    ldiv_rows = []
-    imp_rows = []
-    for a in rng:
-        lrow = []
-        irow = []
-        for c in rng:
-            l = bottom
-            r = bottom
-            for b in rng:
-                if leq[fusion[a][b]][c]:
-                    l = join[l][b]
-                if leq[fusion[b][a]][c]:
-                    r = join[r][b]
-            lrow.append(l)
-            irow.append(r)
-        ldiv_rows.append(tuple(lrow))
-        imp_rows.append(tuple(irow))
-    ldiv = tuple(ldiv_rows)
-    imp = tuple(imp_rows)
-
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                ab_le_c = leq[fusion[a][b]][c]
-                if ab_le_c != leq[b][ldiv[a][c]]:
-                    raise NotResiduated("a*b <= c iff b <= a\\c fails", (a, b, c))
-                if ab_le_c != leq[a][imp[b][c]]:
-                    raise NotResiduated("a*b <= c iff a <= c/b fails", (a, b, c))
-
-    return FLAlgebra(size, meet, join, fusion, ldiv, imp, leq,
-                     one, zero, bottom, top, names=names, uri=uri)
+    D = I = np.full((size, size), bottom)
+    for b in range(size):
+        D = np.where(L[F[:, b]], J[D, b], D)
+        I = np.where(L[F[b]], J[I, b], I)
+    _require(NotResiduated, size, (
+        ("a*b <= c iff b <= a\\c fails", lambda a, b, c: L[F[a, b], c] == L[b, D[a, c]]),
+        ("a*b <= c iff a <= c/b fails", lambda a, b, c: L[F[a, b], c] == L[a, I[b, c]]),
+    ))
+    return FLAlgebra(size, M, J, F, D, I, L, one, zero, bottom, top, names=names, uri=uri)
 
 
 # -- built-in algebras ----------------------------------------------------
@@ -271,8 +249,8 @@ def cost_chain(n: int) -> FLAlgebra:
     n-1, and 0 serves as both the unit and the zero constant. The derived
     implication comes out as a => b = max(b - a, 0).
     """
-    if n < 1:
-        raise ValueError("cost chain needs at least one element")
+    if not 1 <= n <= MAX_SIZE:
+        raise ValueError(f"a cost chain has 1..{MAX_SIZE} elements, not {n}")
     rng = range(n)
     return build_algebra(
         n,
@@ -289,33 +267,26 @@ def product(left: FLAlgebra, right: FLAlgebra) -> FLAlgebra:
     """Componentwise product; element (i, j) gets index i*|right| + j."""
     nl, nr = left.size, right.size
     size = nl * nr
-
-    def enc(i, j):
-        return i * nr + j
+    if size > MAX_SIZE:
+        raise ValueError(f"a product of {nl} and {nr} elements exceeds the {MAX_SIZE}-element limit")
 
     def table(op_l, op_r):
-        rows = []
-        for i in range(nl):
-            for j in range(nr):
-                row = []
-                for k in range(nl):
-                    for m in range(nr):
-                        row.append(enc(op_l(i, k), op_r(j, m)))
-                rows.append(row)
-        return rows
+        # row (i, j), column (k, m) holds the pair (op_l[i, k], op_r[j, m])
+        return (op_l[:, None, :, None] * nr + op_r[None, :, None, :]).reshape(size, size).tolist()
 
     names = [f"({left.element_name(i)},{right.element_name(j)})"
              for i in range(nl) for j in range(nr)]
     uri = None
     if left.uri and right.uri and left.uri.startswith("builtin:") and right.uri.startswith("builtin:"):
         uri = f"builtin:product({left.uri[8:]},{right.uri[8:]})"
+    L, R = left.arrays, right.arrays
     return build_algebra(
         size,
-        meet=table(left.meet, right.meet),
-        join=table(left.join, right.join),
-        fusion=table(left.fuse, right.fuse),
-        one=enc(left.one, right.one),
-        zero=enc(left.zero, right.zero),
+        meet=table(L.meet, R.meet),
+        join=table(L.join, R.join),
+        fusion=table(L.fuse, R.fuse),
+        one=left.one * nr + right.one,
+        zero=left.zero * nr + right.zero,
         names=names,
         uri=uri,
     )
@@ -324,9 +295,7 @@ def product(left: FLAlgebra, right: FLAlgebra) -> FLAlgebra:
 # -- structural predicates and the property report ------------------------
 
 def is_commutative(algebra: FLAlgebra) -> bool:
-    n = algebra.size
-    return all(algebra.fuse(a, b) == algebra.fuse(b, a)
-               for a in range(n) for b in range(n))
+    return bool((algebra.arrays.fuse == algebra.arrays.fuse.T).all())
 
 
 def is_integral(algebra: FLAlgebra) -> bool:
@@ -356,68 +325,36 @@ class PropertyReport:
 def check_algebra_properties(algebra: FLAlgebra) -> PropertyReport:
     """Exhaustively verify eight arithmetic laws every FL-algebra satisfies.
 
-    Any failure (reported with its witness tuple, never raised) means the
-    tables do not form an FL-algebra; used as a cross-check against
-    build_algebra. The implication-chain law composes as
-    (b=>c)*(a=>b) <= a=>c, the order that is sound without commutativity.
+    Any failure (reported with its first failing index tuple in
+    lexicographic order, never raised) means the tables do not form an
+    FL-algebra; used as a cross-check against build_algebra. The
+    implication-chain law composes as (b=>c)*(a=>b) <= a=>c, the order
+    that is sound without commutativity.
     """
-    A = algebra
-    rng = range(A.size)
-    checks = []
-
-    def run(name, gen):
-        witness = None
-        for tup, ok in gen:
-            if not ok:
-                witness = tup
-                break
-        checks.append(PropertyCheck(name, witness is None, witness))
-
-    run("order matches implication: a<=b iff 1 <= a=>b",
-        (((a, b), A.leq(a, b) == A.leq(A.one, A.imp(a, b)))
-         for a in rng for b in rng))
-
-    def gen_monotone():
-        for a in rng:
-            for b in rng:
-                if not A.leq(a, b):
-                    continue
-                for c in rng:
-                    for d in rng:
-                        if not A.leq(c, d):
-                            continue
-                        ok = (A.leq(A.imp(b, c), A.imp(a, d))
-                              and A.leq(A.ldiv(b, c), A.ldiv(a, d))
-                              and A.leq(A.fuse(a, c), A.fuse(b, d)))
-                        yield (a, b, c, d), ok
-    run("residuals antitone left / monotone right; fusion monotone", gen_monotone())
-
-    run("fusion distributes over join on both sides",
-        (((a, b, c),
-          A.fuse(A.join(a, b), c) == A.join(A.fuse(a, c), A.fuse(b, c))
-          and A.fuse(c, A.join(a, b)) == A.join(A.fuse(c, a), A.fuse(c, b)))
-         for a in rng for b in rng for c in rng))
-
-    run("implication distributes over meet in the consequent",
-        (((a, b, c), A.imp(a, A.meet(b, c)) == A.meet(A.imp(a, b), A.imp(a, c)))
-         for a in rng for b in rng for c in rng))
-
-    run("joined antecedents meet their implications",
-        (((a, b, c), A.imp(A.join(a, b), c) == A.meet(A.imp(a, c), A.imp(b, c)))
-         for a in rng for b in rng for c in rng))
-
-    run("currying: a=>(b=>c) equals a*b=>c",
-        (((a, b, c), A.imp(a, A.imp(b, c)) == A.imp(A.fuse(a, b), c))
-         for a in rng for b in rng for c in rng))
-
-    run("implication chain: (b=>c)*(a=>b) <= a=>c",
-        (((a, b, c), A.leq(A.fuse(A.imp(b, c), A.imp(a, b)), A.imp(a, c)))
-         for a in rng for b in rng for c in rng))
-
-    run("one is the implication unit: 1=>a equals a",
-        (((a,), A.imp(A.one, a) == a) for a in rng))
-
-    return PropertyReport(tuple(checks))
+    X = algebra.arrays
+    M, J, F, D, I, L, one = X.meet, X.join, X.fuse, X.ldiv, X.imp, X.leq, algebra.one
+    laws = (
+        ("order matches implication: a<=b iff 1 <= a=>b",
+         lambda a, b: L[a, b] == L[one, I[a, b]]),
+        ("residuals antitone left / monotone right; fusion monotone",
+         lambda a, b, c, d: ~L[a, b] | ~L[c, d]
+         | L[I[b, c], I[a, d]] & L[D[b, c], D[a, d]] & L[F[a, c], F[b, d]]),
+        ("fusion distributes over join on both sides",
+         lambda a, b, c: (F[J[a, b], c] == J[F[a, c], F[b, c]])
+         & (F[c, J[a, b]] == J[F[c, a], F[c, b]])),
+        ("implication distributes over meet in the consequent",
+         lambda a, b, c: I[a, M[b, c]] == M[I[a, b], I[a, c]]),
+        ("joined antecedents meet their implications",
+         lambda a, b, c: I[J[a, b], c] == M[I[a, c], I[b, c]]),
+        ("currying: a=>(b=>c) equals a*b=>c",
+         lambda a, b, c: I[a, I[b, c]] == I[F[a, b], c]),
+        ("implication chain: (b=>c)*(a=>b) <= a=>c",
+         lambda a, b, c: L[F[I[b, c], I[a, b]], I[a, c]]),
+        ("one is the implication unit: 1=>a equals a",
+         lambda a: I[one, a] == a),
+    )
+    witnesses = ((name, _first_failure(algebra.size, law)) for name, law in laws)
+    return PropertyReport(tuple(PropertyCheck(name, w is None, w) for name, w in witnesses))
 
 
 # -- JSON form and builtin URIs --------------------------------------------

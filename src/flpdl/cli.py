@@ -181,16 +181,14 @@ def _cmd_decide(args) -> int:
 
 def _cmd_prove_check(args) -> int:
     algebra = load_algebra(args.algebra) if args.algebra else None
-    script = load_proof(args.proof, algebra)
-    if algebra is None:
-        with open(args.proof) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict) or "algebra" not in raw:
-            raise ValueError("proof file names no algebra; pass --algebra")
-        algebra = load_algebra(raw["algebra"])
+    with open(args.proof) as fh:
+        source = json.load(fh)
+    if algebra is None and isinstance(source, dict) and "algebra" in source:
+        algebra = load_algebra(source["algebra"])
+    script = load_proof(source, algebra)
     atom_budget = args.atom_budget
     if atom_budget is None:
-        atom_budget = int(os.environ.get("FLPDL_BUDGET", DEFAULT_ATOM_BUDGET))
+        atom_budget = default_budget() if os.environ.get("FLPDL_BUDGET") else DEFAULT_ATOM_BUDGET
     verdict = check_proof(script, algebra, atom_budget)
     payload = {"accepted": verdict.accepted, "lines": len(script.lines),
                "conclusion": format_formula(script.conclusion),
@@ -208,7 +206,7 @@ def _cmd_prove_check(args) -> int:
 
 def _cmd_selftest(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = tuple(int(tok) for tok in args.only.split(","))
     results = run_selftest(only)
     stream = sys.stderr if args.format == "json" else sys.stdout

@@ -193,6 +193,8 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     conclusion. Exact for a finite algebra, at |algebra| ** #atoms
     assignments; past atom_budget the check refuses instead of guessing.
     """
+    if atom_budget < 1:
+        raise ValueError("atom budget must be positive")
     atoms: dict[Formula, None] = {}
     for g in premises:
         _collect_atoms(g, atoms)

@@ -1,13 +1,17 @@
 """Tables, builtins, validation, and the derived residuals."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
-from flpdl.algebra import (algebra_to_json, bool2, build_algebra,
-                           check_algebra_properties, cost_chain,
+from flpdl.algebra import (MAX_SIZE, FLAlgebra, algebra_to_json, bool2,
+                           build_algebra, check_algebra_properties, cost_chain,
                            is_commutative, is_integral, load_algebra, product,
                            resolve_builtin)
 from flpdl.algebra_search import find_non_commutative, find_non_integral
-from flpdl.errors import InvalidAlgebra
+from flpdl.errors import InvalidAlgebra, NotALattice, NotAMonoid, NotResiduated
 
 
 def test_builtins_validate(builtins):
@@ -70,6 +74,15 @@ def test_cost_chain_sizes(n):
 def test_cost_chain_rejects_empty():
     with pytest.raises(ValueError):
         cost_chain(0)
+
+
+def test_builtin_sizes_are_capped():
+    assert MAX_SIZE >= 82  # the weighted-path tests run over cost:82
+    assert cost_chain(MAX_SIZE).size == MAX_SIZE
+    for uri in (f"builtin:cost:{MAX_SIZE + 1}", "builtin:cost:99999999",
+                f"builtin:product(bool2,cost:{MAX_SIZE // 2 + 1})"):
+        with pytest.raises(ValueError):
+            resolve_builtin(uri)
 
 
 def test_product_structure(B, C3, P6):
@@ -221,3 +234,82 @@ def test_search_is_deterministic():
     a1 = find_non_integral(max_size=3)
     a2 = find_non_integral(max_size=3)
     assert a1.same_tables(a2)
+
+
+def _unvalidated_tables(count, seed):
+    """Tables handed to FLAlgebra unchecked: every other one random, the rest
+    a small algebra with one or two entries of a table (leq included) changed."""
+    rng = random.Random(seed)
+    pool = [bool2(), cost_chain(2), cost_chain(3), cost_chain(4), cost_chain(5),
+            find_non_commutative(), find_non_integral(), product(bool2(), bool2())]
+    out = []
+    for k in range(count):
+        if k % 2 == 0:
+            n = rng.randint(1, 5)
+            tabs = [[[rng.randrange(n) for _ in range(n)] for _ in range(n)] for _ in range(5)]
+            leq = [[rng.random() < 0.5 for _ in range(n)] for _ in range(n)]
+            one = rng.randrange(n)
+        else:
+            base = rng.choice(pool)
+            n = base.size
+            tabs = [[list(row) for row in t] for t in (base.meet_table, base.join_table,
+                                                       base.fusion_table, base.ldiv_table,
+                                                       base.imp_table)]
+            leq = [list(row) for row in base.leq_table]
+            one = base.one
+            for _ in range(rng.randint(1, 2)):
+                t = rng.randrange(6)
+                i, j = rng.randrange(n), rng.randrange(n)
+                if t == 5:
+                    leq[i][j] = not leq[i][j]
+                else:
+                    tabs[t][i][j] = rng.randrange(n)
+        out.append(FLAlgebra(n, *tabs, leq, one, 0, 0, 0))
+    return out
+
+
+def test_property_reports_on_unvalidated_tables_pinned():
+    """Names, verdicts and first counterexamples of check_algebra_properties on
+    400 tables that break the laws in every way, pinned from the scalar
+    per-tuple loops the array checks replaced."""
+    reports = [[[c.name, c.holds, c.counterexample] for c in check_algebra_properties(alg).checks]
+               for alg in _unvalidated_tables(400, 20261018)]
+    failures = [sum(not report[k][1] for report in reports) for k in range(8)]
+    assert failures == [208, 224, 186, 180, 229, 211, 229, 150]
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "05536bb413ed3f26ba30fb9f98a6d578344df99b94e8826e0723d0205f6908d6"
+
+
+def _edit_census(base):
+    """build_algebra's verdict on every single-entry edit of the meet, join and
+    fusion tables, in row-major order and increasing new value: '.' accepted,
+    else the first letter of the rejection (Lattice, Monoid, Residuated)."""
+    code = {NotALattice: "L", NotAMonoid: "M", NotResiduated: "R"}
+    census = {}
+    for name in ("meet", "join", "fusion"):
+        verdicts = ""
+        for i in range(base.size):
+            for j in range(base.size):
+                for v in range(base.size):
+                    tabs = {t: [list(row) for row in getattr(base, t + "_table")]
+                            for t in ("meet", "join", "fusion")}
+                    if v == tabs[name][i][j]:
+                        continue
+                    tabs[name][i][j] = v
+                    try:
+                        build_algebra(base.size, tabs["meet"], tabs["join"], tabs["fusion"],
+                                      base.one, base.zero)
+                        verdicts += "."
+                    except InvalidAlgebra as exc:
+                        assert exc.witness is not None, (name, i, j, v)
+                        verdicts += code[type(exc)]
+        census[name] = verdicts
+    return census
+
+
+@pytest.mark.parametrize("make, fusion", [
+    (lambda: cost_chain(4), "M" * 16 + ".." + "M" * 30),
+    (find_non_commutative, "M" * 23 + "." + "M" * 16 + "." + "M" * 7),
+], ids=["cost:4", "non-commutative"])
+def test_single_entry_edit_census(make, fusion):
+    assert _edit_census(make()) == {"meet": "L" * 48, "join": "L" * 48, "fusion": fusion}

@@ -1,6 +1,7 @@
 """The fl-pdl command surface: exit codes, formats, pinned examples."""
 
 import json
+import time
 
 import pytest
 
@@ -230,6 +231,24 @@ def test_budget_env_override(capsys, monkeypatch):
     assert json.loads(out)["frontier"]["models_checked"] == 500
 
 
+@pytest.mark.parametrize("env, extra", [("0", []), ("-2", []), (None, ["--atom-budget", "-3"]),
+                                        (None, ["--atom-budget", "0"])])
+def test_prove_check_budget_below_one_is_input_error(capsys, monkeypatch, env, extra):
+    from importlib import resources
+    good = str(resources.files("flpdl") / "data" / "proofs" / "box_plus_one.json")
+    if env is not None:
+        monkeypatch.setenv("FLPDL_BUDGET", env)
+    assert_input_error(*run(capsys, ["prove-check", good, *extra]))
+
+
+@pytest.mark.parametrize("uri", ["builtin:cost:99999999", "builtin:product(cost:16,cost:16)"])
+def test_builtin_past_the_size_cap_is_input_error(capsys, uri):
+    started = time.perf_counter()
+    assert_input_error(*run(capsys, ["decide", "--algebra", uri, "--max-states", "1",
+                                     "--formula", "p0"]))
+    assert time.perf_counter() - started < 5
+
+
 def test_decide_valid_by_exhaustion(capsys):
     code, out, _ = run(capsys, [
         "decide", "--algebra", "builtin:bool2", "--max-states", "2",
@@ -324,3 +343,8 @@ def test_selftest_text_format(capsys):
     assert code == 0
     assert "criterion 8: PASS" in out
     assert out.strip().endswith("1/1 criteria passed")
+
+
+@pytest.mark.parametrize("only", ["9", "0", "1,9", "", "x"])
+def test_selftest_unknown_criterion_is_input_error(capsys, only):
+    assert_input_error(*run(capsys, ["selftest", "--only", only]))

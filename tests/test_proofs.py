@@ -95,6 +95,9 @@ def test_log_consequence_budget(C3):
     with pytest.raises(AtomBudgetExceeded):
         log_consequence(premises, conclusion, C3, atom_budget=100)
     assert log_consequence(premises, conclusion, C3, atom_budget=3 ** 10)
+    for budget in (0, -3):
+        with pytest.raises(ValueError):
+            log_consequence([], conclusion, C3, atom_budget=budget)
 
 
 def _script(algebra, *lines):
