@@ -34,8 +34,8 @@ from .semantics import (Frame, Model, derived_relation, evaluate, load_model,
                         model_to_json, valid_in_model)
 from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
                      LDiv, Or, Plus, RDiv, Seq, Var, closure_of, diamond,
-                     format_action, format_formula, is_closed, neg, star_box,
-                     subformulas)
+                     format_action, format_formula, iff, is_closed, neg,
+                     star_box, subformulas)
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,7 @@ __all__ = [
     "model_to_json", "valid_in_model",
     "ActionExp", "And", "Atom", "Box", "Choice", "Const", "Formula",
     "Fuse", "LDiv", "Or", "Plus", "RDiv", "Seq", "Var", "closure_of",
-    "diamond", "format_action", "format_formula", "is_closed", "neg",
+    "diamond", "format_action", "format_formula", "iff", "is_closed", "neg",
     "star_box", "subformulas",
     "__version__",
 ]

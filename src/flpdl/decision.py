@@ -149,7 +149,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             block = min(_CHUNK, budget - checked)
             ns = rng.integers(1, max_states + 1, size=block)
             best = None
-            for n in sorted(set(int(v) for v in ns)):
+            for n in np.unique(ns).tolist():
                 sel = np.where(ns == n)[0]
                 g = len(sel)
                 rels = {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64)

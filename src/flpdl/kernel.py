@@ -1,12 +1,13 @@
 """The one evaluator: formula values over a batch of models on n states.
 
 Values have shape (batch, n) and relations (batch, n, n), both of element
-indices, and every operation of the semantics is a table lookup. Subterms
-are walked iteratively in post-order. Leaves come from two memos the caller
-seeds, `memo` for formulas and `relations` for actions; a seeded node is
-never looked into, so whole boxes can be seeded as opaque atoms. Unseeded
-variables are zero, unseeded atoms the bottom relation, and every subterm
-computed is added to its memo for reuse across formulas.
+indices, and every operation of the semantics is a table lookup. Subterms,
+as `syntax.children` lists them, are walked iteratively in post-order.
+Leaves come from two memos the caller seeds, `memo` for formulas and
+`relations` for actions; a seeded node is never looked into, so whole boxes
+can be seeded as opaque atoms. Unseeded variables are zero, unseeded atoms
+the bottom relation, and every subterm computed is added to its memo for
+reuse across formulas.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .algebra import FLAlgebra
 from .errors import DimensionMismatch
 from .syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus, RDiv,
-                     Seq, Var)
+                     Seq, Var, children)
 
 
 def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -66,8 +67,6 @@ def decode(indices: np.ndarray, size: int, n: int, atoms, vars_):
 
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp", Choice: "join"}
-_KIDS = {Var: (), Const: (), Atom: (), Box: ("action", "body"), Plus: ("body",),
-         Seq: ("left", "right"), **dict.fromkeys(_TABLES, ("left", "right"))}
 
 
 def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
@@ -85,12 +84,10 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
             if hit is not None:
                 done.append(hit)
                 continue
-            kids = _KIDS.get(kind)
-            if kids is None:
-                raise TypeError(f"not a formula or action: {node!r}")
+            kids = children(node)
             if kids:
                 stack.append((node, True))
-                stack.extend([(getattr(node, k), False) for k in reversed(kids)])
+                stack.extend([(k, False) for k in reversed(kids)])
                 continue
         if kind is Var:
             out = np.full((batch, n), algebra.zero, dtype=np.int64)

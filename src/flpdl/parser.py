@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .algebra import FLAlgebra, is_integral
 from .errors import FormulaSyntaxError, UnknownConstant
 from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
-                     LDiv, Or, Plus, RDiv, Seq, Var, neg, star_box)
+                     LDiv, Or, Plus, RDiv, Seq, Var, iff, neg, star_box, walk)
 
 _SINGLE_OPS = set("&|*\\!;+[]<>()")
 MAX_NESTING = 64
@@ -94,13 +94,9 @@ class _Star:
 
 
 def _reject_inner_star(raw) -> None:
-    if isinstance(raw, _Star):
-        raise FormulaSyntaxError("Kleene star is only allowed as the outermost action operator", raw.pos)
-    if isinstance(raw, (Choice, Seq)):
-        _reject_inner_star(raw.left)
-        _reject_inner_star(raw.right)
-    elif isinstance(raw, Plus):
-        _reject_inner_star(raw.body)
+    for node in walk(raw, into=(Choice, Seq, Plus)):
+        if isinstance(node, _Star):
+            raise FormulaSyntaxError("Kleene star is only allowed as the outermost action operator", node.pos)
 
 
 class _Parser:
@@ -186,7 +182,7 @@ class _Parser:
         left = self.depth
         rest = self.descend(tok, self._imp)
         if tok.text == "<->":
-            return self.deeper(tok, And(RDiv(f, rest), RDiv(rest, f)), left + 1, self.depth + 1)
+            return self.deeper(tok, iff(f, rest), left + 1, self.depth + 1)
         return self.deeper(tok, (RDiv if tok.text == "->" else LDiv)(f, rest), left, self.depth)
 
     def _fuse(self) -> Formula:

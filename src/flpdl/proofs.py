@@ -3,13 +3,15 @@
 A script is a list of lines, each a formula with a justification:
 
   * an axiom instance, one of six schemes over arbitrary actions,
-    formulas, and constants;
+    formulas, and constants: the line must equal the scheme built from
+    its own parts, a biconditional in either orientation;
   * a consequence of earlier lines in the algebra's propositional base,
     decided exactly by brute force over atom assignments (variables and
     outermost boxes are the atoms), evaluated by the kernel as batches of
     one-state models, 1024 assignments per block;
   * monotonicity: from f -> g conclude [A]f -> [A]g;
-  * iteration: from f -> [A]f conclude f -> [A+]f.
+  * iteration: from f -> [A]f conclude f -> [A+]f;
+    each rule's conclusion is built from the cited line and compared.
 
 Checking is per line; the verdict reports the first failure. Soundness of
 the axioms needs the algebra commutative and integral, so checking over
@@ -31,7 +33,7 @@ from .algebra import FLAlgebra, is_commutative, is_integral, load_algebra
 from .errors import AtomBudgetExceeded
 from .parser import parse_formula
 from .syntax import (And, Box, Choice, Const, Formula, Fuse, LDiv, Or, Plus,
-                     RDiv, Seq, Var, format_formula)
+                     RDiv, Seq, Var, format_formula, iff, walk)
 
 DEFAULT_ATOM_BUDGET = 10 ** 7
 _BLOCK = 1024  # assignments per log_consequence block; small blocks keep peak memory low
@@ -106,43 +108,25 @@ class Verdict:
     warnings: tuple[str, ...] = field(default=())
 
 
-# -- axiom scheme matching ----------------------------------------------------
+# -- axiom schemes, checked by construction ------------------------------------
 
-def _iff_parts(f: Formula) -> tuple[Formula, Formula] | None:
-    """Split And(RDiv(a,b), RDiv(b,a)) into (a, b)."""
-    if (isinstance(f, And) and isinstance(f.left, RDiv) and isinstance(f.right, RDiv)
-            and f.left.left == f.right.right and f.left.right == f.right.left):
-        return f.left.left, f.left.right
+def _unfolded(scheme: str, x: Formula) -> Formula | None:
+    """The formula a biconditional scheme pairs with its boxed side x, or
+    None when x does not have the scheme's shape."""
+    if not isinstance(x, Box):
+        return None
+    a, f = x.action, x.body
+    if scheme == "A-reg" and isinstance(f, And):
+        return And(Box(a, f.left), Box(a, f.right))     # [a]f & [a]g
+    if scheme == "A-const" and isinstance(f, RDiv) and isinstance(f.left, Const):
+        return RDiv(f.left, Box(a, f.right))            # #c -> [a]f
+    if scheme == "A-choice" and isinstance(a, Choice):
+        return And(Box(a.left, f), Box(a.right, f))     # [a]f & [b]f
+    if scheme == "A-seq" and isinstance(a, Seq):
+        return Box(a.left, Box(a.right, f))             # [a][b]f
+    if scheme == "A-plus" and isinstance(a, Plus):
+        return Box(a.body, And(f, x))                   # [a](f & [a+]f)
     return None
-
-
-def _matches_scheme(name: str, x: Formula, y: Formula) -> bool:
-    if name == "A-reg":
-        return (isinstance(x, Box) and isinstance(x.body, And)
-                and isinstance(y, And) and isinstance(y.left, Box) and isinstance(y.right, Box)
-                and y.left.action == x.action == y.right.action
-                and y.left.body == x.body.left and y.right.body == x.body.right)
-    if name == "A-const":
-        return (isinstance(x, Box) and isinstance(x.body, RDiv) and isinstance(x.body.left, Const)
-                and isinstance(y, RDiv) and isinstance(y.left, Const) and isinstance(y.right, Box)
-                and x.body.left == y.left and x.action == y.right.action
-                and x.body.right == y.right.body)
-    if name == "A-choice":
-        return (isinstance(x, Box) and isinstance(x.action, Choice)
-                and isinstance(y, And) and isinstance(y.left, Box) and isinstance(y.right, Box)
-                and y.left.action == x.action.left and y.right.action == x.action.right
-                and y.left.body == y.right.body == x.body)
-    if name == "A-seq":
-        return (isinstance(x, Box) and isinstance(x.action, Seq)
-                and isinstance(y, Box) and isinstance(y.body, Box)
-                and y.action == x.action.left and y.body.action == x.action.right
-                and y.body.body == x.body)
-    if name == "A-plus":
-        return (isinstance(x, Box) and isinstance(x.action, Plus)
-                and isinstance(y, Box) and y.action == x.action.body
-                and isinstance(y.body, And) and y.body.left == x.body
-                and y.body.right == x)
-    raise ValueError(f"unknown axiom scheme {name!r}")
 
 
 def matches_axiom(formula: Formula, name: str, algebra: FLAlgebra) -> bool:
@@ -155,11 +139,10 @@ def matches_axiom(formula: Formula, name: str, algebra: FLAlgebra) -> bool:
         raise ValueError(f"unknown axiom name {name!r}")
     if canon == "A-1":
         return isinstance(formula, Box) and formula.body == Const(algebra.one)
-    pair = _iff_parts(formula)
-    if pair is None:
+    if not (isinstance(formula, And) and isinstance(formula.left, RDiv)):
         return False
-    x, y = pair
-    return _matches_scheme(canon, x, y) or _matches_scheme(canon, y, x)
+    x, y = formula.left.left, formula.left.right
+    return formula == iff(x, y) and (y == _unfolded(canon, x) or x == _unfolded(canon, y))
 
 
 def match_axiom(formula: Formula, algebra: FLAlgebra) -> str | None:
@@ -171,16 +154,6 @@ def match_axiom(formula: Formula, algebra: FLAlgebra) -> str | None:
 
 
 # -- the propositional base, decided semantically ------------------------------
-
-def _collect_atoms(formula: Formula, acc: dict[Formula, None]) -> None:
-    if isinstance(formula, (Var, Box)):
-        acc[formula] = None
-    elif isinstance(formula, (And, Or, Fuse, LDiv, RDiv)):
-        _collect_atoms(formula.left, acc)
-        _collect_atoms(formula.right, acc)
-    elif not isinstance(formula, Const):
-        raise TypeError(f"not a formula: {formula!r}")
-
 
 def log_consequence(premises: Sequence[Formula], conclusion: Formula,
                     algebra: FLAlgebra,
@@ -195,11 +168,9 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     """
     if atom_budget < 1:
         raise ValueError("atom budget must be positive")
-    atoms: dict[Formula, None] = {}
-    for g in premises:
-        _collect_atoms(g, atoms)
-    _collect_atoms(conclusion, atoms)
-    names = tuple(atoms)
+    names = tuple(dict.fromkeys(h for g in (*premises, conclusion)
+                                for h in walk(g, into=(And, Or, Fuse, LDiv, RDiv))
+                                if isinstance(h, (Var, Box))))
     count = algebra.size ** len(names)
     if count > atom_budget:
         raise AtomBudgetExceeded(
@@ -231,6 +202,8 @@ def _ambient_warnings(algebra: FLAlgebra) -> tuple[str, ...]:
 def check_proof(script: ProofScript, algebra: FLAlgebra,
                 atom_budget: int = DEFAULT_ATOM_BUDGET) -> Verdict:
     """Check every line; report the first failure with its reason."""
+    if atom_budget < 1:
+        raise ValueError("atom budget must be positive")
     warnings = _ambient_warnings(algebra)
 
     def reject(i: int, reason: str) -> Verdict:
@@ -254,25 +227,18 @@ def check_proof(script: ProofScript, algebra: FLAlgebra,
                 if not log_consequence(cited, line.formula, algebra, atom_budget):
                     return reject(i, "not a consequence of the cited lines over this algebra")
             elif isinstance(by, ByRMon):
-                cited = script.lines[by.ref].formula
+                cited, want = script.lines[by.ref].formula, line.formula
                 if not isinstance(cited, RDiv):
                     return reject(i, "monotonicity must cite an implication")
-                want = line.formula
-                if not (isinstance(want, RDiv)
-                        and isinstance(want.left, Box) and isinstance(want.right, Box)
-                        and want.left.action == want.right.action
-                        and want.left.body == cited.left and want.right.body == cited.right):
+                a = want.left.action if isinstance(want, RDiv) and isinstance(want.left, Box) else None
+                if a is None or want != RDiv(Box(a, cited.left), Box(a, cited.right)):
                     return reject(i, "conclusion is not the boxed form of the cited implication")
             else:
-                cited = script.lines[by.ref].formula
-                if not (isinstance(cited, RDiv) and isinstance(cited.right, Box)
-                        and cited.right.body == cited.left):
+                cited, want = script.lines[by.ref].formula, line.formula
+                a = cited.right.action if isinstance(cited, RDiv) and isinstance(cited.right, Box) else None
+                if a is None or cited != RDiv(cited.left, Box(a, cited.left)):
                     return reject(i, "iteration must cite a line of shape f -> [A]f")
-                want = line.formula
-                if not (isinstance(want, RDiv) and want.left == cited.left
-                        and isinstance(want.right, Box) and isinstance(want.right.action, Plus)
-                        and want.right.action.body == cited.right.action
-                        and want.right.body == cited.left):
+                if want != RDiv(cited.left, Box(Plus(a), cited.left)):
                     return reject(i, "conclusion is not the iterated form of the cited implication")
         else:
             return reject(i, f"unknown justification {by!r}")
@@ -296,9 +262,9 @@ def _line_from_json(obj: dict, algebra: FLAlgebra, where: str) -> ProofLine:
         return tuple(refs)
 
     if kind == "axiom":
-        if "axiom" not in by_raw:
-            raise ValueError(f'{where}: an axiom line needs "axiom"')
-        by: Justification = ByAxiom(str(by_raw["axiom"]))
+        if not isinstance(by_raw.get("axiom"), str):
+            raise ValueError(f'{where}: an axiom line needs "axiom", a scheme name')
+        by: Justification = ByAxiom(by_raw["axiom"])
     elif kind == "log":
         by = ByLog(cited(by_raw.get("refs", [])))
     elif kind in ("rmon", "rplus"):
@@ -308,7 +274,9 @@ def _line_from_json(obj: dict, algebra: FLAlgebra, where: str) -> ProofLine:
         by = ByRMon(refs[0]) if kind == "rmon" else ByRPlus(refs[0])
     else:
         raise ValueError(f"{where}: unknown justification kind {kind!r}")
-    return ProofLine(parse_formula(str(obj["formula"]), algebra), by)
+    if not isinstance(obj["formula"], str):
+        raise ValueError(f'{where}: "formula" must be a string')
+    return ProofLine(parse_formula(obj["formula"], algebra), by)
 
 
 def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:

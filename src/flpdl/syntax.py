@@ -10,6 +10,10 @@ iff, starred boxes) is surface syntax the parser desugars:
     [A*]f      [A+]f & f
 
 RDiv(f, g) is the formula written f -> g, whose value is g / f.
+
+A node's direct subterms are defined once, by `children`; traversals go
+through the iterative `walk`. Printing, hashing and equality still
+recurse, hence the parser's nesting cap.
 """
 
 from __future__ import annotations
@@ -99,8 +103,44 @@ class Box:
 
 
 Formula = Union[Var, Const, And, Or, Fuse, LDiv, RDiv, Box]
+Node = Union[Formula, ActionExp]
 
 _BINARY = (And, Or, Fuse, LDiv, RDiv)
+_ACTIONS = (Atom, Choice, Seq, Plus)
+
+# each node type's direct subterms, in field order
+_KIDS = {**dict.fromkeys((Var, Const, Atom), lambda n: ()),
+         Plus: lambda n: (n.body,), Box: lambda n: (n.action, n.body),
+         **dict.fromkeys((Choice, Seq) + _BINARY, lambda n: (n.left, n.right))}
+
+
+def children(node: Node) -> tuple[Node, ...]:
+    """The direct subterms of a formula or action node, left to right."""
+    kids = _KIDS.get(type(node))
+    if kids is None:
+        raise TypeError(f"not a formula or action: {node!r}")
+    return kids(node)
+
+
+def walk(root: Node, into: tuple[type, ...] | None = None) -> list[Node]:
+    """Every node object reachable from root, once, in first-visit pre-order.
+
+    Depth-first and left to right, without recursion. Only nodes of the
+    types in `into` (default: all) are entered, their children visited.
+    A shared object is entered once; equal subtrees that are distinct
+    objects are each visited, and nothing is hashed, since hashing a node
+    hashes its whole subtree.
+    """
+    seen: dict[int, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        if into is None or isinstance(node, into):
+            stack += children(node)[::-1]
+    return list(seen.values())
 
 
 def neg(f: Formula, algebra: FLAlgebra) -> Formula:
@@ -112,6 +152,11 @@ def diamond(action: ActionExp, f: Formula, algebra: FLAlgebra) -> Formula:
     return neg(Box(action, neg(f, algebra)), algebra)
 
 
+def iff(f: Formula, g: Formula) -> Formula:
+    """f <-> g, i.e. (f -> g) & (g -> f)."""
+    return And(RDiv(f, g), RDiv(g, f))
+
+
 def star_box(action: ActionExp, f: Formula) -> Formula:
     """[A*]f as [A+]f & f."""
     return And(Box(Plus(action), f), f)
@@ -120,6 +165,10 @@ def star_box(action: ActionExp, f: Formula) -> Formula:
 # -- printing ---------------------------------------------------------------
 
 _LVL_OR, _LVL_AND, _LVL_IMP, _LVL_FUSE, _LVL_UNARY = range(5)
+
+# infix formulas: symbol, binding level, 1 if the operator groups to the right
+_INFIX = {Or: ("|", _LVL_OR, 0), And: ("&", _LVL_AND, 0), RDiv: ("->", _LVL_IMP, 1),
+          LDiv: ("\\", _LVL_IMP, 1), Fuse: ("*", _LVL_FUSE, 0)}
 
 
 def format_action(a: ActionExp) -> str:
@@ -152,23 +201,10 @@ def _fmt(f: Formula, level: int) -> str:
         return f"#{f.index}"
     if isinstance(f, Box):
         return f"[{format_action(f.action)}]{_fmt(f.body, _LVL_UNARY)}"
-    if isinstance(f, Fuse):
-        text = f"{_fmt(f.left, _LVL_FUSE)} * {_fmt(f.right, _LVL_FUSE + 1)}"
-        own = _LVL_FUSE
-    elif isinstance(f, RDiv):
-        text = f"{_fmt(f.left, _LVL_IMP + 1)} -> {_fmt(f.right, _LVL_IMP)}"
-        own = _LVL_IMP
-    elif isinstance(f, LDiv):
-        text = f"{_fmt(f.left, _LVL_IMP + 1)} \\ {_fmt(f.right, _LVL_IMP)}"
-        own = _LVL_IMP
-    elif isinstance(f, And):
-        text = f"{_fmt(f.left, _LVL_AND)} & {_fmt(f.right, _LVL_AND + 1)}"
-        own = _LVL_AND
-    elif isinstance(f, Or):
-        text = f"{_fmt(f.left, _LVL_OR)} | {_fmt(f.right, _LVL_OR + 1)}"
-        own = _LVL_OR
-    else:
+    if type(f) not in _INFIX:
         raise TypeError(f"not a formula: {f!r}")
+    symbol, own, right = _INFIX[type(f)]
+    text = f"{_fmt(f.left, own + right)} {symbol} {_fmt(f.right, own + 1 - right)}"
     return f"({text})" if level > own else text
 
 
@@ -177,45 +213,17 @@ def _fmt(f: Formula, level: int) -> str:
 
 def subformulas(f: Formula) -> list[Formula]:
     """f and all formulas below it, in first-visit order, no duplicates."""
-    seen: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
-        if g in seen:
-            return
-        seen[g] = None
-        if isinstance(g, _BINARY):
-            walk(g.left)
-            walk(g.right)
-        elif isinstance(g, Box):
-            walk(g.body)
-
-    walk(f)
-    return list(seen)
+    return list(dict.fromkeys(g for g in walk(f) if not isinstance(g, _ACTIONS)))
 
 
 def action_atoms(f: Formula | ActionExp) -> list[int]:
     """Sorted indices of action atoms occurring anywhere in a formula or action."""
-    out: set[int] = set()
-
-    def walk_action(a: ActionExp) -> None:
-        if isinstance(a, Atom):
-            out.add(a.index)
-        elif isinstance(a, Plus):
-            walk_action(a.body)
-        else:
-            walk_action(a.left)
-            walk_action(a.right)
-
-    actions = [f] if isinstance(f, (Atom, Choice, Seq, Plus)) else \
-        [g.action for g in subformulas(f) if isinstance(g, Box)]
-    for a in actions:
-        walk_action(a)
-    return sorted(out)
+    return sorted({g.index for g in walk(f) if isinstance(g, Atom)})
 
 
 def variables(f: Formula) -> list[int]:
     """Sorted indices of propositional variables occurring in f."""
-    return sorted({g.index for g in subformulas(f) if isinstance(g, Var)})
+    return sorted({g.index for g in walk(f) if isinstance(g, Var)})
 
 
 def closure_of(formulas: Iterable[Formula]) -> list[Formula]:

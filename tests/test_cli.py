@@ -165,6 +165,10 @@ MALFORMED_PROOF_LINES = {
                          {"formula": "[a0]p0 -> [a0]p0", "by": {"kind": "rmon", "ref": [0]}}],
     "ref 0.0": [{"formula": "p0 -> p0", "by": {"kind": "log", "refs": []}},
                 {"formula": "[a0]p0 -> [a0]p0", "by": {"kind": "rmon", "ref": 0.0}}],
+    "axiom a list": [{"formula": "[a0]#one", "by": {"kind": "axiom", "axiom": ["A-1"]}}],
+    "axiom null": [{"formula": "[a0]#one", "by": {"kind": "axiom", "axiom": None}}],
+    "formula a number": [{"formula": 5, "by": {"kind": "log", "refs": []}}],
+    "formula a list": [{"formula": ["[a0]#one"], "by": {"kind": "axiom", "axiom": "A-1"}}],
 }
 
 
@@ -235,10 +239,12 @@ def test_budget_env_override(capsys, monkeypatch):
                                         (None, ["--atom-budget", "0"])])
 def test_prove_check_budget_below_one_is_input_error(capsys, monkeypatch, env, extra):
     from importlib import resources
-    good = str(resources.files("flpdl") / "data" / "proofs" / "box_plus_one.json")
     if env is not None:
         monkeypatch.setenv("FLPDL_BUDGET", env)
-    assert_input_error(*run(capsys, ["prove-check", good, *extra]))
+    # box_one.json has no log line, so no line of it ever reads the budget
+    for name in ("box_plus_one.json", "box_one.json"):
+        good = str(resources.files("flpdl") / "data" / "proofs" / name)
+        assert_input_error(*run(capsys, ["prove-check", good, *extra]))
 
 
 @pytest.mark.parametrize("uri", ["builtin:cost:99999999", "builtin:product(cost:16,cost:16)"])
@@ -318,6 +324,12 @@ def test_prove_check_good_and_bad(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["failed_line"] == 0
+
+    # a string naming no scheme is a rejected script, not malformed input
+    bad = str(resources.files("flpdl") / "data" / "proofs_bad" / "unknown_axiom_name.json")
+    code, out, _ = run(capsys, ["prove-check", bad])
+    assert code == 1
+    assert json.loads(out)["reason"] == "unknown axiom name 'A-2'"
 
 
 def test_prove_check_algebra_override(capsys):

@@ -1,14 +1,18 @@
 """Formula and action ASTs, the concrete syntax, and formula closures."""
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from flpdl.errors import FormulaSyntaxError, UnknownConstant
 from flpdl.generators import random_action, random_formula
 from flpdl.parser import MAX_NESTING, parse_action, parse_formula
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, Or, Plus, RDiv,
-                          Seq, Var, closure_of, diamond, format_action,
-                          format_formula, is_closed, neg, star_box,
-                          subformulas)
+                          Seq, Var, action_atoms, closure_of, diamond,
+                          format_action, format_formula, is_closed, neg,
+                          star_box, subformulas, variables)
 
 
 def test_ast_nodes_are_hashable(C3):
@@ -220,3 +224,32 @@ def test_nesting_error_points_at_the_crossing_token(C3):
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula(" & ".join(["p0"] * (MAX_NESTING + 2)), C3)
     assert exc.value.position == len(" & ".join(["p0"] * (MAX_NESTING + 1))) + 1
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_structural_walks_on_random_formulas_pinned(C3):
+    """subformulas (in first-visit order), action_atoms, variables and the
+    printed form of 300 seeded random formulas and actions, pinned from the
+    recursive walks and the per-operator printer the shared walk replaced."""
+    rng = random.Random(20261018)
+    formulas = [random_formula(rng, C3, depth=rng.randint(0, 6), variables=(0, 1, 2),
+                               atoms=(0, 1, 2)) for _ in range(300)]
+    actions = [random_action(rng, depth=rng.randint(0, 5), atoms=(0, 1, 2, 3))
+               for _ in range(300)]
+    subs = [[format_formula(g) for g in subformulas(f)] for f in formulas]
+    assert sum(map(len, subs)) == 1800
+    got = {"subformulas": subs,
+           "action_atoms": [action_atoms(f) for f in formulas],
+           "action_atoms of actions": [action_atoms(a) for a in actions],
+           "variables": [variables(f) for f in formulas],
+           "format_formula": [format_formula(f) for f in formulas]}
+    assert {name: _digest(rows) for name, rows in got.items()} == {
+        "subformulas": "c589ebec88cdde45cfcaa8ef6f2c39ad54af044c2f8ddd7e5e36ce5e3c40db18",
+        "action_atoms": "c1c77bf24019be740555f60ceba1979bfd82129e560767b710d859bc1001a3d1",
+        "action_atoms of actions": "d1bde0aa3a34ca6bf2d94159e507d4f7f973029a646ff43c8d55840ad74c058c",
+        "variables": "c489b3aeedef72decbabafbf13b4add4a91f38e3fc329902b3850f6b9cb331aa",
+        "format_formula": "30680f2682935fb2095176ad3dec752b726061e4447ddeb15269380708089109",
+    }
