@@ -196,6 +196,12 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
         if len(names) != size:
             raise ValueError("names must list one name per element")
 
+    _check_lattice(size, M, J)
+    return _residuated(size, M, J, F, one, zero, names, uri)
+
+
+def _check_lattice(size: int, M: np.ndarray, J: np.ndarray) -> None:
+    """Raise NotALattice unless the meet and join tables form a lattice."""
     _require(NotALattice, size, (
         ("meet is not commutative", lambda a, b: M[a, b] == M[b, a]),
         ("join is not commutative", lambda a, b: J[a, b] == J[b, a]),
@@ -206,6 +212,12 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
         ("meet is not associative", lambda a, b, c: M[M[a, b], c] == M[a, M[b, c]]),
         ("join is not associative", lambda a, b, c: J[J[a, b], c] == J[a, J[b, c]]),
     ))
+
+
+def _residuated(size: int, M: np.ndarray, J: np.ndarray, F: np.ndarray, one: int, zero: int,
+                names=None, uri=None) -> FLAlgebra:
+    """The algebra of fusion F over the lattice (M, J), which must already be
+    checked: raises NotAMonoid or NotResiduated, else derives the residuals."""
     _require(NotAMonoid, size, (
         ("one is not a fusion identity", lambda a: (F[one, a] == a) & (F[a, one] == a)),
         ("fusion is not associative", lambda a, b, c: F[F[a, b], c] == F[a, F[b, c]]),

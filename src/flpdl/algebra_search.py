@@ -6,7 +6,9 @@ brute-force: it walks a catalog of all lattices on up to four elements
 (chains plus the four-element diamond), tries every element as the monoid
 unit, forces the rows the laws determine (unit row/column; bottom is
 absorbing, since fusion must preserve empty joins), enumerates the few
-remaining fusion entries, and feeds each candidate through build_algebra.
+remaining fusion entries, and checks each candidate with the laws of
+build_algebra: the lattice laws once per catalog lattice, the monoid and
+residuation laws once per candidate.
 
 Enumeration order is deterministic, so "first algebra satisfying a
 predicate" is a stable, reproducible object.
@@ -17,7 +19,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterator
 
-from .algebra import FLAlgebra, build_algebra, is_commutative, is_integral
+import numpy as np
+
+from .algebra import (FLAlgebra, _check_lattice, _residuated, is_commutative,
+                      is_integral)
 from .errors import InvalidAlgebra
 
 
@@ -63,24 +68,22 @@ def find_algebras(max_size: int,
     found = 0
     for n in range(1, max_size + 1):
         for _name, leq in _lattice_catalog(n):
-            meet, join = _meet_join_from_leq(leq)
+            meet, join = map(np.array, _meet_join_from_leq(leq))
+            _check_lattice(n, meet, join)
             bottom = next(x for x in range(n) if all(leq[x][y] for y in range(n)))
             for one in range(n):
                 if one == bottom and n > 1:
                     continue  # unit = bottom forces a trivial algebra
                 free = [(i, j) for i in range(n) for j in range(n)
                         if one not in (i, j) and bottom not in (i, j)]
+                rows, cols = [i for i, _ in free], [j for _, j in free]
                 for values in itertools.product(range(n), repeat=len(free)):
-                    fusion = [[0] * n for _ in range(n)]
-                    for a in range(n):
-                        fusion[one][a] = a
-                        fusion[a][one] = a
-                        fusion[bottom][a] = bottom
-                        fusion[a][bottom] = bottom
-                    for (i, j), v in zip(free, values):
-                        fusion[i][j] = v
+                    fusion = np.empty((n, n), dtype=np.int64)
+                    fusion[one, :] = fusion[:, one] = np.arange(n)
+                    fusion[bottom, :] = fusion[:, bottom] = bottom
+                    fusion[rows, cols] = values
                     try:
-                        alg = build_algebra(n, meet, join, fusion, one, 0)
+                        alg = _residuated(n, meet, join, fusion, one, 0)
                     except InvalidAlgebra:
                         continue
                     if predicate is None or predicate(alg):

@@ -22,7 +22,7 @@ from .errors import (AtomBudgetExceeded, BudgetExceeded, FLPDLError,
                      InvalidAlgebra)
 from .filtration import filtrate, phi_partition
 from .parser import parse_formula
-from .proofs import DEFAULT_ATOM_BUDGET, check_proof, load_proof
+from .proofs import DEFAULT_ATOM_BUDGET, check_proof, read_proof
 from .semantics import evaluate, load_model, model_to_json, valid_in_model
 from .syntax import closure_of, format_formula
 from .selftest import run_selftest
@@ -181,11 +181,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_prove_check(args) -> int:
     algebra = load_algebra(args.algebra) if args.algebra else None
-    with open(args.proof) as fh:
-        source = json.load(fh)
-    if algebra is None and isinstance(source, dict) and "algebra" in source:
-        algebra = load_algebra(source["algebra"])
-    script = load_proof(source, algebra)
+    script, algebra = read_proof(args.proof, algebra)
     atom_budget = args.atom_budget
     if atom_budget is None:
         atom_budget = default_budget() if os.environ.get("FLPDL_BUDGET") else DEFAULT_ATOM_BUDGET

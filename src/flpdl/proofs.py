@@ -279,17 +279,20 @@ def _line_from_json(obj: dict, algebra: FLAlgebra, where: str) -> ProofLine:
     return ProofLine(parse_formula(obj["formula"], algebra), by)
 
 
-def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:
-    """Read a proof script from a dict, a list of lines, or a JSON file.
+def read_proof(source, algebra: FLAlgebra | None = None) -> tuple[ProofScript, FLAlgebra]:
+    """A proof script and the algebra its lines are read over.
 
-    A dict form may carry "algebra" (inline or URI), used when no algebra
-    argument is given; a passed algebra always wins.
+    The source is a dict, a list of lines, or the path of a JSON file
+    holding either. A dict form may carry "algebra" (inline or URI), used
+    when no algebra argument is given; a passed algebra always wins.
     """
     if isinstance(source, str):
         if not os.path.exists(source):
             raise ValueError(f"no such proof file: {source}")
         with open(source) as fh:
             source = json.load(fh)
+        if not isinstance(source, (dict, list)):
+            raise ValueError("a proof file must hold a JSON object or a list")
     if isinstance(source, dict):
         if algebra is None and "algebra" in source:
             algebra = load_algebra(source["algebra"])
@@ -303,7 +306,12 @@ def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:
     if algebra is None:
         raise ValueError("proof gives no algebra and none was supplied")
     lines = tuple(_line_from_json(obj, algebra, f"line {i}") for i, obj in enumerate(raw_lines))
-    return ProofScript(lines)
+    return ProofScript(lines), algebra
+
+
+def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:
+    """The proof script of read_proof(source, algebra)."""
+    return read_proof(source, algebra)[0]
 
 
 def proof_to_json(script: ProofScript) -> list[dict]:

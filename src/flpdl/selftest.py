@@ -28,7 +28,7 @@ from .oracles import (ClassicalModel, all_relation_tables, classical_reachable,
                       classical_states, cost_walk_join_fast,
                       least_transitive_extension, transitive_mask)
 from .parser import parse_formula
-from .proofs import check_proof, load_proof, matches_axiom
+from .proofs import check_proof, load_proof, matches_axiom, read_proof
 from .relations import (XRelation, identity_relation, refl_trans_closure,
                         rel_union, transitive_closure)
 from .semantics import Frame, Model, evaluate, load_model, valid_in_model
@@ -305,8 +305,7 @@ def criterion_7() -> CriterionResult:
     bads = 0
     for name, raw in _proof_corpus("proofs_bad"):
         bads += 1
-        algebra = load_algebra(raw["algebra"])
-        verdict = check_proof(load_proof(raw, algebra), algebra)
+        verdict = check_proof(*read_proof(raw))
         if verdict.accepted or verdict.failed_line != raw["corrupted_line"]:
             problems.append(f"{name}: expected rejection at line {raw['corrupted_line']}, got {verdict}")
     ok = not problems and goods >= 10 and bads >= 10

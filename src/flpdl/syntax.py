@@ -12,8 +12,10 @@ iff, starred boxes) is surface syntax the parser desugars:
 RDiv(f, g) is the formula written f -> g, whose value is g / f.
 
 A node's direct subterms are defined once, by `children`; traversals go
-through the iterative `walk`. Printing, hashing and equality still
-recurse, hence the parser's nesting cap.
+through the iterative `walk`. The binding levels of the infix operators
+are defined once, by `INFIX`, which the parser and the printer both read.
+Printing, hashing and equality still recurse, hence the parser's nesting
+cap.
 """
 
 from __future__ import annotations
@@ -162,31 +164,22 @@ def star_box(action: ActionExp, f: Formula) -> Formula:
     return And(Box(Plus(action), f), f)
 
 
-# -- printing ---------------------------------------------------------------
+# -- operators and printing -------------------------------------------------
 
-_LVL_OR, _LVL_AND, _LVL_IMP, _LVL_FUSE, _LVL_UNARY = range(5)
+# The only statement of precedence, read by the parser and by the printer:
+# for each tier, symbol -> (builder, binding level, 1 if the operator groups
+# to the right). Prefix ! [A] <A> and postfix + and * bind tighter than any
+# level; <-> is sugar and is never printed.
+INFIX = {
+    "formula": {"|": (Or, 0, 0), "&": (And, 1, 0), "->": (RDiv, 2, 1), "\\": (LDiv, 2, 1),
+                "<->": (iff, 2, 1), "*": (Fuse, 3, 0)},
+    "action": {"u": (Choice, 0, 0), ";": (Seq, 1, 0)},
+}
+_TIGHT = 4  # a level above every INFIX level: operands of prefix and postfix forms
 
-# infix formulas: symbol, binding level, 1 if the operator groups to the right
-_INFIX = {Or: ("|", _LVL_OR, 0), And: ("&", _LVL_AND, 0), RDiv: ("->", _LVL_IMP, 1),
-          LDiv: ("\\", _LVL_IMP, 1), Fuse: ("*", _LVL_FUSE, 0)}
-
-
-def format_action(a: ActionExp) -> str:
-    return _fmt_action(a, 0)
-
-
-def _fmt_action(a: ActionExp, level: int) -> str:
-    if isinstance(a, Atom):
-        return f"a{a.index}"
-    if isinstance(a, Plus):
-        return f"{_fmt_action(a.body, 2)}+"
-    if isinstance(a, Seq):
-        text = f"{_fmt_action(a.left, 1)} ; {_fmt_action(a.right, 2)}"
-        return f"({text})" if level > 1 else text
-    if isinstance(a, Choice):
-        text = f"{_fmt_action(a.left, 0)} u {_fmt_action(a.right, 1)}"
-        return f"({text})" if level > 0 else text
-    raise TypeError(f"not an action expression: {a!r}")
+_PRINTED = {build: (symbol, level, right) for tier in INFIX.values()
+            for symbol, (build, level, right) in tier.items() if isinstance(build, type)}
+_LEAVES = {Var: "p", Const: "#", Atom: "a"}
 
 
 def format_formula(f: Formula) -> str:
@@ -194,17 +187,23 @@ def format_formula(f: Formula) -> str:
     return _fmt(f, 0)
 
 
-def _fmt(f: Formula, level: int) -> str:
-    if isinstance(f, Var):
-        return f"p{f.index}"
-    if isinstance(f, Const):
-        return f"#{f.index}"
-    if isinstance(f, Box):
-        return f"[{format_action(f.action)}]{_fmt(f.body, _LVL_UNARY)}"
-    if type(f) not in _INFIX:
-        raise TypeError(f"not a formula: {f!r}")
-    symbol, own, right = _INFIX[type(f)]
-    text = f"{_fmt(f.left, own + right)} {symbol} {_fmt(f.right, own + 1 - right)}"
+def format_action(a: ActionExp) -> str:
+    """Render an action with minimal parentheses; parses back to a."""
+    return _fmt(a, 0)
+
+
+def _fmt(node: Node, level: int) -> str:
+    kind = type(node)
+    if kind in _LEAVES:
+        return f"{_LEAVES[kind]}{node.index}"
+    if kind is Box:
+        return f"[{_fmt(node.action, 0)}]{_fmt(node.body, _TIGHT)}"
+    if kind is Plus:
+        return f"{_fmt(node.body, _TIGHT)}+"
+    if kind not in _PRINTED:
+        raise TypeError(f"not a formula or action: {node!r}")
+    symbol, own, right = _PRINTED[kind]
+    text = f"{_fmt(node.left, own + right)} {symbol} {_fmt(node.right, own + 1 - right)}"
     return f"({text})" if level > own else text
 
 

@@ -1,8 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from flpdl.algebra import bool2, cost_chain, load_algebra, product
+
+# every property draws the same examples on every run (derandomize also
+# turns off the example database), and no example fails for being slow
+settings.register_profile("flpdl", derandomize=True, deadline=None)
+settings.load_profile("flpdl")
 
 
 @pytest.fixture(scope="session")

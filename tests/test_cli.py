@@ -180,6 +180,17 @@ def test_malformed_proof_is_input_error(capsys, tmp_path, case):
     assert_input_error(*run(capsys, ["prove-check", str(path)]))
 
 
+@pytest.mark.parametrize("case", ["a string naming a proof file", "a string", "a number", "null"])
+def test_proof_file_of_neither_object_nor_list_is_input_error(capsys, tmp_path, case):
+    from importlib import resources
+    other = str(resources.files("flpdl") / "data" / "proofs" / "box_one.json")
+    content = {"a string naming a proof file": other, "a string": "lines", "a number": 5,
+               "null": None}[case]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(content))
+    assert_input_error(*run(capsys, ["prove-check", str(path)]))
+
+
 def test_unmapped_exception_is_internal_error(capsys, monkeypatch, model_file):
     import flpdl.cli
 
