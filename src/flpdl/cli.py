@@ -148,7 +148,8 @@ def _cmd_decide(args) -> int:
         outcome = decide_bounded(formula, algebra, args.max_states,
                                  budget=budget, mode=args.mode, seed=args.seed)
     except BudgetExceeded as exc:
-        _emit(args, {"outcome": "budget-exceeded", "frontier": exc.frontier},
+        _emit(args, {"outcome": "budget-exceeded", "frontier": exc.frontier,
+                     "models_evaluated": exc.models_evaluated},
               f"budget exhausted: {exc.frontier}")
         return _EXIT_BUDGET
     if isinstance(outcome, Countermodel):
@@ -156,7 +157,8 @@ def _cmd_decide(args) -> int:
                    "model": model_to_json(outcome.model),
                    "witness_state": outcome.witness_state,
                    "value": outcome.value,
-                   "models_checked": outcome.models_checked}
+                   "models_checked": outcome.models_checked,
+                   "models_evaluated": outcome.models_evaluated}
         _emit(args, payload,
               f"countermodel with {outcome.model.frame.size} states; "
               f"value {algebra.element_name(outcome.value)} at state {outcome.witness_state} "
@@ -164,12 +166,14 @@ def _cmd_decide(args) -> int:
         return _EXIT_NEGATIVE
     if isinstance(outcome, ValidByExhaustion):
         payload = {"outcome": "valid-by-exhaustion", "bound": outcome.bound,
-                   "models_checked": outcome.models_checked}
+                   "models_checked": outcome.models_checked,
+                   "models_evaluated": outcome.models_evaluated}
         _emit(args, payload,
               f"valid: every model up to the bound of {outcome.bound} states checked")
         return _EXIT_OK
     payload = {"outcome": "no-countermodel", "max_states": outcome.max_states,
                "models_checked": outcome.models_checked,
+               "models_evaluated": outcome.models_evaluated,
                "exhaustive": outcome.exhaustive,
                "theoretical_bound": str(theoretical_bound(formula, algebra))}
     _emit(args, payload,

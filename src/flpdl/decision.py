@@ -9,19 +9,41 @@ this order is the reported one, so outcomes are reproducible; any
 partitioning of the index space across workers must still report the
 canonically first hit.
 
-Enumeration is vectorized: candidates are decoded from their index in
-blocks and evaluated by the kernel, and every hit is re-verified by the
-reference evaluator in `oracles`, which shares no code with the kernel,
-before being returned.
+A candidate's index thus splits into a frame index (the relation digits)
+and a valuation index below it, and each frame owns a run of
+|algebra| ** (variables * n) consecutive candidates. Enumeration works
+frame by frame, in blocks of consecutive candidates that hold whole frames
+unless a frame alone has more than _CHUNK valuations or the budget ends
+mid-frame. A block decodes its distinct frames, drops every frame that
+some transposition of two states maps to a smaller frame index (n(n-1)/2
+vectorized digit comparisons), and evaluates the candidates of the
+surviving frames in one kernel call, whose boxes read the frames'
+relations through `frame_of` instead of per-candidate copies.
+
+Pruning cannot change the reported countermodel. Suppose the first hit
+(F, v) had a transposition t with tF < F. Renaming the states by t gives
+the isomorphic model (tF, tv), refuted at the renamed witness; frame
+digits are more significant than valuation digits, so its index is
+smaller, and (F, v) was not the first hit. Only frames that are not least
+in their orbit are dropped, at any state count.
+
+Counts stay in canonical index positions: the budget, `models_checked` and
+the BudgetExceeded frontier count every candidate position passed,
+pruned ones included, so they equal those of a scan of every candidate;
+`models_evaluated` counts the candidates among them whose frames
+survived pruning. Every hit is re-verified by the reference evaluator in
+`oracles`, which shares no code with the kernel, before being returned.
 
 Exhausting every frame up to the class-count bound |algebra| ** |closure|
 proves validity; anything less only reports the bound reached. Sampling
 mode draws frames and valuations uniformly at random and can never prove
-validity, so its no-hit outcome is capped at the same report.
+validity, so its no-hit outcome is capped at the same report; it
+evaluates every candidate it draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -70,6 +92,7 @@ class Countermodel:
     witness_state: int
     value: int
     models_checked: int
+    models_evaluated: int
 
 
 @dataclass(frozen=True)
@@ -78,6 +101,7 @@ class NoCountermodelUpTo:
 
     max_states: int
     models_checked: int
+    models_evaluated: int
     exhaustive: bool
 
 
@@ -87,6 +111,7 @@ class ValidByExhaustion:
 
     bound: int
     models_checked: int
+    models_evaluated: int
 
 
 DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
@@ -95,25 +120,61 @@ DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
 # -- candidate blocks through the kernel ---------------------------------------
 
 def _first_hit(formula: Formula, algebra: FLAlgebra, rels: dict, vals: dict,
-               batch: int, n: int) -> int | None:
+               batch: int, n: int, frame_of: np.ndarray | None = None) -> int | None:
     """Position of the first candidate refuting the formula, if any."""
     # copies, since the kernel adds every subterm to the memos it is given
-    values = kernel.evaluate(formula, algebra, dict(vals), dict(rels), batch, n)
+    values = kernel.evaluate(formula, algebra, dict(vals), dict(rels), batch, n, frame_of)
     ok = algebra.arrays.leq[algebra.one, values].all(axis=1)
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _materialize(algebra: FLAlgebra, n: int, rels, vals, pos: int) -> Model:
-    relations = {a.index: XRelation.from_array(algebra, r[pos]) for a, r in rels.items()}
-    valuation = {p.index: tuple(v[pos].tolist()) for p, v in vals.items()}
+def _swaps(n: int, atoms: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per transposition tau of two states: the frame digits it changes, in
+    index order, and for each the digit of the frame that lands there.
+
+    Digit (a, s, t) of a frame is entry (s, t) of atom a's matrix; the
+    renamed frame holds entry (tau s, tau t) there. Without atoms the one
+    frame has no digits, and nothing can be smaller.
+    """
+    out = []
+    if not atoms:
+        return out
+    for i, j in itertools.combinations(range(n), 2):
+        tau = np.arange(n)
+        tau[[i, j]] = j, i
+        image = (np.arange(atoms)[:, None, None] * n * n + tau[:, None] * n + tau).ravel()
+        cols = np.flatnonzero(image != np.arange(len(image)))
+        out.append((cols, image[cols]))
+    return out
+
+
+def _least_frames(digits: np.ndarray, swaps) -> np.ndarray:
+    """Mask of the frames that no transposition maps to a smaller frame index.
+
+    Frame indices read the digit rows most significant first, so comparing
+    indices is comparing rows lexicographically: the first digit a
+    transposition changes decides.
+    """
+    rows = np.arange(len(digits))
+    keep = np.ones(len(digits), dtype=bool)
+    for cols, image in swaps:
+        diff = digits[:, image] - digits[:, cols]
+        keep &= diff[rows, (diff != 0).argmax(axis=1)] >= 0
+    return keep
+
+
+def _materialize(algebra: FLAlgebra, n: int, rels: dict, vals: dict) -> Model:
+    """The model of one candidate, from its relation matrices and valuation rows."""
+    relations = {a.index: XRelation.from_array(algebra, r) for a, r in rels.items()}
+    valuation = {p.index: tuple(v.tolist()) for p, v in vals.items()}
     return Model(Frame(algebra, n, relations), valuation)
 
 
-def _verify_hit(model: Model, formula: Formula, checked: int) -> Countermodel:
+def _verify_hit(model: Model, formula: Formula, checked: int, evaluated: int) -> Countermodel:
     A = model.algebra
     for state, value in enumerate(reference_values(model, formula)):
         if not A.leq(A.one, value):
-            return Countermodel(model, state, value, checked)
+            return Countermodel(model, state, value, checked, evaluated)
     raise AssertionError("batch scan reported a countermodel the reference evaluator rejects")
 
 
@@ -124,9 +185,11 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
 
     Only the action atoms and variables the formula mentions vary; that
     loses no countermodels because evaluation never looks at anything
-    else. The budget counts candidate models; running out of it raises
-    BudgetExceeded whose frontier records how far the scan got. Sampling
-    mode instead draws `budget` random candidates (state count uniform on
+    else. The budget counts candidate positions in the canonical order,
+    pruned frames included; running out of it raises BudgetExceeded whose
+    frontier records how far the scan got, and whose `models_evaluated`
+    says how many of those candidates the kernel evaluated. Sampling mode
+    instead draws `budget` random candidates (state count uniform on
     1..max_states, entries uniform) and cannot prove validity.
     """
     if max_states < 1:
@@ -164,30 +227,61 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             if best is not None:
                 stream, n, rels, vals, pos = best
                 checked += stream + 1
-                return _verify_hit(_materialize(algebra, n, rels, vals, pos), formula, checked)
+                model = _materialize(algebra, n, {a: r[pos] for a, r in rels.items()},
+                                     {p: v[pos] for p, v in vals.items()})
+                return _verify_hit(model, formula, checked, checked)
             checked += block
-        return NoCountermodelUpTo(max_states, checked, exhaustive=False)
+        return NoCountermodelUpTo(max_states, checked, checked, exhaustive=False)
 
+    evaluated = 0
     for n in range(1, max_states + 1):
-        total = size ** (len(atoms) * n * n + len(vars_) * n)
+        cells = len(atoms) * n * n          # frame digits
+        width = size ** (len(vars_) * n)    # valuations per frame
+        total = size ** cells * width
+        swaps = _swaps(n, len(atoms))
         start = 0
         while start < total:
             if checked >= budget:
                 raise BudgetExceeded(
                     "candidate budget exhausted before the search space",
                     frontier={"states": n, "next_index": start,
-                              "models_checked": checked, "max_states": max_states})
-            block = min(_CHUNK, total - start, budget - checked)
-            indices = np.arange(start, start + block, dtype=np.int64)
-            rels, vals = kernel.decode(indices, size, n, atoms, vars_)
-            pos = _first_hit(formula, algebra, rels, vals, block, n)
-            if pos is not None:
-                checked += pos + 1
-                return _verify_hit(_materialize(algebra, n, rels, vals, pos), formula, checked)
-            checked += block
-            start += block
+                              "models_checked": checked, "max_states": max_states},
+                    models_evaluated=evaluated)
+            # whole frames where they fit, else the rest of one frame up to _CHUNK
+            end = min(total, start + _CHUNK)
+            if end // width * width > start:
+                end = end // width * width
+            end = min(end, start + budget - checked)
+            first = start // width
+            base = first * width    # index of the first frame's first candidate
+            frame_digits = kernel.digits(
+                np.arange(first, (end - 1) // width + 1, dtype=np.int64), size, cells)
+            keep = _least_frames(frame_digits, swaps)
+            offsets = np.arange(start - base, end - base, dtype=np.int64)
+            # a block spanning frames has them at most _CHUNK wide, so width fits int64
+            frame_of, valuation = (np.divmod(offsets, width) if len(keep) > 1
+                                   else (np.zeros_like(offsets), offsets))
+            live = keep[frame_of]
+            if live.any():
+                offsets = offsets[live]
+                frame_of = (np.cumsum(keep) - 1)[frame_of[live]]
+                kept = frame_digits[keep]
+                rels = {a: kept[:, i * n * n:(i + 1) * n * n].reshape(-1, n, n)
+                        for i, a in enumerate(atoms)}
+                _, vals = kernel.decode(valuation[live], size, n, (), vars_)
+                pos = _first_hit(formula, algebra, rels, vals, len(offsets), n, frame_of)
+                if pos is not None:
+                    checked += base + int(offsets[pos]) - start + 1
+                    evaluated += pos + 1
+                    model = _materialize(algebra, n,
+                                         {a: r[frame_of[pos]] for a, r in rels.items()},
+                                         {p: v[pos] for p, v in vals.items()})
+                    return _verify_hit(model, formula, checked, evaluated)
+                evaluated += len(offsets)
+            checked += end - start
+            start = end
 
     bound = theoretical_bound(formula, algebra)
     if max_states >= bound:
-        return ValidByExhaustion(bound, checked)
-    return NoCountermodelUpTo(max_states, checked, exhaustive=True)
+        return ValidByExhaustion(bound, checked, evaluated)
+    return NoCountermodelUpTo(max_states, checked, evaluated, exhaustive=True)

@@ -43,7 +43,14 @@ class FormulaSyntaxError(FLPDLError):
 
 
 class UnknownConstant(FLPDLError):
-    """A constant token names no element of the ambient algebra."""
+    """A constant token names no element of the ambient algebra.
+
+    `position` is the 0-based offset of the token.
+    """
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
 
 
 class UnknownAtom(FLPDLError):
@@ -63,9 +70,11 @@ class BudgetExceeded(FLPDLError):
 
     `frontier` records how far the enumeration got: a dict with the state
     count being processed, the index of the next candidate at that state
-    count, and the total number of models checked.
+    count, and the total number of models checked. `models_evaluated`
+    counts those of them the evaluator actually ran on.
     """
 
-    def __init__(self, message: str, frontier: dict):
+    def __init__(self, message: str, frontier: dict, models_evaluated: int):
         super().__init__(message)
         self.frontier = frontier
+        self.models_evaluated = models_evaluated

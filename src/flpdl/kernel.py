@@ -8,6 +8,13 @@ Leaves come from two memos the caller seeds, `memo` for formulas and
 can be seeded as opaque atoms. Unseeded variables are zero, unseeded atoms
 the bottom relation, and every subterm computed is added to its memo for
 reuse across formulas.
+
+Models that share a frame can share its relations: given `frame_of`, an
+index array mapping each batch member to a row of the relations, relations
+hold one row per frame while values hold one row per batch member, and a
+box gathers column t of its action as `rel[frame_of, :, t]`. No relation is
+copied per batch member. Actions then keep the frames' batch through
+composition and closure, so every atom they mention must be seeded.
 """
 
 from __future__ import annotations
@@ -50,6 +57,14 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     raise AssertionError("transitive closure failed to stabilize")
 
 
+def digits(indices: np.ndarray, size: int, count: int) -> np.ndarray:
+    """(len(indices), count) digits of each index in base `size`, most significant first."""
+    out = np.empty((count, len(indices)), dtype=np.int64)
+    for d in range(count - 1, -1, -1):
+        indices, out[d] = np.divmod(indices, size)
+    return out.T
+
+
 def decode(indices: np.ndarray, size: int, n: int, atoms, vars_):
     """Seeds for a block of candidate indices: ({atom: (block, n, n)}, {var: (block, n)}).
 
@@ -57,21 +72,22 @@ def decode(indices: np.ndarray, size: int, n: int, atoms, vars_):
     row by row, then each variable's row.
     """
     block = len(indices)
-    digits = np.empty((len(atoms) * n * n + len(vars_) * n, block), dtype=np.int64)
-    for d in range(len(digits) - 1, -1, -1):
-        indices, digits[d] = np.divmod(indices, size)
-    rels = {a: digits[i * n * n:(i + 1) * n * n].T.reshape(block, n, n)
+    d = digits(indices, size, len(atoms) * n * n + len(vars_) * n)
+    rels = {a: d[:, i * n * n:(i + 1) * n * n].reshape(block, n, n)
             for i, a in enumerate(atoms)}
-    digits = digits[len(atoms) * n * n:]
-    return rels, {p: digits[i * n:(i + 1) * n].T for i, p in enumerate(vars_)}
+    d = d[:, len(atoms) * n * n:]
+    return rels, {p: d[:, i * n:(i + 1) * n] for i, p in enumerate(vars_)}
 
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp", Choice: "join"}
 
 
 def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
-             batch: int, n: int) -> np.ndarray:
-    """Value of a formula, or relation of an action, over the whole batch."""
+             batch: int, n: int, frame_of: np.ndarray | None = None) -> np.ndarray:
+    """Value of a formula, or relation of an action, over the whole batch.
+
+    `frame_of`, if given, maps batch members to rows of the relations.
+    """
     arrs = algebra.arrays
     # post-order: a node is expanded, then applied to its children's results on `done`
     stack, done = [(root, False)], []
@@ -106,7 +122,8 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
             body, rel = done.pop(), done.pop()
             out = np.full((batch, n), algebra.top, dtype=np.int64)
             for t in range(n):
-                out = arrs.meet[out, arrs.imp[rel[:, :, t], body[:, t, None]]]
+                col = rel[:, :, t] if frame_of is None else np.take(rel[:, :, t], frame_of, axis=0)
+                out = arrs.meet[out, arrs.imp[col, body[:, t, None]]]
         else:
             right, left = done.pop(), done.pop()
             out = getattr(arrs, _TABLES[kind])[left, right]

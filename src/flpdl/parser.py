@@ -194,14 +194,15 @@ class _Parser:
         if name.isascii() and name.isdigit():
             idx = _index(name, pos)
             if idx >= A.size:
-                raise UnknownConstant(f"#{name} is no element of a {A.size}-element algebra")
+                raise UnknownConstant(f"#{name} is no element of a {A.size}-element algebra",
+                                      pos)
             return idx
         named = {"bot": A.bottom, "top": A.top, "one": A.one, "zero": A.zero}
         if name in named:
             return named[name]
         if A.names is not None and name in A.names:
             return A.names.index(name)
-        raise UnknownConstant(f"#{name} names no element of the ambient algebra")
+        raise UnknownConstant(f"#{name} names no element of the ambient algebra", pos)
 
     def box_action(self, closer: str) -> tuple[ActionExp, bool]:
         raw = self.expr("action", 0)

@@ -45,6 +45,8 @@ def test_decide_pinned_example(capsys):
     doc = json.loads(out)
     assert doc["outcome"] == "countermodel"
     assert doc["models_checked"] == 14
+    # no frame up to the hit is larger than its swap of the two states
+    assert doc["models_evaluated"] == 14
     assert doc["model"]["relations"]["a0"] == [[0, 0], [1, 0]]
     assert doc["model"]["valuation"]["p0"] == [0, 1]
     assert doc["witness_state"] == 1
@@ -226,6 +228,17 @@ def test_eval_nesting_at_cap_and_past_it(capsys, model_file):
         "eval", "--model", model_file, "--formula", "!" * 3000 + "p0"]))
 
 
+@pytest.mark.parametrize("formula, message", [
+    ("p0 & #x", "#x names no element of the ambient algebra"),
+    ("p0 & #9", "#9 is no element of a 2-element algebra"),
+])
+def test_unknown_constant_names_its_position(capsys, formula, message):
+    code, out, err = run(capsys, [
+        "decide", "--algebra", "builtin:bool2", "--max-states", "1", "--formula", formula])
+    assert_input_error(code, out, err)
+    assert err.strip() == f"error: {message} (at position 5)"
+
+
 def test_budget_exhaustion_exits_three(capsys):
     code, out, _ = run(capsys, [
         "decide", "--algebra", "builtin:cost:3", "--max-states", "3",
@@ -235,6 +248,7 @@ def test_budget_exhaustion_exits_three(capsys):
     doc = json.loads(out)
     assert doc["outcome"] == "budget-exceeded"
     assert doc["frontier"]["models_checked"] == 1000
+    assert 0 < doc["models_evaluated"] < 1000
 
 
 def test_budget_env_override(capsys, monkeypatch):

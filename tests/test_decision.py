@@ -1,10 +1,14 @@
 """Bounded countermodel search: order, counts, outcomes, budgets."""
 
+import functools
 import itertools
-import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flpdl.algebra import bool2, cost_chain
+from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.decision import (Countermodel, NoCountermodelUpTo,
                             ValidByExhaustion, decide_bounded, default_budget,
                             theoretical_bound)
@@ -13,35 +17,36 @@ from flpdl.oracles import reference_values
 from flpdl.parser import parse_formula
 from flpdl.relations import XRelation
 from flpdl.semantics import Frame, Model, evaluate
-from flpdl.syntax import action_atoms, variables
+from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
+                          RDiv, Seq, Var, action_atoms, variables)
 
 
-def slow_first_countermodel(formula, algebra, max_states):
+def slow_first_countermodel(formula, algebra, max_states, limit=None):
     """Reference enumerator in the documented candidate order.
 
     States ascending; per state count, relation matrices vary
     lexicographically row-major with the first atom most significant,
     then valuation rows with the first variable most significant and
     state 0 the most significant digit. Returns (model, state, value,
-    candidates seen including the hit) or (None, count). Candidates are
-    judged by the reference evaluator, which shares no code with the
-    kernel that decide_bounded runs.
+    candidates seen including the hit) or (None, count), stopping after
+    `limit` candidates if one is given. Candidates are judged by the
+    reference evaluator, which shares no code with the kernel that
+    decide_bounded runs.
     """
-    atoms = sorted(action_atoms(formula)) or []
-    vars_ = sorted(variables(formula)) or []
+    atoms = sorted(action_atoms(formula))
+    vars_ = sorted(variables(formula))
     seen = 0
     for n in range(1, max_states + 1):
-        cells = [range(algebra.size)] * (n * n)
-        rows = [range(algebra.size)] * n
-        rel_spaces = [itertools.product(*cells) for _ in atoms]
-        for rel_choice in itertools.product(*[list(s) for s in rel_spaces]):
-            for val_choice in itertools.product(*[list(itertools.product(*rows))
-                                                  for _ in vars_]):
+        elements = range(algebra.size)
+        for rel_digits in itertools.product(elements, repeat=len(atoms) * n * n):
+            for val_digits in itertools.product(elements, repeat=len(vars_) * n):
+                if seen == limit:
+                    return None, seen
                 seen += 1
-                rels = {a: XRelation.from_rows(
-                    algebra, [list(flat[i * n:(i + 1) * n]) for i in range(n)])
-                    for a, flat in zip(atoms, rel_choice)}
-                vals = {v: row for v, row in zip(vars_, val_choice)}
+                rels = {a: XRelation.from_rows(algebra, [
+                    list(rel_digits[(i * n + s) * n:(i * n + s + 1) * n]) for s in range(n)])
+                    for i, a in enumerate(atoms)}
+                vals = {v: val_digits[i * n:(i + 1) * n] for i, v in enumerate(vars_)}
                 m = Model(Frame(algebra, n, rels), vals)
                 for state, value in enumerate(reference_values(m, formula)):
                     if not algebra.leq(algebra.one, value):
@@ -77,6 +82,7 @@ def test_matches_reference_enumeration_order(B):
     ("[a0](p0 & p1) -> [a0]p1", "builtin:bool2", 2),
     ("p0 * p0 -> p0", "builtin:cost:3", 1),
     ("<a0>p0 -> [a0]p0", "builtin:bool2", 2),
+    ("!(!p1 & <a0>(p1 & p0) & <a0>(p1 & !p0))", "builtin:bool2", 3),
 ])
 def test_agrees_with_reference_on_varied_formulas(builtins, text, uri, max_states):
     algebra = builtins[uri]
@@ -206,3 +212,121 @@ def test_invalid_constant_refuted_immediately(C3):
     assert isinstance(out, Countermodel)
     assert out.models_checked == 1
     assert out.model.frame.size == 1
+
+
+def test_budget_cut_frontier_counts_pruned_frames(C3):
+    # candidates are counted at their canonical positions, pruned frames
+    # included, so the frontier is that of a scan of every candidate
+    f = parse_formula("[a0;a1]p0 <-> [a0][a1]p0", C3)
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_bounded(f, C3, 3, budget=10 ** 5)
+    assert exc.value.frontier == {
+        "states": 3, "next_index": 40924, "models_checked": 10 ** 5, "max_states": 3}
+    assert exc.value.models_evaluated == 57718
+    assert exc.value.models_evaluated < exc.value.frontier["models_checked"]
+
+
+def test_models_evaluated_counts_surviving_frames(B):
+    # one atom, one variable: 4 + 64 candidates. At two states there are 16
+    # frames of 4 valuations; the swap fixes the 4 with r00 = r11 and r01 = r10
+    # and pairs off the other 12, skipping the larger frame of each pair
+    out = decide_bounded(parse_formula("[a0]p0 -> [a0]p0", B), B, 2)
+    assert isinstance(out, NoCountermodelUpTo)
+    assert (out.models_checked, out.models_evaluated) == (68, 4 + 10 * 4)
+    hit = decide_bounded(parse_formula("p -> [a]p", B), B, 2)
+    assert hit.models_evaluated <= hit.models_checked == 14
+
+
+# -- the pruned search against the reference enumeration ----------------------
+
+@functools.cache
+def _search_algebras():
+    return bool2(), cost_chain(3), find_non_commutative(), find_non_integral()
+
+
+actions = st.recursive(
+    st.builds(Atom, st.integers(0, 1)),
+    lambda inner: st.one_of(st.builds(Choice, inner, inner), st.builds(Seq, inner, inner),
+                            st.builds(Plus, inner)),
+    max_leaves=3)
+
+
+def formulas(size):
+    """Random formulas, half of them shaped to hold on every one-state model
+    more often: g -> [A]g and [A]g -> [B]g."""
+    leaves = st.one_of(st.builds(Var, st.integers(0, 1)),
+                       st.builds(Const, st.integers(0, size - 1)))
+    any_ = st.recursive(leaves, lambda inner: st.one_of(
+        [st.builds(cls, inner, inner) for cls in (And, Or, Fuse, LDiv, RDiv)]
+        + [st.builds(Box, actions, inner)]), max_leaves=5)
+    small = st.recursive(leaves, lambda inner: st.one_of(
+        [st.builds(cls, inner, inner) for cls in (And, Or, Fuse)]), max_leaves=3)
+    shaped = st.one_of(
+        st.builds(lambda g, a: LDiv(g, Box(a, g)), small, actions),
+        st.builds(lambda g, a, b: LDiv(Box(a, g), Box(b, g)), small, actions, actions))
+    return st.one_of(any_, shaped)
+
+
+def permuted(model, perm):
+    """The model with state s renamed perm[s], relations and valuation alike."""
+    n = model.frame.size
+    rels = {a: XRelation.from_rows(model.algebra, [
+        [r.values[perm.index(s)][perm.index(t)] for t in range(n)] for s in range(n)])
+        for a, r in model.frame.atomic.items()}
+    vals = {p: tuple(row[perm.index(s)] for s in range(n))
+            for p, row in model.valuation.items()}
+    return Model(Frame(model.algebra, n, rels), vals)
+
+
+def assert_orbit_refuted(out, formula):
+    """Every renaming of the states refutes the formula at the renamed witness."""
+    A = out.model.algebra
+    assert not A.leq(A.one, out.value)
+    for perm in itertools.permutations(range(out.model.frame.size)):
+        values = reference_values(permuted(out.model, list(perm)), formula)
+        assert values[perm[out.witness_state]] == out.value
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_pruned_search_matches_reference_enumeration(data):
+    # pruning acts from two states on, so every search here reaches them
+    algebra = data.draw(st.sampled_from(_search_algebras()))
+    f = data.draw(formulas(algebra.size))
+    max_states = data.draw(st.integers(2, 3))
+    limit = 1500
+    ref = slow_first_countermodel(f, algebra, max_states, limit)
+    try:
+        out = decide_bounded(f, algebra, max_states, budget=limit)
+    except BudgetExceeded as exc:
+        assert ref == (None, limit)
+        assert exc.frontier["models_checked"] == limit
+        assert exc.models_evaluated <= limit
+        return
+    assert out.models_evaluated <= out.models_checked
+    if ref[0] is None:
+        assert not isinstance(out, Countermodel)
+        assert out.models_checked == ref[1]
+        return
+    model, state, value, seen = ref
+    assert isinstance(out, Countermodel)
+    assert (out.models_checked, out.witness_state, out.value) == (seen, state, value)
+    assert out.model.frame.size == model.frame.size
+    assert ({a: r.values for a, r in out.model.frame.atomic.items()}
+            == {a: r.values for a, r in model.frame.atomic.items()})
+    assert out.model.valuation == model.valuation
+    assert_orbit_refuted(out, f)
+
+
+@pytest.mark.parametrize("algebra", _search_algebras(), ids=["bool2", "cost:3", "nc", "ni"])
+@pytest.mark.parametrize("text", [
+    "p0 -> [a0]p0", "[a0]p0 -> [a0][a0]p0", "[a0]p0 -> [a0+]p0",
+    "[a0;a1]p0 -> [a1;a0]p0",
+    # three states over bool2 and the non-integral algebra: a root and two successors
+    "!(!p1 & <a0>(p1 & p0) & <a0>(p1 & !p0))"])
+def test_countermodels_are_refuted_under_every_renaming_of_states(algebra, text):
+    f = parse_formula(text, algebra)
+    out = decide_bounded(f, algebra, 3)
+    assert isinstance(out, Countermodel)
+    assert_orbit_refuted(out, f)

@@ -27,11 +27,19 @@ ACTION_WRAPPERS = ["(", "a0 ; (", "a1 u (", "(a0 u "]
 
 
 def _outcome(parse, show, text):
-    """The printed tree, or the error's type, message and position."""
+    """The printed tree, or the error's type, message and position.
+
+    An unknown constant is recorded as it was before it carried a
+    position, once that position is checked to be its `#` token's.
+    """
     try:
         node = parse(text)
-    except (FormulaSyntaxError, UnknownConstant) as exc:
-        return [type(exc).__name__, str(exc), getattr(exc, "position", None)]
+    except FormulaSyntaxError as exc:
+        return [type(exc).__name__, str(exc), exc.position]
+    except UnknownConstant as exc:
+        suffix = f" (at position {exc.position})"
+        assert text[exc.position] == "#" and str(exc).endswith(suffix)
+        return [type(exc).__name__, str(exc)[:-len(suffix)], None]
     return show(node)
 
 
@@ -108,8 +116,8 @@ def test_any_text_parses_to_a_printable_tree_or_a_positioned_error(name, text):
             node = parse(text)
         except FormulaSyntaxError as exc:
             assert 0 <= exc.position <= len(text)
-        except UnknownConstant:
-            pass
+        except UnknownConstant as exc:
+            assert text[exc.position] == "#"
         else:
             assert parse(show(node)) == node
 
@@ -126,8 +134,9 @@ def test_indices_are_ascii_digits_within_int_range(C3, text, position):
 
 @pytest.mark.parametrize("text", ["#²", "#٣", "#1٣"])
 def test_a_constant_of_other_digits_names_no_element(C3, text):
-    with pytest.raises(UnknownConstant, match="names no element"):
+    with pytest.raises(UnknownConstant, match="names no element") as exc:
         parse_formula(text, C3)
+    assert exc.value.position == 0
 
 
 def test_a_constant_index_past_the_int_limit_is_a_syntax_error(C3):
