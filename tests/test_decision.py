@@ -262,8 +262,8 @@ def formulas(size):
     small = st.recursive(leaves, lambda inner: st.one_of(
         [st.builds(cls, inner, inner) for cls in (And, Or, Fuse)]), max_leaves=3)
     shaped = st.one_of(
-        st.builds(lambda g, a: LDiv(g, Box(a, g)), small, actions),
-        st.builds(lambda g, a, b: LDiv(Box(a, g), Box(b, g)), small, actions, actions))
+        st.builds(lambda g, a: RDiv(g, Box(a, g)), small, actions),
+        st.builds(lambda g, a, b: RDiv(Box(a, g), Box(b, g)), small, actions, actions))
     return st.one_of(any_, shaped)
 
 
