@@ -165,7 +165,7 @@ def _least_frames(digits: np.ndarray, swaps) -> np.ndarray:
 
 def _materialize(algebra: FLAlgebra, n: int, rels: dict, vals: dict) -> Model:
     """The model of one candidate, from its relation matrices and valuation rows."""
-    relations = {a.index: XRelation.from_array(algebra, r) for a, r in rels.items()}
+    relations = {a.index: XRelation(algebra, r) for a, r in rels.items()}
     valuation = {p.index: tuple(v.tolist()) for p, v in vals.items()}
     return Model(Frame(algebra, n, relations), valuation)
 
@@ -268,7 +268,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                 kept = frame_digits[keep]
                 rels = {a: kept[:, i * n * n:(i + 1) * n * n].reshape(-1, n, n)
                         for i, a in enumerate(atoms)}
-                _, vals = kernel.decode(valuation[live], size, n, (), vars_)
+                vals = kernel.decode(valuation[live], size, n, vars_)
                 pos = _first_hit(formula, algebra, rels, vals, len(offsets), n, frame_of)
                 if pos is not None:
                     checked += base + int(offsets[pos]) - start + 1

@@ -6,6 +6,9 @@ relation entry is the join of the original entries across the two classes,
 and each variable of the set keeps its value (read off any member, they
 all agree). Variables outside the set get the zero element.
 
+The quotient is numpy folds over each relation's matrix: the rows of
+every class's members are joined, then the columns, one member at a time.
+
 Formulas of the set keep their value: the value at a state equals the
 value at its class in the quotient. That and the class-count bound
 |algebra| ** |set| make the quotient a finite certificate for them.
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import NotClosed
 from .relations import XRelation
@@ -76,26 +81,23 @@ def filtrate(model: Model, phis: Sequence[Formula],
     part = partition if partition is not None else phi_partition(model, phis)
     A = model.algebra
     members = part.members()
-    k = part.class_count
-
-    relations: dict[int, XRelation] = {}
+    width = max(map(len, members))
+    # row j lists one member per class; short classes repeat their first member
+    padded = np.array([m + m[:1] * (width - len(m)) for m in members]).T
+    relations = {}
     for idx, rel in model.frame.atomic.items():
-        rows = []
-        for cs in members:
-            row = []
-            for ct in members:
-                acc = A.bottom
-                for u in cs:
-                    for v in ct:
-                        acc = A.join(acc, rel.get(u, v))
-                row.append(acc)
-            rows.append(tuple(row))
-        relations[idx] = XRelation(A, tuple(rows))
+        quotient = rel.matrix
+        for axis in (0, 1):    # rows into classes, then columns
+            folded = np.take(quotient, padded[0], axis=axis)
+            for row in padded[1:]:
+                folded = A.arrays.join[folded, np.take(quotient, row, axis=axis)]
+            quotient = folded
+        relations[idx] = XRelation(A, quotient)
 
     valuation = {
         f.index: tuple(model.values(f)[rep] for rep in part.representatives)
         for f in phis if isinstance(f, Var)
     }
-    frame = Frame(A, k, relations,
+    frame = Frame(A, part.class_count, relations,
                   state_names=tuple(f"[{rep}]" for rep in part.representatives))
     return Model(frame, valuation, strict=model.strict)

@@ -65,18 +65,14 @@ def digits(indices: np.ndarray, size: int, count: int) -> np.ndarray:
     return out.T
 
 
-def decode(indices: np.ndarray, size: int, n: int, atoms, vars_):
-    """Seeds for a block of candidate indices: ({atom: (block, n, n)}, {var: (block, n)}).
+def decode(indices: np.ndarray, size: int, n: int, vars_) -> dict:
+    """Formula seeds {leaf: (block, n)} for a block of valuation indices.
 
-    Digits in base `size`, most significant first, fill each atom's matrix
-    row by row, then each variable's row.
+    Digits in base `size`, most significant first, fill the row of each
+    of `vars_` in turn: variables, or any subterms seeded as opaque leaves.
     """
-    block = len(indices)
-    d = digits(indices, size, len(atoms) * n * n + len(vars_) * n)
-    rels = {a: d[:, i * n * n:(i + 1) * n * n].reshape(block, n, n)
-            for i, a in enumerate(atoms)}
-    d = d[:, len(atoms) * n * n:]
-    return rels, {p: d[:, i * n:(i + 1) * n] for i, p in enumerate(vars_)}
+    d = digits(indices, size, len(vars_) * n)
+    return {p: d[:, i * n:(i + 1) * n] for i, p in enumerate(vars_)}
 
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp", Choice: "join"}

@@ -180,7 +180,7 @@ def least_transitive_extension(algebra: FLAlgebra, rel: XRelation,
     transitive_mask for this state count.
     """
     arrs = algebra.arrays
-    r = np.array(rel.values, dtype=np.int64)
+    r = rel.matrix
     ext = transitive_tables[arrs.leq[r[None], transitive_tables].all(axis=(1, 2))]
     if len(ext) == 0:
         return None
@@ -202,7 +202,7 @@ def cost_walk_join_fast(rel: XRelation, cap: int) -> np.ndarray:
     The main code path's join and fusion tables are never consulted.
     """
     n = rel.size
-    weights = np.array(rel.values, dtype=np.int64)
+    weights = rel.matrix
     best = np.minimum(weights, cap)
     for _ in range(n * (cap + 1) - 1):
         longer = (best[:, :, None] + weights[None, :, :]).min(axis=1)

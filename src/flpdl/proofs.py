@@ -179,7 +179,7 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     for start in range(0, count, _BLOCK):
         block = min(_BLOCK, count - start)
         # one assignment per one-state model; the atoms are seeded, never looked into
-        _, memo = kernel.decode(np.arange(start, start + block), algebra.size, 1, (), names)
+        memo = kernel.decode(np.arange(start, start + block), algebra.size, 1, names)
         refuted = ~arrs.leq[algebra.one, kernel.evaluate(conclusion, algebra, memo, {}, block, 1)]
         for g in premises:
             refuted &= arrs.leq[algebra.one, kernel.evaluate(g, algebra, memo, {}, block, 1)]

@@ -2,14 +2,17 @@
 closure-flavoured operations the box semantics needs: union, composition
 and transitive closure.
 
-Relations are immutable. All operations require both arguments to share
-the same algebra object and state count; DimensionMismatch otherwise.
-They are thin wrappers over `kernel`, each relation a batch of one.
+A relation holds its matrix once, as a read-only (n, n) int64 `matrix`
+that every operation hands to `kernel` as a batch of one; `values` is
+derived from it. Relations compare by identity. All operations require
+both arguments to share the same algebra object and state count;
+DimensionMismatch otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -19,16 +22,26 @@ from .errors import DimensionMismatch
 from .kernel import closure, compose
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XRelation:
-    """An n x n matrix of algebra elements."""
+    """An n x n matrix of algebra elements, copied on construction and read-only."""
 
     algebra: FLAlgebra
-    values: tuple[tuple[int, ...], ...]
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        matrix = np.array(self.matrix, dtype=np.int64)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def size(self) -> int:
-        return len(self.values)
+        return len(self.matrix)
+
+    @cached_property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix as nested tuples of Python ints."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
     def get(self, s: int, t: int) -> int:
         return self.values[s][t]
@@ -41,31 +54,17 @@ class XRelation:
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise DimensionMismatch("relation matrix must be square")
-        return cls(algebra, tuple(element_indices(row, algebra.size, "relation entry",
-                                                  DimensionMismatch) for row in rows))
-
-    @classmethod
-    def from_array(cls, algebra: FLAlgebra, arr: np.ndarray) -> "XRelation":
-        return cls(algebra, tuple(map(tuple, arr.tolist())))
-
-    def array(self) -> np.ndarray:
-        """The matrix as an (n, n) array, the form the kernel works on."""
-        return np.array(self.values, dtype=np.int64)
-
-    @classmethod
-    def constant(cls, algebra: FLAlgebra, n: int, value: int) -> "XRelation":
-        return cls(algebra, tuple(tuple(value for _ in range(n)) for _ in range(n)))
+        return cls(algebra, [element_indices(row, algebra.size, "relation entry",
+                                             DimensionMismatch) for row in rows])
 
 
 def bottom_relation(algebra: FLAlgebra, n: int) -> XRelation:
-    return XRelation.constant(algebra, n, algebra.bottom)
+    return XRelation(algebra, np.full((n, n), algebra.bottom))
 
 
 def identity_relation(algebra: FLAlgebra, n: int) -> XRelation:
     """one on the diagonal, bottom elsewhere."""
-    return XRelation(algebra, tuple(
-        tuple(algebra.one if s == t else algebra.bottom for t in range(n))
-        for s in range(n)))
+    return XRelation(algebra, np.where(np.eye(n, dtype=bool), algebra.one, algebra.bottom))
 
 
 def _check_compatible(r: XRelation, q: XRelation) -> None:
@@ -78,14 +77,13 @@ def _check_compatible(r: XRelation, q: XRelation) -> None:
 def rel_union(r: XRelation, q: XRelation) -> XRelation:
     """Pointwise join."""
     _check_compatible(r, q)
-    return XRelation.from_array(r.algebra, r.algebra.arrays.join[r.array(), q.array()])
+    return XRelation(r.algebra, r.algebra.arrays.join[r.matrix, q.matrix])
 
 
 def rel_compose(r: XRelation, q: XRelation) -> XRelation:
     """(r;q)(s,t) = join over x of r(s,x)*q(x,t)."""
     _check_compatible(r, q)
-    product = compose(r.algebra.arrays, r.array()[None], q.array()[None])
-    return XRelation.from_array(r.algebra, product[0])
+    return XRelation(r.algebra, compose(r.algebra.arrays, r.matrix[None], q.matrix[None])[0])
 
 
 def transitive_closure(r: XRelation) -> XRelation:
@@ -95,14 +93,13 @@ def transitive_closure(r: XRelation) -> XRelation:
     from r, whose fixpoint is the join of r^k over every k >= 1; entries
     only climb in the finite lattice, so the iteration stabilizes.
     """
-    return XRelation.from_array(r.algebra, closure(r.algebra, r.array()[None])[0])
+    return XRelation(r.algebra, closure(r.algebra, r.matrix[None])[0])
 
 
 def refl_trans_closure(r: XRelation) -> XRelation:
     """r*(s,t) is one when s = t and the transitive-closure value otherwise."""
-    star = closure(r.algebra, r.array()[None])[0]
-    np.fill_diagonal(star, r.algebra.one)
-    return XRelation.from_array(r.algebra, star)
+    plus = closure(r.algebra, r.matrix[None])[0]
+    return XRelation(r.algebra, np.where(np.eye(r.size, dtype=bool), r.algebra.one, plus))
 
 
 def path_value(r: XRelation, s: int, path: Sequence[int], t: int) -> int:

@@ -112,8 +112,8 @@ def criterion_2() -> CriterionResult:
     tables2 = all_relation_tables(3, 2)
     trans2 = tables2[transitive_mask(A, tables2)]
     for tbl in tables2:
-        rel = XRelation.from_rows(A, tbl.tolist())
-        plus = np.array(transitive_closure(rel).values)
+        rel = XRelation(A, tbl)
+        plus = transitive_closure(rel).matrix
         least = least_transitive_extension(A, rel, trans2)
         if least is None or not (least == plus).all() \
                 or not (cost_walk_join_fast(rel, cap) == plus).all():
@@ -123,9 +123,8 @@ def criterion_2() -> CriterionResult:
     trans3 = tables3[transitive_mask(A, tables3)]
     rng = random.Random(0)
     for _ in range(500):
-        rel = XRelation.from_rows(
-            A, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
-        plus = np.array(transitive_closure(rel).values)
+        rel = XRelation(A, [[rng.randrange(3) for _ in range(3)] for _ in range(3)])
+        plus = transitive_closure(rel).matrix
         least = least_transitive_extension(A, rel, trans3)
         if least is None or not (least == plus).all() \
                 or not (cost_walk_join_fast(rel, cap) == plus).all():
@@ -331,9 +330,9 @@ def criterion_8() -> CriterionResult:
     rel = XRelation.from_rows(NI, raw["relation"])
     star = refl_trans_closure(rel)
     union = rel_union(identity_relation(NI, rel.size), transitive_closure(rel))
-    if [list(r) for r in star.values] != raw["refl_trans_closure"] \
-            or [list(r) for r in union.values] != raw["id_union_plus"] \
-            or star.values == union.values:
+    if star.matrix.tolist() != raw["refl_trans_closure"] \
+            or union.matrix.tolist() != raw["id_union_plus"] \
+            or np.array_equal(star.matrix, union.matrix):
         problems.append("star/identity-union witness did not reproduce")
 
     raw = json.loads(resources.files("flpdl").joinpath(

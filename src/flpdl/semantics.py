@@ -14,7 +14,10 @@ evaluate computes the value of a formula per state:
 with => the right division. Composite actions get their relation from the
 atoms by union / composition / transitive closure. All of it runs through
 `kernel`, a model being a batch of one; the kernel's relation memo lives on
-the frame, shared by its models, and its formula memo on the model.
+the frame, shared by its models, and its formula memo on the model. It is
+seeded with each atom's read-only `XRelation.matrix` as it is.
+
+In the JSON form, keys are "aK" and "pK" with K in ASCII digits, one key per K.
 
 Evaluation is deterministic and side-effect free apart from caches whose
 entries are only ever written with the one value they can take, so
@@ -51,7 +54,7 @@ class Frame:
                 raise DimensionMismatch(f"relation for a{idx} lives over a different algebra")
             self.atomic[int(idx)] = rel
         self.state_names = tuple(state_names) if state_names is not None else None
-        self.relation_memo = {Atom(idx): rel.array()[None] for idx, rel in self.atomic.items()}
+        self.relation_memo = {Atom(idx): rel.matrix[None] for idx, rel in self.atomic.items()}
 
     def atom_relation(self, index: int, strict: bool = False) -> XRelation:
         rel = self.atomic.get(index)
@@ -69,7 +72,7 @@ class Frame:
         if isinstance(action, Atom):
             return self.atom_relation(action.index, strict)
         arr = kernel.evaluate(action, self.algebra, {}, self.relation_memo, 1, self.size)
-        return XRelation.from_array(self.algebra, arr[0])
+        return XRelation(self.algebra, arr[0])
 
     def require_atoms(self, node) -> None:
         """UnknownAtom unless the frame maps every action atom in node."""
@@ -141,8 +144,18 @@ def valid_in_model(model: Model, formula: Formula) -> tuple[bool, int | None, in
 
 # -- JSON form ---------------------------------------------------------------
 
-_ATOM_KEY = re.compile(r"^a(\d+)$")
-_VAR_KEY = re.compile(r"^p(\d+)$")
+def _by_index(entries: Mapping, letter: str, what: str) -> dict:
+    """{K: entry} from a map keyed "<letter>K", K in ASCII digits; no two keys may name one K."""
+    keys: dict[int, object] = {}
+    for key in entries:
+        m = re.fullmatch(letter + "([0-9]+)", str(key))
+        if not m:
+            raise ValueError(f'{what} key {key!r} is not of the form "{letter}K"')
+        idx = int(m.group(1))
+        if idx in keys:
+            raise ValueError(f"{what} keys {keys[idx]!r} and {key!r} both name {letter}{idx}")
+        keys[idx] = key
+    return {idx: entries[key] for idx, key in keys.items()}
 
 
 def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -> Model:
@@ -180,19 +193,9 @@ def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -
     for field in ("relations", "valuation"):
         if not isinstance(source.get(field) or {}, dict):
             raise ValueError(f'model field "{field}" must be a map')
-    relations = {}
-    for key, matrix in (source.get("relations") or {}).items():
-        m = _ATOM_KEY.match(str(key))
-        if not m:
-            raise ValueError(f'relation key {key!r} is not of the form "aK"')
-        relations[int(m.group(1))] = XRelation.from_rows(algebra, matrix)
-
-    valuation = {}
-    for key, row in (source.get("valuation") or {}).items():
-        m = _VAR_KEY.match(str(key))
-        if not m:
-            raise ValueError(f'valuation key {key!r} is not of the form "pK"')
-        valuation[int(m.group(1))] = row
+    relations = {idx: XRelation.from_rows(algebra, matrix) for idx, matrix in
+                 _by_index(source.get("relations") or {}, "a", "relation").items()}
+    valuation = _by_index(source.get("valuation") or {}, "p", "valuation")
 
     frame = Frame(algebra, size, relations, state_names=names)
     return Model(frame, valuation, strict=strict)

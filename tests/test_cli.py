@@ -4,6 +4,8 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flpdl.cli import main
 from flpdl.parser import MAX_NESTING
@@ -146,6 +148,12 @@ MALFORMED_MODELS = {
                                                  meet=[[0, 1, 2], [1, True, 2], [2, 2, 2]])},
     "algebra zero false": {"algebra": dict(_cost3_inline(), zero=False)},
     "algebra names not a list": {"algebra": dict(_cost3_inline(), names=5)},
+    "relation key with an Arabic-Indic digit": {"relations": {"a\u0660": [[0, 1], [1, 0]]}},
+    "relation key with a trailing newline": {"relations": {"a0\n": [[0, 1], [1, 0]]}},
+    "relation keys a0 and a00": {"relations": {"a0": [[2, 2], [2, 2]], "a00": [[0, 0], [0, 0]]}},
+    "valuation key with an Arabic-Indic digit": {"valuation": {"p\u0660": [0, 1]}},
+    "valuation key with a trailing newline": {"valuation": {"p0\n": [0, 1]}},
+    "valuation keys p0 and p00": {"valuation": {"p0": [0, 1], "p00": [1, 0]}},
 }
 
 
@@ -157,6 +165,55 @@ def test_malformed_model_is_input_error(capsys, tmp_path, case):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     assert_input_error(*run(capsys, ["eval", "--model", str(path), "--formula", "[a0]p0"]))
+
+
+# model documents of at most 4 states, every field sometimes of the wrong type
+SCALAR = st.one_of(st.integers(-2, 3), st.integers(), st.floats(), st.booleans(),
+                   st.text(max_size=3), st.none())
+JUNK = st.recursive(SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6)
+GOOD = st.integers(0, 2)
+ENTRY = st.one_of(GOOD, JUNK)
+DIGITS = st.sampled_from(["0", "1", "00", "01", "\u0660", "1\u0661", "\u00b2", "\uff11"])
+
+
+def mostly(good, bad):
+    """Draw from good three times in four, else from bad."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 3 else good)
+
+
+def keyed(letter, value):
+    key = st.one_of(st.sampled_from([letter + "0", letter + "1"]),
+                    st.builds(lambda d, tail: letter + d + tail, DIGITS,
+                              st.sampled_from(["", "\n", " "])),
+                    st.text(max_size=3))
+    return mostly(st.dictionaries(key, value, max_size=3), JUNK)
+
+
+def model_document(n):
+    def square(entry):
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    row = st.one_of(st.lists(GOOD, min_size=n, max_size=n), st.lists(ENTRY, max_size=4), JUNK)
+    matrix = st.one_of(square(GOOD), square(ENTRY), st.lists(st.lists(ENTRY, max_size=4),
+                                                             max_size=4), JUNK)
+    return st.fixed_dictionaries({
+        "algebra": mostly(st.sampled_from(["builtin:cost:3", "builtin:bool2"]), JUNK),
+        "states": mostly(st.one_of(st.just(n), st.lists(SCALAR, min_size=n, max_size=n)), JUNK),
+    }, optional={"relations": keyed("a", matrix), "valuation": keyed("p", row)})
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.integers(1, 4).flatmap(model_document),
+       formula=st.sampled_from(["[a0]p0", "[a1+]p1 -> p0", "[a0;a1]#1 & p00", "p0"]))
+def test_model_documents_never_end_in_an_internal_error(capsys, tmp_path, monkeypatch,
+                                                         doc, formula):
+    monkeypatch.chdir(tmp_path)    # a string field naming a file finds none
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--formula", formula])
+    assert code in (0, 2), err
 
 
 MALFORMED_PROOF_LINES = {

@@ -1,7 +1,12 @@
 """Quotients of models through formula closures."""
 
+import functools
+import random
+
 import pytest
 
+from flpdl.algebra import bool2, cost_chain, product
+from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.errors import NotClosed
 from flpdl.filtration import Partition, filtrate, phi_partition
 from flpdl.generators import random_formula, random_model
@@ -11,12 +16,66 @@ from flpdl.semantics import Frame, Model
 from flpdl.syntax import closure_of, Var
 
 
-@pytest.fixture()
-def m4(C3):
+def _m4(C3):
     # states 2 and 3 agree on every closure formula of [a0+]p0
     fr = Frame(C3, 4, relations={0: XRelation.from_rows(C3, [
         [0, 1, 2, 2], [2, 0, 1, 1], [2, 2, 0, 0], [2, 2, 0, 0]])})
     return Model(fr, valuation={0: (0, 1, 2, 2)})
+
+
+@pytest.fixture()
+def m4(C3):
+    return _m4(C3)
+
+
+SEARCHED = {
+    "bool2": bool2,
+    "cost:3": lambda: cost_chain(3),
+    "product(bool2,cost:3)": lambda: product(bool2(), cost_chain(3)),
+    "non-commutative": find_non_commutative,
+    "non-integral": find_non_integral,
+}
+
+
+@functools.cache
+def quotient_inputs(name):
+    """(model, closed formula set) pairs: the m4 pin, or 24 seeded random
+    models over one of the searched algebras, each with two atoms and the
+    closure of a random formula in one variable, so that states merge."""
+    if name == "m4":
+        C3 = cost_chain(3)
+        return ((_m4(C3), closure_of([parse_formula("[a0+]p0", C3)])),)
+    alg = SEARCHED[name]()
+    rng = random.Random(f"filtrate/{name}")
+    out = []
+    for _ in range(24):
+        m = random_model(alg, rng.randint(2, 7), rng, atoms=(0, 1))
+        out.append((m, closure_of([random_formula(rng, alg, 2, variables=(0,))])))
+    return tuple(out)
+
+
+def classwise_join(algebra, rel, part):
+    """The quotient of one relation, entry by entry: the join over each pair of classes."""
+    members = part.members()
+    rows = []
+    for cs in range(part.class_count):
+        row = []
+        for ct in range(part.class_count):
+            acc = algebra.bottom
+            for s in members[cs]:
+                for t in members[ct]:
+                    acc = algebra.join(acc, rel.values[s][t])
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_searched_inputs_merge_states():
+    # the quotients below join across classes of more than one state
+    for name in SEARCHED:
+        merged = sum(phi_partition(m, phis).class_count < m.frame.size
+                     for m, phis in quotient_inputs(name))
+        assert merged >= 6, name
 
 
 def test_partition_pin(m4, C3):
@@ -42,30 +101,25 @@ def test_filtrate_pin(m4, C3):
     assert small.var_row(0) == (0, 1, 2)
 
 
-def test_filtrate_relation_is_classwise_join(m4, C3):
-    phis = closure_of([parse_formula("[a0+]p0", C3)])
-    part = phi_partition(m4, phis)
-    small = filtrate(m4, phis, part)
-    big = m4.frame.atomic[0]
-    members = part.members()
-    for cs in range(part.class_count):
-        for ct in range(part.class_count):
-            acc = C3.bottom
-            for s in members[cs]:
-                for t in members[ct]:
-                    acc = C3.join(acc, big.values[s][t])
-            assert small.frame.atomic[0].values[cs][ct] == acc
+@pytest.mark.parametrize("inputs", ["m4", *SEARCHED])
+def test_filtrate_relation_is_classwise_join(inputs):
+    for model, phis in quotient_inputs(inputs):
+        part = phi_partition(model, phis)
+        small = filtrate(model, phis, part)
+        for idx, big in model.frame.atomic.items():
+            assert small.frame.atomic[idx].values == classwise_join(model.algebra, big, part)
 
 
-def test_closure_values_survive_the_quotient(m4, C3):
-    phis = closure_of([parse_formula("[a0+]p0", C3)])
-    part = phi_partition(m4, phis)
-    small = filtrate(m4, phis, part)
-    for f in phis:
-        big_row = m4.values(f)
-        small_row = small.values(f)
-        for s in range(4):
-            assert big_row[s] == small_row[part.class_of[s]]
+@pytest.mark.parametrize("inputs", ["m4", *SEARCHED])
+def test_closure_values_survive_the_quotient(inputs):
+    for model, phis in quotient_inputs(inputs):
+        part = phi_partition(model, phis)
+        small = filtrate(model, phis, part)
+        for f in phis:
+            big_row = model.values(f)
+            small_row = small.values(f)
+            for s in range(model.frame.size):
+                assert big_row[s] == small_row[part.class_of[s]]
 
 
 def test_preservation_on_random_models(builtins, rng):

@@ -1,7 +1,9 @@
 """Weighted relations: union, composition, closures, walk values."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from flpdl.algebra import cost_chain
@@ -12,6 +14,7 @@ from flpdl.oracles import cost_walk_join_fast
 from flpdl.relations import (XRelation, bottom_relation, identity_relation,
                              path_value, refl_trans_closure, rel_compose,
                              rel_union, transitive_closure)
+from flpdl.semantics import load_model
 
 
 def test_from_rows_rejects_ragged(C3):
@@ -186,3 +189,48 @@ def test_dimension_mismatch_across_algebras(B, C3):
     q = XRelation.from_rows(C3, [[0, 1], [1, 0]])
     with pytest.raises(DimensionMismatch):
         rel_union(r, q)
+
+
+# -- storage: one read-only int64 matrix per relation -------------------------
+
+def test_matrix_is_read_only(C3):
+    r = XRelation.from_rows(C3, [[0, 1], [2, 0]])
+    with pytest.raises(ValueError):
+        r.matrix[0, 0] = 2
+    assert r.values == ((0, 1), (2, 0))
+
+
+def test_matrix_is_a_copy_of_the_source(C3):
+    source = np.array([[0, 1], [2, 0]])
+    r = XRelation(C3, source)
+    source[0, 0] = 2
+    assert r.matrix.tolist() == [[0, 1], [2, 0]]
+    assert r.values == ((0, 1), (2, 0))
+
+
+def test_star_of_a_transitive_relation_leaves_it_alone(C3):
+    # kernel.closure hands back its input when nothing climbs, so the
+    # diagonal of r* must not be written into r
+    r = bottom_relation(C3, 3)
+    assert transitive_closure(r).values == r.values
+    star = refl_trans_closure(r)
+    assert r.values == ((2, 2, 2),) * 3
+    assert star.values == ((0, 2, 2), (2, 0, 2), (2, 2, 0))
+
+
+def test_tuple_rows_without_an_algebra_feed_the_walk_oracle():
+    rel = XRelation(None, ((2, 1), (0, 2)))
+    assert cost_walk_join_fast(rel, 2).tolist() == [[1, 1], [0, 1]]
+
+
+def test_values_are_python_ints(C3, rng):
+    r = random_relation(C3, 3, rng)
+    assert all(type(v) is int for row in r.values for v in row)
+    assert all(type(v) is int for row in transitive_closure(r).values for v in row)
+    assert json.dumps(r.values)
+
+
+def test_empty_relation_in_a_model_names_its_size(C3):
+    doc = {"algebra": "builtin:cost:3", "states": 2, "relations": {"a0": []}}
+    with pytest.raises(DimensionMismatch, match="relation for a0 has 0 states, frame has 2"):
+        load_model(doc)
