@@ -82,7 +82,7 @@ def filtrate(model: Model, phis: Sequence[Formula],
     A = model.algebra
     members = part.members()
     width = max(map(len, members))
-    # row j lists one member per class; short classes repeat their first member
+    # row j lists one member per class; short classes repeat their first, which a join absorbs
     padded = np.array([m + m[:1] * (width - len(m)) for m in members]).T
     relations = {}
     for idx, rel in model.frame.atomic.items():
