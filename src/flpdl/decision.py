@@ -124,7 +124,7 @@ def _first_hit(formula: Formula, algebra: FLAlgebra, rels: dict, vals: dict,
     """Position of the first candidate refuting the formula, if any."""
     # copies, since the kernel adds every subterm to the memos it is given
     values = kernel.evaluate(formula, algebra, dict(vals), dict(rels), batch, n, frame_of)
-    ok = algebra.arrays.leq[algebra.one, values].all(axis=1)
+    ok = algebra.arrays.leq[algebra.one][values].all(axis=1)
     return None if ok.all() else int(np.argmin(ok))
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotClosed
+from .kernel import lookup
 from .relations import XRelation
 from .semantics import Frame, Model
 from .syntax import Formula, Var, is_closed
@@ -90,7 +91,7 @@ def filtrate(model: Model, phis: Sequence[Formula],
         for axis in (0, 1):    # rows into classes, then columns
             folded = np.take(quotient, padded[0], axis=axis)
             for row in padded[1:]:
-                folded = A.arrays.join[folded, np.take(quotient, row, axis=axis)]
+                folded = lookup(A.arrays.join, folded, np.take(quotient, row, axis=axis))
             quotient = folded
         relations[idx] = XRelation(A, quotient)
 

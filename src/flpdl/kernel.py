@@ -1,13 +1,15 @@
 """The one evaluator: formula values over a batch of models on n states.
 
 Values have shape (batch, n) and relations (batch, n, n), both of element
-indices, and every operation of the semantics is a table lookup. Subterms,
-as `syntax.children` lists them, are walked iteratively in post-order.
-Leaves come from two memos the caller seeds, `memo` for formulas and
-`relations` for actions; a seeded node is never looked into, so whole boxes
-can be seeded as opaque atoms. Unseeded variables are zero, unseeded atoms
-the bottom relation, and every subterm computed is added to its memo for
-reuse across formulas.
+indices, and every operation of the semantics is one flat gather: `lookup`
+reads `table[a, b]` as entry a * size + b of the flattened table, and
+`compose` gathers its fusion terms for a block of middle states at once and
+joins them pairwise. Subterms, as `syntax.children` lists them, are walked
+iteratively in post-order. Leaves come from two memos the caller seeds,
+`memo` for formulas and `relations` for actions; a seeded node is never
+looked into, so whole boxes can be seeded as opaque atoms. Unseeded
+variables are zero, unseeded atoms the bottom relation, and every subterm
+computed is added to its memo for reuse across formulas.
 
 Models that share a frame can share its relations: given `frame_of`, an
 index array mapping each batch member to a row of the relations, relations
@@ -27,12 +29,33 @@ from .syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus, RDiv,
                      Seq, Var, children)
 
 
+_BLOCK = 2 ** 14  # fusion terms per compose gather, and at least one middle state
+
+
+def lookup(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b], broadcast, by one gather from the flattened square table."""
+    return table.ravel().take(a * len(table) + b)
+
+
 def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per batch member."""
+    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per batch member.
+
+    The middle states x go in blocks of at most _BLOCK terms r(s,x) * q(x,t)
+    in all; each block is joined pairwise, about log2(width) lookups with an
+    odd last term folded into the first, and then into the result.
+    """
+    batch, n = r.shape[:2]
+    step = max(1, _BLOCK // (batch * n * n))
     out = None
-    for x in range(r.shape[1]):
-        term = arrs.fuse[r[:, :, x][:, :, None], q[:, x, :][:, None, :]]
-        out = term if out is None else arrs.join[out, term]
+    for x in range(0, n, step):
+        terms = lookup(arrs.fuse, r[:, :, x:x + step, None], q[:, None, x:x + step, :])
+        while terms.shape[2] > 1:
+            half, odd = divmod(terms.shape[2], 2)
+            joined = lookup(arrs.join, terms[:, :, :half], terms[:, :, half:2 * half])
+            if odd:
+                joined[:, :, 0] = lookup(arrs.join, joined[:, :, 0], terms[:, :, -1])
+            terms = joined
+        out = terms[:, :, 0] if out is None else lookup(arrs.join, out, terms[:, :, 0])
     return out
 
 
@@ -50,7 +73,7 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     t = r
     # T only climbs, and each of the n^2 entries can strictly climb at most |X|-1 times
     for _ in range(r.shape[1] ** 2 * algebra.size + 1):
-        nxt = arrs.join[t, compose(arrs, t, t)]
+        nxt = lookup(arrs.join, t, compose(arrs, t, t))
         if np.array_equal(nxt, t):
             return t
         t = nxt
@@ -119,10 +142,10 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
             out = np.full((batch, n), algebra.top, dtype=np.int64)
             for t in range(n):
                 col = rel[:, :, t] if frame_of is None else np.take(rel[:, :, t], frame_of, axis=0)
-                out = arrs.meet[out, arrs.imp[col, body[:, t, None]]]
+                out = lookup(arrs.meet, out, lookup(arrs.imp, col, body[:, t, None]))
         else:
             right, left = done.pop(), done.pop()
-            out = getattr(arrs, _TABLES[kind])[left, right]
+            out = lookup(getattr(arrs, _TABLES[kind]), left, right)
         table[node] = out
         done.append(out)
     return done.pop()

@@ -175,14 +175,14 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     if count > atom_budget:
         raise AtomBudgetExceeded(
             f"{count} assignments over {len(names)} atoms exceed the budget of {atom_budget}")
-    arrs = algebra.arrays
+    holds = algebra.arrays.leq[algebra.one]
     for start in range(0, count, _BLOCK):
         block = min(_BLOCK, count - start)
         # one assignment per one-state model; the atoms are seeded, never looked into
         memo = kernel.decode(np.arange(start, start + block), algebra.size, 1, names)
-        refuted = ~arrs.leq[algebra.one, kernel.evaluate(conclusion, algebra, memo, {}, block, 1)]
+        refuted = ~holds[kernel.evaluate(conclusion, algebra, memo, {}, block, 1)]
         for g in premises:
-            refuted &= arrs.leq[algebra.one, kernel.evaluate(g, algebra, memo, {}, block, 1)]
+            refuted &= holds[kernel.evaluate(g, algebra, memo, {}, block, 1)]
         if refuted.any():
             return False
     return True

@@ -19,18 +19,29 @@ import numpy as np
 
 from .algebra import FLAlgebra, element_indices
 from .errors import DimensionMismatch
-from .kernel import closure, compose
+from .kernel import closure, compose, lookup
 
 
 @dataclass(frozen=True, eq=False)
 class XRelation:
-    """An n x n matrix of algebra elements, copied on construction and read-only."""
+    """An n x n matrix of algebra elements, copied on construction and read-only.
+
+    DimensionMismatch unless the matrix is square, and, given an algebra,
+    unless every entry is an element index 0..size-1.
+    """
 
     algebra: FLAlgebra
     matrix: np.ndarray
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=np.int64)
+        if matrix.shape == (0,):    # no rows: the relation on no states
+            matrix = matrix.reshape(0, 0)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DimensionMismatch(f"relation matrix must be square, not of shape {matrix.shape}")
+        if self.algebra is not None and matrix.size and not (
+                0 <= matrix.min() and matrix.max() < self.algebra.size):
+            raise DimensionMismatch(f"relation entries must lie in 0..{self.algebra.size - 1}")
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
@@ -77,7 +88,7 @@ def _check_compatible(r: XRelation, q: XRelation) -> None:
 def rel_union(r: XRelation, q: XRelation) -> XRelation:
     """Pointwise join."""
     _check_compatible(r, q)
-    return XRelation(r.algebra, r.algebra.arrays.join[r.matrix, q.matrix])
+    return XRelation(r.algebra, lookup(r.algebra.arrays.join, r.matrix, q.matrix))
 
 
 def rel_compose(r: XRelation, q: XRelation) -> XRelation:

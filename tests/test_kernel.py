@@ -1,14 +1,17 @@
 """The evaluation kernel against the independent reference evaluator."""
 
+import ast
 import functools
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flpdl import kernel
+from flpdl import kernel, oracles
 from flpdl.algebra import FLAlgebra, bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.oracles import reference_values
@@ -161,3 +164,68 @@ def test_closure_takes_logarithmically_many_rounds(monkeypatch):
     # the walk from s to t > s costs t - s, and bottom (the cap) is all there is otherwise
     s, t = np.indices((n, n))
     assert (got == np.where(t > s, t - s, algebra.bottom)).all()
+
+
+@functools.cache
+def _gather_algebras():
+    return (bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
+            find_non_commutative(), find_non_integral())
+
+
+@PROPERTY
+@given(st.data())
+def test_lookup_matches_two_dimensional_indexing(data):
+    algebra = data.draw(st.sampled_from(_gather_algebras()))
+    table = data.draw(st.sampled_from(list(vars(algebra.arrays).values())))
+    shape = data.draw(st.lists(st.integers(1, 3), max_size=3))
+
+    def operand():
+        # any trailing part of the shape, with some axes squeezed to one: they broadcast
+        dims = shape[data.draw(st.integers(0, len(shape))):]
+        dims = [d if data.draw(st.booleans()) else 1 for d in dims]
+        count = math.prod(dims)
+        flat = data.draw(st.lists(st.integers(0, algebra.size - 1), min_size=count, max_size=count))
+        return np.array(flat, dtype=np.int64).reshape(dims)
+
+    a, b = operand(), operand()
+    got = kernel.lookup(table, a, b)
+    want = table[a, b]
+    assert got.shape == want.shape and (got == want).all()
+
+
+@PROPERTY
+@given(st.data())
+def test_blocked_compose_matches_scalar_join_over_middle_states(data):
+    algebra = data.draw(st.sampled_from(_gather_algebras()))
+    n = data.draw(st.integers(1, 7))
+    entry = st.integers(0, algebra.size - 1)
+    matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    batch = data.draw(st.integers(1, 4))
+    r, q = (data.draw(st.lists(matrix, min_size=batch, max_size=batch)) for _ in range(2))
+    want = [[[functools.reduce(algebra.join, (algebra.fuse(rb[s][x], qb[x][t]) for x in range(n)),
+                               algebra.bottom) for t in range(n)] for s in range(n)]
+            for rb, qb in zip(r, q)]
+    terms_per_middle_state = batch * n * n
+    # blocks of 1, 2 and 3 middle states: odd widths, and several blocks when n exceeds them
+    for block in (terms_per_middle_state, 2 * terms_per_middle_state,
+                  3 * terms_per_middle_state, kernel._BLOCK):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernel, "_BLOCK", block)
+            got = kernel.compose(algebra.arrays, np.array(r), np.array(q))
+        assert got.tolist() == want, block
+
+
+def test_oracles_do_not_use_the_kernel():
+    """The cross-check stays independent: no kernel import, and none of its helpers."""
+    helpers = {"kernel", "lookup", "compose", "closure"}
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {*(node.module or "").split("."), *(a.name for a in node.names)}
+        elif isinstance(node, ast.Import):
+            imported |= {part for a in node.names for part in a.name.split(".")}
+    assert not imported & helpers
+    # nor reached as a module attribute, as in flpdl.kernel.lookup or relations.compose
+    assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & helpers
+    assert "kernel" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -27,6 +27,25 @@ def test_from_rows_rejects_out_of_range(C3):
         XRelation.from_rows(C3, [[0, 3], [0, 0]])
 
 
+@pytest.mark.parametrize("matrix, match", [
+    ([[0, -1], [1, 0]], "entries"),      # read as element 2 by negative indexing
+    ([[0, 4], [0, 0]], "entries"),       # in a flat gather, 0 * 3 + 4 reads entry (1, 1)
+    ([[0, 1, 2], [2, 1, 0]], "square"),  # the extra column was ignored
+    ([0, 1], "square"),
+], ids=["negative", "past-the-table", "2x3", "1-D"])
+def test_constructor_rejects_what_from_rows_rejects(C3, matrix, match):
+    with pytest.raises(DimensionMismatch, match=match):
+        XRelation(C3, matrix)
+    with pytest.raises(DimensionMismatch):
+        XRelation.from_rows(C3, matrix)
+
+
+def test_constructor_without_an_algebra_checks_only_the_shape():
+    assert XRelation(None, [[0, 7], [-1, 0]]).values == ((0, 7), (-1, 0))
+    with pytest.raises(DimensionMismatch, match="square"):
+        XRelation(None, [[0, 1, 2], [2, 1, 0]])
+
+
 def test_compose_pins(C3):
     r = XRelation.from_rows(C3, [[0, 1, 2], [2, 2, 1], [1, 2, 0]])
     q = XRelation.from_rows(C3, [[2, 0, 2], [1, 1, 2], [2, 2, 1]])
