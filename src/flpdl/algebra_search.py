@@ -17,7 +17,7 @@ predicate" is a stable, reproducible object.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -59,13 +59,11 @@ def _meet_join_from_leq(leq: list[list[bool]]) -> tuple[list[list[int]], list[li
     return meet, join
 
 
-def find_algebras(max_size: int,
-                  predicate: Callable[[FLAlgebra], bool] | None = None,
-                  limit: int | None = None) -> Iterator[FLAlgebra]:
-    """Yield validated algebras of size <= max_size in canonical order."""
+def _first_algebra(max_size: int, predicate: Callable[[FLAlgebra], bool],
+                   what: str) -> FLAlgebra:
+    """First validated algebra of size <= max_size, in canonical order, satisfying predicate."""
     if max_size > 4:
         raise ValueError("the lattice catalog covers sizes up to 4")
-    found = 0
     for n in range(1, max_size + 1):
         for _name, leq in _lattice_catalog(n):
             meet, join = map(np.array, _meet_join_from_leq(leq))
@@ -86,22 +84,16 @@ def find_algebras(max_size: int,
                         alg = _residuated(n, meet, join, fusion, one, 0)
                     except InvalidAlgebra:
                         continue
-                    if predicate is None or predicate(alg):
-                        yield alg
-                        found += 1
-                        if limit is not None and found >= limit:
-                            return
+                    if predicate(alg):
+                        return alg
+    raise LookupError(f"no {what} FL-algebra with at most {max_size} elements")
 
 
 def find_non_integral(max_size: int = 4) -> FLAlgebra:
     """First algebra, in canonical order, whose unit is not the top."""
-    for alg in find_algebras(max_size, lambda a: not is_integral(a), limit=1):
-        return alg
-    raise LookupError(f"no non-integral FL-algebra with at most {max_size} elements")
+    return _first_algebra(max_size, lambda a: not is_integral(a), "non-integral")
 
 
 def find_non_commutative(max_size: int = 4) -> FLAlgebra:
     """First algebra, in canonical order, with a non-commuting fusion pair."""
-    for alg in find_algebras(max_size, lambda a: not is_commutative(a), limit=1):
-        return alg
-    raise LookupError(f"no non-commutative FL-algebra with at most {max_size} elements")
+    return _first_algebra(max_size, lambda a: not is_commutative(a), "non-commutative")

@@ -1,7 +1,8 @@
 """Command line entry point.
 
-One binary, subcommand style. Machine-readable JSON goes to stdout with a
-short human summary on stderr; --format text swaps in the human line only.
+One binary, subcommand style. Every subcommand reports through `_emit`: JSON
+on stdout with a human summary on stderr, or --format text's summary alone on
+stdout; `main` reports errors. Unset budgets come from `decision.default_budget`.
 Exit codes: 0 success / valid / accepted, 1 countermodel / invalid /
 rejected, 2 bad input, 3 budget exhausted, 4 internal error (a defect,
 reported on one line so it never reads as a verdict).
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import (check_algebra_properties, is_commutative, is_integral,
@@ -34,7 +34,7 @@ _EXIT_BUDGET = 3
 _EXIT_INTERNAL = 4
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload, human: str) -> None:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
         if human:
@@ -143,10 +143,9 @@ def _cmd_filter(args) -> int:
 def _cmd_decide(args) -> int:
     algebra = load_algebra(args.algebra)
     formula = parse_formula(args.formula, algebra)
-    budget = args.budget if args.budget is not None else default_budget()
     try:
         outcome = decide_bounded(formula, algebra, args.max_states,
-                                 budget=budget, mode=args.mode, seed=args.seed)
+                                 budget=args.budget, mode=args.mode, seed=args.seed)
     except BudgetExceeded as exc:
         _emit(args, {"outcome": "budget-exceeded", "frontier": exc.frontier,
                      "models_evaluated": exc.models_evaluated},
@@ -186,10 +185,8 @@ def _cmd_decide(args) -> int:
 def _cmd_prove_check(args) -> int:
     algebra = load_algebra(args.algebra) if args.algebra else None
     script, algebra = read_proof(args.proof, algebra)
-    atom_budget = args.atom_budget
-    if atom_budget is None:
-        atom_budget = default_budget() if os.environ.get("FLPDL_BUDGET") else DEFAULT_ATOM_BUDGET
-    verdict = check_proof(script, algebra, atom_budget)
+    verdict = check_proof(script, algebra, default_budget(DEFAULT_ATOM_BUDGET)
+                          if args.atom_budget is None else args.atom_budget)
     payload = {"accepted": verdict.accepted, "lines": len(script.lines),
                "conclusion": format_formula(script.conclusion),
                "warnings": list(verdict.warnings)}
@@ -209,16 +206,11 @@ def _cmd_selftest(args) -> int:
     if args.only is not None:
         only = tuple(int(tok) for tok in args.only.split(","))
     results = run_selftest(only)
-    stream = sys.stderr if args.format == "json" else sys.stdout
-    for r in results:
-        print(r.line(), file=stream)
-    if args.format == "json":
-        print(json.dumps([{"criterion": r.index, "name": r.name, "passed": r.passed,
-                           "seconds": round(r.seconds, 2), "detail": r.detail}
-                          for r in results], indent=2))
-    passed = all(r.passed for r in results)
-    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed", file=stream)
-    return _EXIT_OK if passed else _EXIT_NEGATIVE
+    payload = [{"criterion": r.index, "name": r.name, "passed": r.passed,
+                "seconds": round(r.seconds, 2), "detail": r.detail} for r in results]
+    summary = f"{sum(r.passed for r in results)}/{len(results)} criteria passed"
+    _emit(args, payload, "\n".join([r.line() for r in results] + [summary]))
+    return _EXIT_OK if all(r.passed for r in results) else _EXIT_NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,22 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algebra", required=True, help="builtin: URI or JSON file")
     c.set_defaults(fn=_cmd_algebra_check)
 
-    c = sub.add_parser("eval", parents=[fmt], help="value of a formula at every state of a model")
-    c.add_argument("--model", required=True)
-    c.add_argument("--algebra", help="overrides the algebra named in the model file")
+    model = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    model.add_argument("--model", required=True, help="JSON model file")
+    model.add_argument("--algebra", help="overrides the algebra named in the model file")
+
+    c = sub.add_parser("eval", parents=[model], help="value of a formula at every state of a model")
     c.add_argument("--formula", required=True)
     c.add_argument("--state", type=int)
     c.set_defaults(fn=_cmd_eval)
 
-    c = sub.add_parser("valid", parents=[fmt], help="is one below the formula's value at every state")
-    c.add_argument("--model", required=True)
-    c.add_argument("--algebra")
+    c = sub.add_parser("valid", parents=[model], help="is one below the formula's value at every state")
     c.add_argument("--formula", required=True)
     c.set_defaults(fn=_cmd_valid)
 
-    c = sub.add_parser("filter", parents=[fmt], help="quotient a model through a formula's closure")
-    c.add_argument("--model", required=True)
-    c.add_argument("--algebra")
+    c = sub.add_parser("filter", parents=[model], help="quotient a model through a formula's closure")
     c.add_argument("--seed-formula", required=True)
     c.add_argument("--check", action="store_true",
                    help="re-verify that closure values survive the quotient")

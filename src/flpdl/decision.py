@@ -61,8 +61,8 @@ DEFAULT_BUDGET = 10 ** 6
 _CHUNK = 1 << 14
 
 
-def default_budget() -> int:
-    """Budget used when none is given; FLPDL_BUDGET overrides the built-in."""
+def default_budget(fallback: int = DEFAULT_BUDGET) -> int:
+    """Budget used when none is given: FLPDL_BUDGET if set (its one reader), else fallback."""
     raw = os.environ.get("FLPDL_BUDGET")
     if raw:
         try:
@@ -72,7 +72,7 @@ def default_budget() -> int:
         if value < 1:
             raise ValueError("FLPDL_BUDGET must be positive")
         return value
-    return DEFAULT_BUDGET
+    return fallback
 
 
 def theoretical_bound(formula: Formula, algebra: FLAlgebra) -> int:

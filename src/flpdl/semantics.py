@@ -2,7 +2,7 @@
 
 A frame fixes the algebra, the state count and one relation per action
 atom; action atoms the frame does not map default to the bottom relation
-(strict mode turns that into an error). A model adds a valuation; variable
+(a strict model turns that into an error). A model adds a valuation; variable
 values a model does not map default to the algebra's zero element.
 
 evaluate computes the value of a formula per state:
@@ -34,8 +34,10 @@ import numpy as np
 from . import kernel
 from .algebra import FLAlgebra, algebra_to_json, element_indices, load_algebra
 from .errors import DimensionMismatch, UnknownAtom
-from .relations import XRelation, bottom_relation
+from .relations import XRelation
 from .syntax import ActionExp, Atom, Formula, Var, action_atoms
+
+MAX_STATES = 1024  # a model file's state cap: one int64 relation is then 8 MB
 
 
 class Frame:
@@ -56,21 +58,8 @@ class Frame:
         self.state_names = tuple(state_names) if state_names is not None else None
         self.relation_memo = {Atom(idx): rel.matrix[None] for idx, rel in self.atomic.items()}
 
-    def atom_relation(self, index: int, strict: bool = False) -> XRelation:
-        rel = self.atomic.get(index)
-        if rel is None:
-            if strict:
-                raise UnknownAtom(f"frame maps no relation for action atom a{index}")
-            rel = bottom_relation(self.algebra, self.size)
-        return rel
-
-    def relation(self, action: ActionExp, strict: bool = False) -> XRelation:
-        """Relation for a composite action; the kernel memoizes it on the frame."""
-        if strict:
-            # checked before the memo so a prior lenient call cannot mask it
-            self.require_atoms(action)
-        if isinstance(action, Atom):
-            return self.atom_relation(action.index, strict)
+    def relation(self, action: ActionExp) -> XRelation:
+        """Relation of any action, atoms included, as a new XRelation; the kernel memoizes it."""
         arr = kernel.evaluate(action, self.algebra, {}, self.relation_memo, 1, self.size)
         return XRelation(self.algebra, arr[0])
 
@@ -163,8 +152,8 @@ def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -
 
     Fields: "algebra" (inline dict or builtin: URI; optional when the
     algebra argument is given, which always wins), "states" (count or list
-    of names), "relations" (map "aK" -> n x n matrix of element indices),
-    "valuation" (map "pK" -> per-state element indices).
+    of names, at most MAX_STATES), "relations" (map "aK" -> n x n matrix
+    of element indices), "valuation" (map "pK" -> per-state element indices).
     """
     import json
     import os
@@ -189,6 +178,8 @@ def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -
         size, names = len(states), [str(s) for s in states]
     else:
         raise ValueError('model field "states" must be a count or a list of names')
+    if size > MAX_STATES:
+        raise ValueError(f'model field "states" gives {size} states, more than {MAX_STATES}')
 
     for field in ("relations", "valuation"):
         if not isinstance(source.get(field) or {}, dict):

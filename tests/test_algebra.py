@@ -230,6 +230,15 @@ def test_non_commutative_search_fixture():
     assert check_algebra_properties(alg).all_passed
 
 
+def test_search_past_the_catalog_or_without_a_match():
+    with pytest.raises(LookupError, match="no non-integral FL-algebra with at most 2 elements"):
+        find_non_integral(max_size=2)
+    with pytest.raises(LookupError, match="no non-commutative FL-algebra with at most 3"):
+        find_non_commutative(max_size=3)
+    with pytest.raises(ValueError, match="sizes up to 4"):
+        find_non_integral(max_size=5)
+
+
 def test_search_is_deterministic():
     a1 = find_non_integral(max_size=3)
     a2 = find_non_integral(max_size=3)

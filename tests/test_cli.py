@@ -1,14 +1,19 @@
 """The fl-pdl command surface: exit codes, formats, pinned examples."""
 
+import ast
 import json
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import flpdl
 from flpdl.cli import main
 from flpdl.parser import MAX_NESTING
+from flpdl.semantics import MAX_STATES
 
 
 @pytest.fixture()
@@ -216,6 +221,86 @@ def test_model_documents_never_end_in_an_internal_error(capsys, tmp_path, monkey
     assert code in (0, 2), err
 
 
+_DROP = object()
+CORPUS = [json.loads(path.read_text()) for kind in ("proofs", "proofs_bad")
+          for path in sorted((resources.files("flpdl") / "data" / kind).iterdir())]
+_WITNESSES = resources.files("flpdl") / "data" / "witnesses"
+NON_COMMUTATIVE, NON_INTEGRAL = (json.loads((_WITNESSES / name).read_text())["algebra"] for name
+                                 in ("non_commutative_const_shift.json", "non_integral_star.json"))
+LO_HI = {"size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+         "fusion": [[0, 0], [0, 1]], "one": 1, "zero": 0, "names": ["lo", "hi"]}
+ALGEBRAS = [NON_COMMUTATIVE, NON_INTEGRAL, _cost3_inline(), LO_HI]
+
+
+def _paths(doc, prefix=()):
+    """Every position below the root of a JSON document: its tuple of keys, and
+    whether it holds a scalar."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield prefix + (key,), not isinstance(child, (dict, list))
+        yield from _paths(child, prefix + (key,))
+
+
+def _holds(node, key):
+    return (isinstance(node, dict) and key in node
+            or isinstance(node, list) and isinstance(key, int) and key < len(node))
+
+
+def _mutate(doc, edits):
+    """A copy of doc with each (path, value) edit applied in turn, if its path still exists."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key] if _holds(parent, key) else None
+        if not _holds(parent, path[-1]):
+            continue    # an earlier edit took this position away
+        if value is _DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def mutated(docs, value):
+    """One of docs with one or two positions, mostly scalars, replaced by a draw of value
+    or dropped."""
+    def edits(doc):
+        paths = list(_paths(doc))
+        scalars = st.sampled_from([path for path, scalar in paths if scalar])
+        edit = st.tuples(mostly(scalars, st.sampled_from([path for path, _ in paths])),
+                         st.one_of(value, st.just(_DROP)))
+        return st.lists(edit, min_size=1, max_size=2).map(lambda e: _mutate(doc, e))
+    return st.sampled_from(docs).flatmap(edits)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(ALGEBRAS, mostly(st.integers(-1, 4), JUNK)))
+def test_algebra_documents_never_end_in_an_internal_error(capsys, tmp_path, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["algebra-check", "--algebra", str(path)])
+    assert code in (0, 1, 2), err
+
+
+# near misses three times in four: a line number, another line's formula or a known name
+NEAR = st.one_of(st.integers(-1, 3), st.sampled_from(sorted(
+    {line["formula"] for doc in CORPUS for line in doc["lines"]}
+    | {"axiom", "log", "rmon", "rplus", "A-1", "A-plus", "builtin:bool2", "builtin:cost:4"})))
+FORMULA_TEXT = st.text(alphabet="pa01#[]<>+;u&|*-!() ", max_size=12)
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated(CORPUS, mostly(NEAR, st.one_of(FORMULA_TEXT, JUNK))))
+def test_proof_documents_never_end_in_an_internal_error(capsys, tmp_path, monkeypatch, doc):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["prove-check", str(path)])
+    assert code in (0, 1, 2, 3), err
+
+
 MALFORMED_PROOF_LINES = {
     "lines not a list": 5,
     "axiom missing": [{"formula": "[a0]#one", "by": {"kind": "axiom"}}],
@@ -228,6 +313,12 @@ MALFORMED_PROOF_LINES = {
     "axiom null": [{"formula": "[a0]#one", "by": {"kind": "axiom", "axiom": None}}],
     "formula a number": [{"formula": 5, "by": {"kind": "log", "refs": []}}],
     "formula a list": [{"formula": ["[a0]#one"], "by": {"kind": "axiom", "axiom": "A-1"}}],
+    "line without by": [{"formula": "[a0]#one"}],
+    "by not an object": [{"formula": "[a0]#one", "by": "axiom"}],
+    "rmon citing two lines": [{"formula": "p0 -> p0", "by": {"kind": "log", "refs": []}},
+                              {"formula": "[a0]p0 -> [a0]p0",
+                               "by": {"kind": "rmon", "refs": [0, 0]}}],
+    "unknown kind": [{"formula": "[a0]#one", "by": {"kind": "guess"}}],
 }
 
 
@@ -237,6 +328,15 @@ def test_malformed_proof_is_input_error(capsys, tmp_path, case):
     doc = {"algebra": "builtin:cost:3", "lines": MALFORMED_PROOF_LINES[case]}
     path.write_text(json.dumps(doc))
     assert_input_error(*run(capsys, ["prove-check", str(path)]))
+
+
+def test_proof_without_an_algebra_is_input_error(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"lines": [{"formula": "[a0]#one",
+                                           "by": {"kind": "axiom", "axiom": "A-1"}}]}))
+    code, out, err = run(capsys, ["prove-check", str(path)])
+    assert_input_error(code, out, err)
+    assert "no algebra" in err
 
 
 @pytest.mark.parametrize("case", ["a string naming a proof file", "a string", "a number", "null"])
@@ -442,3 +542,92 @@ def test_selftest_text_format(capsys):
 @pytest.mark.parametrize("only", ["9", "0", "1,9", "", "x"])
 def test_selftest_unknown_criterion_is_input_error(capsys, only):
     assert_input_error(*run(capsys, ["selftest", "--only", only]))
+
+
+@pytest.mark.parametrize("states", [10 ** 6, [f"s{i}" for i in range(MAX_STATES + 1)]],
+                         ids=["a count of 10^6", "one name past the cap"])
+def test_state_count_past_the_cap_is_input_error(capsys, tmp_path, states):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"algebra": "builtin:bool2", "states": states}))
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--formula", "[a0]p0"])
+    assert_input_error(code, out, err)
+    assert str(MAX_STATES) in err
+
+
+def test_state_count_at_the_cap(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"algebra": "builtin:bool2", "states": MAX_STATES}))
+    code, out, _ = run(capsys, ["eval", "--model", str(path), "--formula", "p0"])
+    assert code == 0
+    assert json.loads(out)["values"] == [0] * MAX_STATES
+
+
+def test_decide_no_countermodel_payload(capsys):
+    code, out, err = run(capsys, [
+        "decide", "--algebra", "builtin:bool2", "--max-states", "1",
+        "--formula", "[a0]p0 -> [a0]p0"])
+    assert code == 0
+    assert json.loads(out) == {"outcome": "no-countermodel", "max_states": 1,
+                               "models_checked": 4, "models_evaluated": 4,
+                               "exhaustive": True, "theoretical_bound": "8"}
+    assert err == "no countermodel up to 1 states (4 models, exhaustive)\n"
+
+
+def test_prove_check_text_names_both_soundness_warnings(capsys, tmp_path):
+    path = tmp_path / "nc.json"
+    path.write_text(json.dumps(NON_COMMUTATIVE))
+    good = str(resources.files("flpdl") / "data" / "proofs" / "box_one.json")
+    code, out, err = run(capsys, ["--format", "text", "prove-check", good, "--algebra", str(path)])
+    assert code == 0 and err == ""
+    assert out.startswith("accepted: [a0]#2 (warnings: ")
+    assert "not commutative: the constant-shifting axiom is unsound here" in out
+    assert "not integral: soundness of the system is not guaranteed here" in out
+
+
+def test_algebra_check_nested_product(capsys):
+    code, out, _ = run(capsys, [
+        "algebra-check", "--algebra", "builtin:product(product(bool2,bool2),cost:3)"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["valid"] and doc["size"] == 12
+    assert_input_error(*run(capsys, ["algebra-check", "--algebra", "builtin:product(bool2)"]))
+
+
+def test_constant_by_element_name(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"algebra": LO_HI, "states": 2,
+                                "valuation": {"p0": [0, 1]}}))
+    code, out, _ = run(capsys, ["eval", "--model", str(path), "--formula", "p0 & #hi"])
+    assert code == 0
+    assert json.loads(out)["elements"] == ["lo", "hi"]
+
+
+def _outermost_functions(path, hit):
+    """For each node of the module at path that hit accepts, the top-level
+    function holding it, or None at module level."""
+    found = []
+
+    def visit(node, fn):
+        if hit(node):
+            found.append(fn)
+        for child in ast.iter_child_nodes(node):
+            top = fn or (child.name if isinstance(child, ast.FunctionDef) else None)
+            visit(child, top)
+
+    visit(ast.parse(Path(path).read_text()), None)
+    return found
+
+
+def test_only_default_budget_reads_the_environment():
+    src = Path(flpdl.__file__).parent
+    readers = {(path.name, fn) for path in sorted(src.glob("*.py")) for fn in _outermost_functions(
+        path, lambda n: isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv")
+        or isinstance(n, ast.alias) and n.name in ("environ", "getenv"))}
+    assert readers == {("decision.py", "default_budget")}
+
+
+def test_cli_prints_only_in_emit_and_main():
+    import flpdl.cli
+    printers = _outermost_functions(flpdl.cli.__file__, lambda n: isinstance(n, ast.Call)
+                                    and isinstance(n.func, ast.Name) and n.func.id == "print")
+    assert printers and set(printers) <= {"_emit", "main"}

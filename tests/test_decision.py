@@ -198,6 +198,13 @@ def test_default_budget_env(monkeypatch):
         default_budget()
 
 
+def test_default_budget_fallback_yields_to_the_environment(monkeypatch):
+    monkeypatch.delenv("FLPDL_BUDGET", raising=False)
+    assert default_budget(10 ** 7) == 10 ** 7
+    monkeypatch.setenv("FLPDL_BUDGET", "1234")
+    assert default_budget(10 ** 7) == 1234
+
+
 def test_formula_without_atoms_or_vars(C3):
     f = parse_formula("#1 -> #1", C3)
     out = decide_bounded(f, C3, 3)

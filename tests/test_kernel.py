@@ -81,7 +81,7 @@ def test_kernel_matches_reference_evaluator(data):
     # one model at a time: Model.values is the kernel on a batch of one
     assert [m.values(f) for m in batch] == want
     # all at once, seeded the way decide_bounded seeds its candidate blocks
-    relations = {Atom(a): np.stack([m.frame.atom_relation(a).matrix for m in batch])
+    relations = {Atom(a): np.stack([m.frame.relation(Atom(a)).matrix for m in batch])
                  for a in (0, 1)}
     memo = {Var(p): np.array([m.var_row(p) for m in batch]) for p in (0, 1, 2)}
     got = kernel.evaluate(f, algebra, memo, relations, len(batch), n)

@@ -141,6 +141,25 @@ def test_frame_rejects_bad_relation_size(C3):
         Frame(C3, 3, relations={0: XRelation.from_rows(C3, [[0, 1], [1, 0]])})
 
 
+def test_frame_rejects_relation_over_another_algebra(C3, B):
+    with pytest.raises(DimensionMismatch, match="different algebra"):
+        Frame(C3, 2, relations={0: XRelation.from_rows(B, [[0, 1], [1, 0]])})
+
+
+def test_atom_relation_is_a_new_relation_or_bottom(m, C3):
+    rel = m.frame.relation(Atom(0))
+    assert rel is not m.frame.atomic[0]
+    assert rel.values == m.frame.atomic[0].values
+    assert m.frame.relation(Atom(7)).values == ((C3.bottom,) * 3,) * 3
+
+
+def test_load_model_caps_the_state_count():
+    from flpdl.semantics import MAX_STATES
+    assert load_model({"algebra": "builtin:bool2", "states": MAX_STATES}).frame.size == MAX_STATES
+    with pytest.raises(ValueError, match=f"more than {MAX_STATES}"):
+        load_model({"algebra": "builtin:bool2", "states": MAX_STATES + 1})
+
+
 def test_model_rejects_bad_valuation_row(C3):
     fr = Frame(C3, 2, relations={})
     with pytest.raises(DimensionMismatch):
