@@ -16,8 +16,8 @@ import sys
 
 from .algebra import (check_algebra_properties, is_commutative, is_integral,
                       load_algebra)
-from .decision import (Countermodel, NoCountermodelUpTo, ValidByExhaustion,
-                       decide_bounded, default_budget, theoretical_bound)
+from .decision import (Countermodel, ValidByExhaustion, decide_bounded,
+                       default_budget, theoretical_bound)
 from .errors import (AtomBudgetExceeded, BudgetExceeded, FLPDLError,
                      InvalidAlgebra)
 from .filtration import filtrate, phi_partition
