@@ -17,8 +17,10 @@ unless a frame alone has more than _CHUNK valuations or the budget ends
 mid-frame. A block decodes its distinct frames, drops every frame that
 some transposition of two states maps to a smaller frame index (n(n-1)/2
 vectorized digit comparisons), and evaluates the candidates of the
-surviving frames in one kernel call, whose boxes read the frames'
-relations through `frame_of` instead of per-candidate copies.
+surviving frames as one block of a kernel plan compiled once per search:
+their valuation digits are written straight into the plan's variable
+slots, its boxes read the frames' relations through `frame_of` instead of
+per-candidate copies, and every block runs in the plan's reused workspace.
 
 Pruning cannot change the reported countermodel. Suppose the first hit
 (F, v) had a transposition t with tF < F. Renaming the states by t gives
@@ -38,7 +40,8 @@ Exhausting every frame up to the class-count bound |algebra| ** |closure|
 proves validity; anything less only reports the bound reached. Sampling
 mode draws frames and valuations uniformly at random and can never prove
 validity, so its no-hit outcome is capped at the same report; it
-evaluates every candidate it draws.
+evaluates every candidate it draws, through the same plan, and draws
+models of at most `semantics.MAX_STATES` states.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .algebra import FLAlgebra
 from .errors import BudgetExceeded
 from .oracles import reference_values
 from .relations import XRelation
-from .semantics import Frame, Model
+from .semantics import MAX_STATES, Frame, Model
 from .syntax import Atom, Formula, Var, action_atoms, closure_of, variables
 
 DEFAULT_BUDGET = 10 ** 6
@@ -119,12 +122,9 @@ DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
 
 # -- candidate blocks through the kernel ---------------------------------------
 
-def _first_hit(formula: Formula, algebra: FLAlgebra, rels: dict, vals: dict,
-               batch: int, n: int, frame_of: np.ndarray | None = None) -> int | None:
-    """Position of the first candidate refuting the formula, if any."""
-    # copies, since the kernel adds every subterm to the memos it is given
-    values = kernel.evaluate(formula, algebra, dict(vals), dict(rels), batch, n, frame_of)
-    ok = algebra.arrays.leq[algebra.one][values].all(axis=1)
+def _first_hit(holds: np.ndarray, values: np.ndarray) -> int | None:
+    """Position of the first candidate whose (n, batch) values are not all above one, if any."""
+    ok = holds[values].all(axis=0)
     return None if ok.all() else int(np.argmin(ok))
 
 
@@ -190,12 +190,16 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     frontier records how far the scan got, and whose `models_evaluated`
     says how many of those candidates the kernel evaluated. Sampling mode
     instead draws `budget` random candidates (state count uniform on
-    1..max_states, entries uniform) and cannot prove validity.
+    1..max_states, entries uniform) and cannot prove validity; it takes
+    max_states up to `semantics.MAX_STATES`, the cap on a model file.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     if mode not in ("exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sample" and max_states > MAX_STATES:
+        raise ValueError(f"sample mode draws models of at most {MAX_STATES} states, "
+                         f"not {max_states}")
     if budget is None:
         budget = default_budget()
     if budget < 1:
@@ -204,6 +208,8 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     atoms = tuple(Atom(a) for a in action_atoms(formula))
     vars_ = tuple(Var(p) for p in variables(formula))
     size = algebra.size
+    holds = algebra.arrays.leq[algebra.one]
+    plan = kernel.plan((formula,), algebra, atoms + vars_)
     checked = 0
 
     if mode == "sample":
@@ -219,7 +225,10 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                         for a in atoms}
                 vals = {p: rng.integers(0, size, size=(g, n), dtype=np.int64)
                         for p in vars_}
-                pos = _first_hit(formula, algebra, rels, vals, g, n)
+                views = plan.bind(n, g)
+                for p, v in vals.items():
+                    views[plan.inputs[p]][...] = v.T
+                pos = _first_hit(holds, plan.run(rels)[0])
                 if pos is not None:
                     stream = int(sel[pos])
                     if best is None or stream < best[0]:
@@ -254,8 +263,8 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             end = min(end, start + budget - checked)
             first = start // width
             base = first * width    # index of the first frame's first candidate
-            frame_digits = kernel.digits(
-                np.arange(first, (end - 1) // width + 1, dtype=np.int64), size, cells)
+            frames = np.arange(first, (end - 1) // width + 1, dtype=np.int64)
+            frame_digits = kernel.digits(frames, size, np.empty((cells, len(frames)), np.int64)).T
             keep = _least_frames(frame_digits, swaps)
             offsets = np.arange(start - base, end - base, dtype=np.int64)
             # a block spanning frames has them at most _CHUNK wide, so width fits int64
@@ -268,14 +277,17 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                 kept = frame_digits[keep]
                 rels = {a: kept[:, i * n * n:(i + 1) * n * n].reshape(-1, n, n)
                         for i, a in enumerate(atoms)}
-                vals = kernel.decode(valuation[live], size, n, vars_)
-                pos = _first_hit(formula, algebra, rels, vals, len(offsets), n, frame_of)
+                # valuation digits go straight into the variables' slots, state rows in order
+                views = plan.bind(n, len(offsets))
+                kernel.digits(valuation[live], size,
+                              [views[plan.inputs[p]][s] for p in vars_ for s in range(n)])
+                pos = _first_hit(holds, plan.run(rels, frame_of)[0])
                 if pos is not None:
                     checked += base + int(offsets[pos]) - start + 1
                     evaluated += pos + 1
                     model = _materialize(algebra, n,
                                          {a: r[frame_of[pos]] for a, r in rels.items()},
-                                         {p: v[pos] for p, v in vals.items()})
+                                         {p: views[plan.inputs[p]][:, pos] for p in vars_})
                     return _verify_hit(model, formula, checked, evaluated)
                 evaluated += len(offsets)
             checked += end - start

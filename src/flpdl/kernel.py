@@ -1,22 +1,36 @@
 """The one evaluator: formula values over a batch of models on n states.
 
-Values have shape (batch, n) and relations (batch, n, n), both of element
-indices, and every operation of the semantics is one flat gather: `lookup`
-reads `table[a, b]` as entry a * size + b of the flattened table, and
-`compose` gathers its fusion terms for a block of middle states at once and
-joins them pairwise. Subterms, as `syntax.children` lists them, are walked
-iteratively in post-order. Leaves come from two memos the caller seeds,
-`memo` for formulas and `relations` for actions; a seeded node is never
-looked into, so whole boxes can be seeded as opaque atoms. Unseeded
-variables are zero, unseeded atoms the bottom relation, and every subterm
-computed is added to its memo for reuse across formulas.
+`plan` walks one or more formulas once and lists their distinct subterms
+in post-order, each formula with a slot number and each action with an
+index; a subterm the caller seeds is never looked into, so whole boxes can
+be seeded as opaque atoms. Unseeded variables are zero and unseeded atoms
+the bottom relation. The plan then evaluates one block of models after
+another in a workspace it keeps: `bind` sizes it for `batch` models on n
+states and hands back the slot views, the caller writes each seeded
+formula's values into its view, and `run` fills the rest. The workspace is
+allocated again only when a block has more cells (n * batch) than every
+block before it, so a search that runs many blocks through one plan
+evaluates them without allocating value arrays.
 
-Models that share a frame can share its relations: given `frame_of`, an
-index array mapping each batch member to a row of the relations, relations
-hold one row per frame while values hold one row per batch member, and a
-box gathers column t of its action as `rel[frame_of, :, t]`. No relation is
-copied per batch member. Actions then keep the frames' batch through
-composition and closure, so every atom they mention must be seeded.
+Formula slots are state-major, (n, batch), so each table read runs along
+rows as long as the batch, and hold the narrowest unsigned dtype that
+holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
+Every binary table read is one flat gather: `table[a, b]` is entry
+a * size + b of the flattened table, the index formed in a reused intp
+buffer. Actions stay int64 (frames, n, n) relations: `compose` gathers its
+fusion terms for a block of middle states at once and joins them pairwise,
+and `closure` squares. A box reads its relation once per block, transposed
+to (target, source, frame) and times size, and per target t gathers the
+column through `frame_of`, which maps each batch member to a row of the
+relations, so models that share a frame share its relations and none is
+copied per batch member. Its implications come from an imp table times
+size, each the row index of its meet with the value so far (meet commutes),
+in a second intp buffer.
+
+`evaluate` is plan, bind and run for one formula or action over the
+caller's memos, int64 at the boundary: it seeds every memo entry the walk
+reaches, and copies each subterm it computed back into its memo as an
+int64 (batch, n) value or (frames, n, n) relation.
 """
 
 from __future__ import annotations
@@ -80,72 +94,203 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     raise AssertionError("transitive closure failed to stabilize")
 
 
-def digits(indices: np.ndarray, size: int, count: int) -> np.ndarray:
-    """(len(indices), count) digits of each index in base `size`, most significant first."""
-    out = np.empty((count, len(indices)), dtype=np.int64)
-    for d in range(count - 1, -1, -1):
-        indices, out[d] = np.divmod(indices, size)
-    return out.T
+def digits(indices: np.ndarray, size: int, rows):
+    """Write the base-`size` digits of int64 `indices` into `rows`, most significant first.
 
-
-def decode(indices: np.ndarray, size: int, n: int, vars_) -> dict:
-    """Formula seeds {leaf: (block, n)} for a block of valuation indices.
-
-    Digits in base `size`, most significant first, fill the row of each
-    of `vars_` in turn: variables, or any subterms seeded as opaque leaves.
+    Row i gets digit i of every index, cast to the row's dtype; `indices`
+    is used up as the scratch quotient. Returns `rows`.
     """
-    d = digits(indices, size, len(vars_) * n)
-    return {p: d[:, i * n:(i + 1) * n] for i, p in enumerate(vars_)}
+    for row in reversed(rows):
+        np.divmod(indices, size, out=(indices, row), casting="unsafe")
+    return rows
 
 
-_TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp", Choice: "join"}
+_TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp"}
+_ACTIONS = (Atom, Choice, Seq, Plus)
+_SEEDED, _INPUT, _BOTTOM = object(), object(), object()
 
 
-def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
-             batch: int, n: int, frame_of: np.ndarray | None = None) -> np.ndarray:
-    """Value of a formula, or relation of an action, over the whole batch.
+class Plan:
+    """A compiled formula: steps over numbered slots, and the workspace they run in.
 
-    `frame_of`, if given, maps batch members to rows of the relations.
+    `formulas` lists the formula of every slot and `actions` the action of
+    every index; `inputs` maps each seeded formula to its slot, and `roots`
+    holds (is action, slot or index) per root. After `run`, `relations`
+    holds the block's relation of every action.
     """
-    arrs = algebra.arrays
-    # post-order: a node is expanded, then applied to its children's results on `done`
-    stack, done = [(root, False)], []
+
+    def __init__(self, algebra: FLAlgebra, formulas, actions, inputs, consts, steps, roots):
+        self.algebra = algebra
+        self.dtype = np.min_scalar_type(algebra.size - 1)
+        self.formulas, self.actions, self.inputs, self.roots = formulas, actions, inputs, roots
+        self._consts = consts
+        names = {op for op, *_ in steps if isinstance(op, str)}
+        boxes = any(op is Box for op, *_ in steps)
+        # table reads gather from flattened tables in the slots' dtype
+        flat = {name: getattr(algebra.arrays, name).astype(self.dtype).ravel()
+                for name in names | ({"meet", "imp"} if boxes else set())}
+        self._steps = [(flat[op] if isinstance(op, str) else op, out, a, b)
+                       for op, out, a, b in steps]
+        if boxes:
+            self._meet, self._imp = flat["meet"], flat["imp"]
+            self._imp_scaled = algebra.arrays.imp.ravel() * algebra.size
+        self._cells = 0
+        self._relbufs: dict[int, np.ndarray] = {}
+        self.relations: list[np.ndarray] = []
+
+    def bind(self, n: int, batch: int) -> list[np.ndarray]:
+        """The (n, batch) view of every slot for the next block, in the reused workspace.
+
+        The caller writes each seeded formula's values into
+        `views[inputs[formula]]` before `run`; the other slots are the plan's.
+        """
+        cells = n * batch
+        if cells > self._cells:
+            self._ws = np.empty((len(self.formulas), cells), self.dtype)
+            for slot, value in self._consts:
+                self._ws[slot] = value
+            self._buffers = np.empty((2, cells), np.intp)
+            self._cells = cells
+        self.n = n
+        self.views = [row[:cells].reshape(n, batch) for row in self._ws]
+        self._index, self._terms = (row[:cells].reshape(n, batch) for row in self._buffers)
+        return self.views
+
+    def _scaled(self, i: int, rel: np.ndarray) -> np.ndarray:
+        """Relation i as (target, source, frame) entries times size, in a reused buffer."""
+        frames, n = rel.shape[:2]
+        cells = frames * n * n
+        buf = self._relbufs.get(i)
+        if buf is None or len(buf) < cells:
+            buf = self._relbufs[i] = np.empty(cells, np.intp)
+        out = buf[:cells].reshape(n, n, frames)
+        np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out)
+        return out
+
+    def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
+        """Evaluate the bound block: the (n, batch) view or relation of each root.
+
+        `relations` maps each seeded action to its int64 (frames, n, n)
+        relation, frames being 1 or the batch unless `frame_of` maps batch
+        members to frames. Views stay the plan's, overwritten by the next block.
+        """
+        algebra, n, views = self.algebra, self.n, self.views
+        arrs, size = algebra.arrays, algebra.size
+        index, terms = self._index, self._terms
+        rels: list = [None] * len(self.actions)
+        scaled: dict[int, np.ndarray] = {}
+        for op, out, a, b in self._steps:
+            if op is Box:
+                rs = scaled.get(a)
+                if rs is None:
+                    rs = scaled[a] = self._scaled(a, rels[a])
+                body, dst = views[b], views[out]
+                gather = frame_of is not None and rs.shape[2] > 1
+                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
+                for t in range(n):
+                    if gather:
+                        np.take(rs[t], frame_of, axis=1, out=index, mode="clip")
+                        np.add(index, body[t], out=index)
+                    else:
+                        np.add(rs[t], body[t], out=index)
+                    if t == 0:
+                        self._imp.take(index, out=dst, mode="clip")
+                        continue
+                    self._imp_scaled.take(index, out=terms, mode="clip")
+                    np.add(terms, dst, out=terms)
+                    self._meet.take(terms, out=dst, mode="clip")
+            elif op is _INPUT:
+                rels[out] = relations[a]
+            elif op is _BOTTOM:
+                rels[out] = np.full((1, n, n), algebra.bottom, dtype=np.int64)
+            elif op is Choice:
+                rels[out] = lookup(arrs.join, rels[a], rels[b])
+            elif op is Seq:
+                rels[out] = compose(arrs, rels[a], rels[b])
+            elif op is Plus:
+                rels[out] = closure(algebra, rels[a])
+            else:
+                np.multiply(views[a], size, out=index, dtype=np.intp)
+                np.add(index, views[b], out=index)
+                op.take(index, out=views[out], mode="clip")
+        self.relations = rels
+        return [rels[i] if action else views[i] for action, i in self.roots]
+
+
+def plan(roots, algebra: FLAlgebra, seeded=()) -> Plan:
+    """Compile formulas or actions into one plan; `seeded` holds the subterms the caller supplies.
+
+    DimensionMismatch for a constant, outside a seeded subterm, that is no
+    element index.
+    """
+    ids = dict.fromkeys(seeded, _SEEDED)    # subterm -> slot or action index
+    formulas, actions, inputs, consts, steps = [], [], {}, [], []
+    # post-order: a node is expanded, then numbered, its children's numbers on `done`
+    stack, done = [(r, False) for r in reversed(roots)], []
     while stack:
         node, expanded = stack.pop()
-        kind = type(node)
-        table = relations if kind in (Atom, Choice, Seq, Plus) else memo
+        hit = None
         if not expanded:
-            hit = table.get(node)
-            if hit is not None:
+            hit = ids.get(node)
+            if hit is not None and hit is not _SEEDED:
                 done.append(hit)
                 continue
-            kids = children(node)
+            kids = children(node) if hit is None else ()
             if kids:
                 stack.append((node, True))
                 stack.extend([(k, False) for k in reversed(kids)])
                 continue
-        if kind is Var:
-            out = np.full((batch, n), algebra.zero, dtype=np.int64)
+        kind = type(node)
+        table = actions if kind in _ACTIONS else formulas
+        i = ids[node] = len(table)
+        table.append(node)
+        if hit is _SEEDED:
+            if table is actions:
+                steps.append((_INPUT, i, node, None))
+            else:
+                inputs[node] = i
+        elif kind is Var:
+            consts.append((i, algebra.zero))
         elif kind is Const:
             if not (0 <= node.index < algebra.size):
                 raise DimensionMismatch(f"constant #{node.index} is no element index")
-            out = np.full((batch, n), node.index, dtype=np.int64)
+            consts.append((i, node.index))
         elif kind is Atom:
-            out = np.full((batch, n, n), algebra.bottom, dtype=np.int64)
+            steps.append((_BOTTOM, i, None, None))
         elif kind is Plus:
-            out = closure(algebra, done.pop())
-        elif kind is Seq:
-            right, left = done.pop(), done.pop()
-            out = compose(arrs, left, right)
-        elif kind is Box:
-            body, rel = done.pop(), done.pop()
-            out = np.full((batch, n), algebra.top, dtype=np.int64)
-            for t in range(n):
-                col = rel[:, :, t] if frame_of is None else np.take(rel[:, :, t], frame_of, axis=0)
-                out = lookup(arrs.meet, out, lookup(arrs.imp, col, body[:, t, None]))
+            steps.append((Plus, i, done.pop(), None))
         else:
             right, left = done.pop(), done.pop()
-            out = lookup(getattr(arrs, _TABLES[kind]), left, right)
-        table[node] = out
-        done.append(out)
-    return done.pop()
+            steps.append((_TABLES.get(kind, kind), i, left, right))
+        done.append(i)
+    # each root left its number on `done`, in order
+    return Plan(algebra, formulas, actions, inputs, consts, steps,
+                [(type(r) in _ACTIONS, i) for r, i in zip(roots, done)])
+
+
+def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
+             batch: int, n: int) -> np.ndarray:
+    """Value of a formula, as int64 (batch, n), or relation of an action, over the batch.
+
+    `memo` maps formulas to int64 (batch, n) values and `relations` actions
+    to int64 (frames, n, n) relations, frames being 1 or the batch. Every
+    subterm computed is added to its memo.
+    """
+    table = relations if type(root) in _ACTIONS else memo
+    hit = table.get(root)
+    if hit is not None:
+        return hit
+    p = plan((root,), algebra, memo.keys() | relations.keys())
+    views = p.bind(n, batch)
+    for node, slot in p.inputs.items():
+        views[slot][...] = memo[node].T
+    p.run(relations)
+    # the root is numbered last, so it is the last relation or formula copied out
+    out = p.relations[-1] if table is relations else None
+    seeded = set(p.inputs.values())
+    for slot, node in enumerate(p.formulas):
+        if slot not in seeded:
+            out = memo[node] = views[slot].T.astype(np.int64, order="C")
+    for node, rel in zip(p.actions, p.relations):
+        relations.setdefault(node, rel)
+    return out

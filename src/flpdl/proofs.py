@@ -7,8 +7,9 @@ A script is a list of lines, each a formula with a justification:
     its own parts, a biconditional in either orientation;
   * a consequence of earlier lines in the algebra's propositional base,
     decided exactly by brute force over atom assignments (variables and
-    outermost boxes are the atoms), evaluated by the kernel as batches of
-    one-state models, 1024 assignments per block;
+    outermost boxes are the atoms), evaluated as batches of one-state
+    models, 1024 assignments per block, through one kernel plan of the
+    line and its premises;
   * monotonicity: from f -> g conclude [A]f -> [A]g;
   * iteration: from f -> [A]f conclude f -> [A+]f;
     each rule's conclusion is built from the cited line and compared.
@@ -176,13 +177,17 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
         raise AtomBudgetExceeded(
             f"{count} assignments over {len(names)} atoms exceed the budget of {atom_budget}")
     holds = algebra.arrays.leq[algebra.one]
+    # one assignment per one-state model; the atoms are seeded, never looked into
+    plan = kernel.plan((conclusion, *premises), algebra, names)
     for start in range(0, count, _BLOCK):
         block = min(_BLOCK, count - start)
-        # one assignment per one-state model; the atoms are seeded, never looked into
-        memo = kernel.decode(np.arange(start, start + block), algebra.size, 1, names)
-        refuted = ~holds[kernel.evaluate(conclusion, algebra, memo, {}, block, 1)]
-        for g in premises:
-            refuted &= holds[kernel.evaluate(g, algebra, memo, {}, block, 1)]
+        views = plan.bind(1, block)
+        kernel.digits(np.arange(start, start + block), algebra.size,
+                      [views[plan.inputs[h]][0] for h in names])
+        conclusion_values, *premise_values = plan.run({})
+        refuted = ~holds[conclusion_values[0]]
+        for values in premise_values:
+            refuted &= holds[values[0]]
         if refuted.any():
             return False
     return True

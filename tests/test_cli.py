@@ -437,6 +437,16 @@ def test_builtin_past_the_size_cap_is_input_error(capsys, uri):
     assert time.perf_counter() - started < 5
 
 
+def test_decide_sample_past_the_state_cap_is_input_error(capsys):
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["decide", "--algebra", "builtin:bool2", "--max-states",
+                                  "1000000000", "--mode", "sample", "--budget", "1",
+                                  "--formula", "[a0]p0"])
+    assert_input_error(code, out, err)
+    assert str(MAX_STATES) in err
+    assert time.perf_counter() - started < 5
+
+
 def test_decide_valid_by_exhaustion(capsys):
     code, out, _ = run(capsys, [
         "decide", "--algebra", "builtin:bool2", "--max-states", "2",

@@ -16,7 +16,7 @@ from flpdl.errors import BudgetExceeded
 from flpdl.oracles import reference_values
 from flpdl.parser import parse_formula
 from flpdl.relations import XRelation
-from flpdl.semantics import Frame, Model, evaluate
+from flpdl.semantics import MAX_STATES, Frame, Model, evaluate
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
                           RDiv, Seq, Var, action_atoms, variables)
 
@@ -176,6 +176,17 @@ def test_sample_hits_are_real_countermodels(C3):
     assert isinstance(out, Countermodel)
     assert evaluate(out.model, f, out.witness_state) == out.value
     assert not C3.leq(C3.one, out.value)
+
+
+def test_sample_mode_caps_the_state_count(B):
+    f = parse_formula("[a0]p0", B)
+    with pytest.raises(ValueError, match=f"at most {MAX_STATES} states"):
+        decide_bounded(f, B, MAX_STATES + 1, budget=1, mode="sample")
+    assert isinstance(decide_bounded(f, B, MAX_STATES, budget=1, mode="sample"), Countermodel)
+    # exhaustive mode reaches only the state counts its budget allows
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_bounded(f, B, 10 ** 9, budget=1)
+    assert exc.value.frontier["states"] == 1
 
 
 def test_argument_validation(B):

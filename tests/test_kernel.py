@@ -88,6 +88,71 @@ def test_kernel_matches_reference_evaluator(data):
     assert got.tolist() == [list(row) for row in want]
 
 
+# a box over every kind of action, several variables, a constant and each connective
+_REUSED = And(Box(Choice(Seq(Atom(0), Atom(1)), Plus(Atom(0))), RDiv(Var(0), Var(1))),
+              Or(Fuse(Box(Atom(1), Var(0)), Const(1)), LDiv(Var(1), Box(Atom(0), Var(0)))))
+
+
+@pytest.mark.parametrize("algebra", [bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
+                                     find_non_commutative(), find_non_integral()],
+                         ids=["bool2", "cost3", "product", "non-commutative", "non-integral"])
+def test_plan_reuses_its_workspace_across_blocks(algebra):
+    """Blocks of new content through one plan, the last one shorter, as decide_bounded runs them."""
+    rng = np.random.default_rng(algebra.size)
+    n, frames = 3, 5
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    roots = []
+    for batch in (40, 40, 17):
+        rels = {a: rng.integers(0, algebra.size, (frames, n, n)) for a in atoms}
+        vals = {p: rng.integers(0, algebra.size, (n, batch)) for p in vars_}
+        frame_of = rng.integers(0, frames, batch)
+        views = plan.bind(n, batch)
+        for p in vars_:
+            views[plan.inputs[p]][...] = vals[p]
+        (root,) = plan.run(rels, frame_of)
+        roots.append(root)
+        got = root.copy()
+        fresh = kernel.plan((_REUSED,), algebra, atoms + vars_)
+        fresh_views = fresh.bind(n, batch)
+        for p in vars_:
+            fresh_views[fresh.inputs[p]][...] = vals[p]
+        assert (fresh.run(rels, frame_of)[0] == got).all()
+        for i in (0, batch // 2, batch - 1):
+            frame = Frame(algebra, n, {a.index: XRelation(algebra, rels[a][frame_of[i]])
+                                       for a in atoms})
+            model = Model(frame, {p.index: vals[p][:, i].tolist() for p in vars_})
+            assert reference_values(model, _REUSED) == tuple(got[:, i].tolist())
+    # every block's root is written into the first block's buffer, not a new one
+    assert np.shares_memory(roots[1], roots[0]) and np.shares_memory(roots[2], roots[0])
+
+
+def godel_chain(size):
+    """The Gödel chain 0 < 1 < ... < size-1: meet and fusion min, join max, a => c
+    top if a <= c and c otherwise, one the top."""
+    x, y = np.indices((size, size))
+    top = size - 1
+    imp = np.where(x <= y, top, y)
+    return FLAlgebra(size, np.minimum(x, y), np.maximum(x, y), np.minimum(x, y), imp, imp,
+                     x <= y, one=top, zero=0, bottom=0, top=top)
+
+
+@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (300, np.uint16)])
+def test_wide_algebras_evaluate_in_wider_slots(size, dtype):
+    algebra = godel_chain(size)
+    assert kernel.plan((Var(0),), algebra).dtype == dtype
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 3))
+        f = data.draw(formulas(size))
+        model = data.draw(models(algebra, n))
+        assert model.values(f) == reference_values(model, f)
+
+    check()
+
+
 @PROPERTY
 @given(st.data())
 def test_log_consequence_matches_one_state_models(data):
