@@ -2,15 +2,16 @@
 
 `plan` walks one or more formulas once and lists their distinct subterms
 in post-order, each formula with a slot number and each action with an
-index; a subterm the caller seeds is never looked into, so whole boxes can
-be seeded as opaque atoms. Unseeded variables are zero and unseeded atoms
-the bottom relation. The plan then evaluates one block of models after
-another in a workspace it keeps: `bind` sizes it for `batch` models on n
-states and hands back the slot views, the caller writes each seeded
-formula's values into its view, and `run` fills the rest. The workspace is
-allocated again only when a block has more cells (n * batch) than every
-block before it, so a search that runs many blocks through one plan
-evaluates them without allocating value arrays.
+index; a subterm the caller seeds, by itself or by its type, is never
+looked into, so whole boxes can be seeded as opaque atoms. Unseeded
+variables are zero and unseeded atoms the bottom relation. The plan then
+evaluates one block of models after another in a workspace it keeps:
+`bind` sizes it for `batch` models on n states and hands back the slot
+views, the caller writes each seeded formula's values into its view, and
+`run` fills the rest. The workspace is allocated again only when a block
+has more cells (n * batch) than every block before it, so a search that
+runs many blocks through one plan evaluates them without allocating value
+arrays. Flattened tables in the slots' dtype are made once per algebra.
 
 Formula slots are state-major, (n, batch), so each table read runs along
 rows as long as the batch, and hold the narrowest unsigned dtype that
@@ -19,13 +20,14 @@ Every binary table read is one flat gather: `table[a, b]` is entry
 a * size + b of the flattened table, the index formed in a reused intp
 buffer. Actions stay int64 (frames, n, n) relations: `compose` gathers its
 fusion terms for a block of middle states at once and joins them pairwise,
-and `closure` squares. A box reads its relation once per block, transposed
-to (target, source, frame) and times size, and per target t gathers the
-column through `frame_of`, which maps each batch member to a row of the
-relations, so models that share a frame share its relations and none is
-copied per batch member. Its implications come from an imp table times
-size, each the row index of its meet with the value so far (meet commutes),
-in a second intp buffer.
+and `closure` squares. A box reads its relation transposed to (target,
+source, frame) and times size, into one reused buffer that boxes over the
+same action in a row share, and per target t gathers the column through
+`frame_of`, which maps each batch member to a row of the relations, so
+models that share a frame share its relations and none is copied per batch
+member. Its implications come from an imp table times size, each the row
+index of its meet with the value so far (meet commutes), in a second intp
+buffer.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: it seeds every memo entry the walk
@@ -34,6 +36,8 @@ int64 (batch, n) value or (frames, n, n) relation.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -108,34 +112,39 @@ def digits(indices: np.ndarray, size: int, rows):
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp"}
 _ACTIONS = (Atom, Choice, Seq, Plus)
 _SEEDED, _INPUT, _BOTTOM = object(), object(), object()
+_NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _narrow(algebra: FLAlgebra) -> dict:
+    """The algebra's flattened tables in the slots' dtype, and imp times size, made once."""
+    tables = _NARROW.get(algebra)
+    if tables is None:
+        dtype = np.min_scalar_type(algebra.size - 1)
+        arrs = algebra.arrays
+        tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
+        tables["imp_scaled"] = arrs.imp.ravel() * algebra.size
+        tables["size"] = np.array(algebra.size, dtype=np.intp)  # scales faster than an int
+        _NARROW[algebra] = tables
+    return tables
 
 
 class Plan:
     """A compiled formula: steps over numbered slots, and the workspace they run in.
 
-    `formulas` lists the formula of every slot and `actions` the action of
-    every index; `inputs` maps each seeded formula to its slot, and `roots`
-    holds (is action, slot or index) per root. After `run`, `relations`
-    holds the block's relation of every action.
+    `inputs` maps each seeded formula to its slot, `computed` lists
+    (node, is action, slot or action index) for the other subterms in
+    post-order, and `roots` holds (is action, slot or index) per root.
+    After `run`, `relations` holds the block's relation of every action.
     """
 
-    def __init__(self, algebra: FLAlgebra, formulas, actions, inputs, consts, steps, roots):
+    def __init__(self, algebra: FLAlgebra, counts, inputs, computed, consts, steps, roots):
         self.algebra = algebra
-        self.dtype = np.min_scalar_type(algebra.size - 1)
-        self.formulas, self.actions, self.inputs, self.roots = formulas, actions, inputs, roots
-        self._consts = consts
-        names = {op for op, *_ in steps if isinstance(op, str)}
-        boxes = any(op is Box for op, *_ in steps)
-        # table reads gather from flattened tables in the slots' dtype
-        flat = {name: getattr(algebra.arrays, name).astype(self.dtype).ravel()
-                for name in names | ({"meet", "imp"} if boxes else set())}
-        self._steps = [(flat[op] if isinstance(op, str) else op, out, a, b)
-                       for op, out, a, b in steps]
-        if boxes:
-            self._meet, self._imp = flat["meet"], flat["imp"]
-            self._imp_scaled = algebra.arrays.imp.ravel() * algebra.size
+        (self._slots, self._actions), self._consts, self._steps = counts, consts, steps
+        self.inputs, self.computed, self.roots = inputs, computed, roots
+        self._tables = _narrow(algebra)
+        self.dtype = self._tables["meet"].dtype
         self._cells = 0
-        self._relbufs: dict[int, np.ndarray] = {}
+        self._relbuf = np.empty(0, np.intp)
         self.relations: list[np.ndarray] = []
 
     def bind(self, n: int, batch: int) -> list[np.ndarray]:
@@ -146,24 +155,23 @@ class Plan:
         """
         cells = n * batch
         if cells > self._cells:
-            self._ws = np.empty((len(self.formulas), cells), self.dtype)
+            self._ws = np.empty((self._slots, cells), self.dtype)
             for slot, value in self._consts:
                 self._ws[slot] = value
             self._buffers = np.empty((2, cells), np.intp)
             self._cells = cells
         self.n = n
-        self.views = [row[:cells].reshape(n, batch) for row in self._ws]
-        self._index, self._terms = (row[:cells].reshape(n, batch) for row in self._buffers)
+        self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
+        self._index, self._terms = self._buffers[:, :cells].reshape(2, n, batch)
         return self.views
 
-    def _scaled(self, i: int, rel: np.ndarray) -> np.ndarray:
-        """Relation i as (target, source, frame) entries times size, in a reused buffer."""
+    def _scaled(self, rel: np.ndarray) -> np.ndarray:
+        """The relation as (target, source, frame) entries times size, in the reused buffer."""
         frames, n = rel.shape[:2]
         cells = frames * n * n
-        buf = self._relbufs.get(i)
-        if buf is None or len(buf) < cells:
-            buf = self._relbufs[i] = np.empty(cells, np.intp)
-        out = buf[:cells].reshape(n, n, frames)
+        if len(self._relbuf) < cells:
+            self._relbuf = np.empty(cells, np.intp)
+        out = self._relbuf[:cells].reshape(n, n, frames)
         np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out)
         return out
 
@@ -174,17 +182,22 @@ class Plan:
         relation, frames being 1 or the batch unless `frame_of` maps batch
         members to frames. Views stay the plan's, overwritten by the next block.
         """
-        algebra, n, views = self.algebra, self.n, self.views
-        arrs, size = algebra.arrays, algebra.size
+        algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
+        arrs, size = algebra.arrays, tables["size"]
         index, terms = self._index, self._terms
-        rels: list = [None] * len(self.actions)
-        scaled: dict[int, np.ndarray] = {}
+        rels: list = [None] * self._actions
+        boxed = None    # the action whose relation the scaled buffer holds
         for op, out, a, b in self._steps:
-            if op is Box:
-                rs = scaled.get(a)
-                if rs is None:
-                    rs = scaled[a] = self._scaled(a, rels[a])
+            if type(op) is str:
+                np.copyto(index, views[a])
+                np.multiply(index, size, out=index)
+                np.add(index, views[b], out=index)
+                tables[op].take(index, out=views[out], mode="clip")
+            elif op is Box:
+                if a != boxed:
+                    rs, boxed = self._scaled(rels[a]), a
                 body, dst = views[b], views[out]
+                imp, imp_scaled, meet = tables["imp"], tables["imp_scaled"], tables["meet"]
                 gather = frame_of is not None and rs.shape[2] > 1
                 # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
                 for t in range(n):
@@ -194,11 +207,12 @@ class Plan:
                     else:
                         np.add(rs[t], body[t], out=index)
                     if t == 0:
-                        self._imp.take(index, out=dst, mode="clip")
+                        imp.take(index, out=dst, mode="clip")
                         continue
-                    self._imp_scaled.take(index, out=terms, mode="clip")
+                    # imp times size is the row of its meet with the value so far: meet commutes
+                    imp_scaled.take(index, out=terms, mode="clip")
                     np.add(terms, dst, out=terms)
-                    self._meet.take(terms, out=dst, mode="clip")
+                    meet.take(terms, out=dst, mode="clip")
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:
@@ -207,64 +221,69 @@ class Plan:
                 rels[out] = lookup(arrs.join, rels[a], rels[b])
             elif op is Seq:
                 rels[out] = compose(arrs, rels[a], rels[b])
-            elif op is Plus:
-                rels[out] = closure(algebra, rels[a])
             else:
-                np.multiply(views[a], size, out=index, dtype=np.intp)
-                np.add(index, views[b], out=index)
-                op.take(index, out=views[out], mode="clip")
+                rels[out] = closure(algebra, rels[a])
         self.relations = rels
         return [rels[i] if action else views[i] for action, i in self.roots]
 
 
-def plan(roots, algebra: FLAlgebra, seeded=()) -> Plan:
-    """Compile formulas or actions into one plan; `seeded` holds the subterms the caller supplies.
+def plan(roots, algebra: FLAlgebra, seeded=(), opaque: tuple[type, ...] = ()) -> Plan:
+    """Compile formulas or actions into one plan.
 
-    DimensionMismatch for a constant, outside a seeded subterm, that is no
-    element index.
+    `seeded` holds the subterms the caller supplies, and every node the
+    walk reaches of an `opaque` type is supplied too. DimensionMismatch for
+    a constant, outside a supplied subterm, that is no element index.
     """
     ids = dict.fromkeys(seeded, _SEEDED)    # subterm -> slot or action index
-    formulas, actions, inputs, consts, steps = [], [], {}, [], []
+    counts = [0, 0]                         # formula slots, actions
+    inputs, computed, consts, steps = {}, [], [], []
     # post-order: a node is expanded, then numbered, its children's numbers on `done`
     stack, done = [(r, False) for r in reversed(roots)], []
     while stack:
         node, expanded = stack.pop()
-        hit = None
-        if not expanded:
+        kind = type(node)
+        if expanded:
+            if kind is Plus:
+                args = (done.pop(), None)
+            else:
+                right = done.pop()
+                args = (done.pop(), right)
+        else:
             hit = ids.get(node)
-            if hit is not None and hit is not _SEEDED:
+            if hit is None and isinstance(node, opaque):
+                hit = _SEEDED
+            if hit is None:
+                kids = children(node)
+                if kids:
+                    stack.append((node, True))
+                    stack.extend([(k, False) for k in reversed(kids)])
+                    continue
+            elif hit is not _SEEDED:
                 done.append(hit)
                 continue
-            kids = children(node) if hit is None else ()
-            if kids:
-                stack.append((node, True))
-                stack.extend([(k, False) for k in reversed(kids)])
-                continue
-        kind = type(node)
-        table = actions if kind in _ACTIONS else formulas
-        i = ids[node] = len(table)
-        table.append(node)
-        if hit is _SEEDED:
-            if table is actions:
+        action = kind in _ACTIONS
+        i = ids[node] = counts[action]
+        counts[action] += 1
+        done.append(i)
+        if expanded or hit is None:
+            computed.append((node, action, i))
+        if expanded:
+            steps.append((_TABLES.get(kind, kind), i, *args))
+        elif hit is _SEEDED:
+            if action:
                 steps.append((_INPUT, i, node, None))
             else:
                 inputs[node] = i
-        elif kind is Var:
-            consts.append((i, algebra.zero))
-        elif kind is Const:
-            if not (0 <= node.index < algebra.size):
-                raise DimensionMismatch(f"constant #{node.index} is no element index")
-            consts.append((i, node.index))
         elif kind is Atom:
             steps.append((_BOTTOM, i, None, None))
-        elif kind is Plus:
-            steps.append((Plus, i, done.pop(), None))
+        elif kind is Var:
+            consts.append((i, algebra.zero))
+        elif not (0 <= node.index < algebra.size):
+            raise DimensionMismatch(f"constant #{node.index} is no element index")
         else:
-            right, left = done.pop(), done.pop()
-            steps.append((_TABLES.get(kind, kind), i, left, right))
-        done.append(i)
+            consts.append((i, node.index))
     # each root left its number on `done`, in order
-    return Plan(algebra, formulas, actions, inputs, consts, steps,
+    return Plan(algebra, counts, inputs, computed, consts, steps,
                 [(type(r) in _ACTIONS, i) for r, i in zip(roots, done)])
 
 
@@ -280,17 +299,15 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
     hit = table.get(root)
     if hit is not None:
         return hit
-    p = plan((root,), algebra, memo.keys() | relations.keys())
+    p = plan((root,), algebra, {**memo, **relations})   # dict merges reuse the stored hashes
     views = p.bind(n, batch)
     for node, slot in p.inputs.items():
         views[slot][...] = memo[node].T
     p.run(relations)
-    # the root is numbered last, so it is the last relation or formula copied out
-    out = p.relations[-1] if table is relations else None
-    seeded = set(p.inputs.values())
-    for slot, node in enumerate(p.formulas):
-        if slot not in seeded:
-            out = memo[node] = views[slot].T.astype(np.int64, order="C")
-    for node, rel in zip(p.actions, p.relations):
-        relations.setdefault(node, rel)
+    # the root is numbered last, so it is the last subterm copied out
+    for node, action, i in p.computed:
+        if action:
+            out = relations[node] = p.relations[i]
+        else:
+            out = memo[node] = views[i].T.astype(np.int64, order="C")
     return out

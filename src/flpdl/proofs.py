@@ -33,8 +33,8 @@ from . import kernel
 from .algebra import FLAlgebra, is_commutative, is_integral, load_algebra
 from .errors import AtomBudgetExceeded
 from .parser import parse_formula
-from .syntax import (And, Box, Choice, Const, Formula, Fuse, LDiv, Or, Plus,
-                     RDiv, Seq, Var, format_formula, iff, walk)
+from .syntax import (And, Box, Choice, Const, Formula, Plus, RDiv, Seq, Var,
+                     format_formula, iff)
 
 DEFAULT_ATOM_BUDGET = 10 ** 7
 _BLOCK = 1024  # assignments per log_consequence block; small blocks keep peak memory low
@@ -169,21 +169,19 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     """
     if atom_budget < 1:
         raise ValueError("atom budget must be positive")
-    names = tuple(dict.fromkeys(h for g in (*premises, conclusion)
-                                for h in walk(g, into=(And, Or, Fuse, LDiv, RDiv))
-                                if isinstance(h, (Var, Box))))
-    count = algebra.size ** len(names)
+    # one assignment per one-state model; the atoms are seeded, never looked into
+    plan = kernel.plan((conclusion, *premises), algebra, opaque=(Var, Box))
+    atoms = len(plan.inputs)
+    count = algebra.size ** atoms
     if count > atom_budget:
         raise AtomBudgetExceeded(
-            f"{count} assignments over {len(names)} atoms exceed the budget of {atom_budget}")
+            f"{count} assignments over {atoms} atoms exceed the budget of {atom_budget}")
     holds = algebra.arrays.leq[algebra.one]
-    # one assignment per one-state model; the atoms are seeded, never looked into
-    plan = kernel.plan((conclusion, *premises), algebra, names)
     for start in range(0, count, _BLOCK):
         block = min(_BLOCK, count - start)
         views = plan.bind(1, block)
         kernel.digits(np.arange(start, start + block), algebra.size,
-                      [views[plan.inputs[h]][0] for h in names])
+                      [views[slot][0] for slot in plan.inputs.values()])
         conclusion_values, *premise_values = plan.run({})
         refuted = ~holds[conclusion_values[0]]
         for values in premise_values:
