@@ -217,7 +217,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
         while checked < budget:
             block = min(_CHUNK, budget - checked)
             ns = rng.integers(1, max_states + 1, size=block)
-            best = None
+            groups = []     # drawn in ascending state count, the stream's order
             for n in np.unique(ns).tolist():
                 sel = np.where(ns == n)[0]
                 g = len(sel)
@@ -225,7 +225,11 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                         for a in atoms}
                 vals = {p: rng.integers(0, size, size=(g, n), dtype=np.int64)
                         for p in vars_}
-                views = plan.bind(n, g)
+                groups.append((sel, n, rels, vals))
+            best = None
+            # evaluated largest first, so the plan's buffers grow once per block
+            for sel, n, rels, vals in reversed(groups):
+                views = plan.bind(n, len(sel))
                 for p, v in vals.items():
                     views[plan.inputs[p]][...] = v.T
                 pos = _first_hit(holds, plan.run(rels)[0])

@@ -55,25 +55,44 @@ def lookup(table: np.ndarray, a, b) -> np.ndarray:
     return table.ravel().take(a * len(table) + b)
 
 
+def fold(combine, terms: np.ndarray) -> np.ndarray:
+    """Reduce `terms` over its first axis pairwise, and return the result.
+
+    `combine(a, b)` returns table[a, b] for a join or a meet table, and may
+    write it into `a`: about log2(len(terms)) calls, an odd last term first
+    folded into the first one. Both reductions over states run through it:
+    the join over middle states in `compose` and the meet over targets in a
+    plan's box.
+    """
+    while len(terms) > 1:
+        half, odd = divmod(len(terms), 2)
+        if odd:
+            terms[:1] = combine(terms[:1], terms[-1:])
+        terms = combine(terms[:half], terms[half:2 * half])
+    return terms[0]
+
+
 def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per batch member.
 
     The middle states x go in blocks of at most _BLOCK terms r(s,x) * q(x,t)
-    in all; each block is joined pairwise, about log2(width) lookups with an
-    odd last term folded into the first, and then into the result.
+    in all, middle state first; each block is folded by join in place and
+    then joined into the result.
     """
     batch, n = r.shape[:2]
     step = max(1, _BLOCK // (batch * n * n))
+    join, size = arrs.join.ravel(), len(arrs.join)
+
+    def combine(a, b):
+        return join.take(a * size + b, out=a, mode="clip")
+
     out = None
     for x in range(0, n, step):
-        terms = lookup(arrs.fuse, r[:, :, x:x + step, None], q[:, None, x:x + step, :])
-        while terms.shape[2] > 1:
-            half, odd = divmod(terms.shape[2], 2)
-            joined = lookup(arrs.join, terms[:, :, :half], terms[:, :, half:2 * half])
-            if odd:
-                joined[:, :, 0] = lookup(arrs.join, joined[:, :, 0], terms[:, :, -1])
-            terms = joined
-        out = terms[:, :, 0] if out is None else lookup(arrs.join, out, terms[:, :, 0])
+        terms = lookup(arrs.fuse, r[:, :, x:x + step].transpose(2, 0, 1)[..., None],
+                       q[:, x:x + step].transpose(1, 0, 2)[:, :, None])
+        joined = fold(combine, terms)
+        # copied, so that the result does not hold on to the whole block
+        out = joined.copy() if out is None else lookup(arrs.join, out, joined)
     return out
 
 
@@ -115,6 +134,14 @@ _SEEDED, _INPUT, _BOTTOM = object(), object(), object()
 _NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
+def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = table[a, b] from the flattened table, the flat index formed in `index`."""
+    np.copyto(index, a)
+    np.multiply(index, size, out=index)
+    np.add(index, b, out=index)
+    return table.take(index, out=out, mode="clip")
+
+
 def _narrow(algebra: FLAlgebra) -> dict:
     """The algebra's flattened tables in the slots' dtype, and imp times size, made once."""
     tables = _NARROW.get(algebra)
@@ -145,6 +172,7 @@ class Plan:
         self.dtype = self._tables["meet"].dtype
         self._cells = 0
         self._relbuf = np.empty(0, np.intp)
+        self._fold = None   # the box fold's index and value scratch, made when first needed
         self.relations: list[np.ndarray] = []
 
     def bind(self, n: int, batch: int) -> list[np.ndarray]:
@@ -160,7 +188,7 @@ class Plan:
                 self._ws[slot] = value
             self._buffers = np.empty((2, cells), np.intp)
             self._cells = cells
-        self.n = n
+        self.n, self.batch = n, batch
         self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
         self._index, self._terms = self._buffers[:, :cells].reshape(2, n, batch)
         return self.views
@@ -175,6 +203,13 @@ class Plan:
         np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out)
         return out
 
+    def _fold_buffers(self, targets: int):
+        """(targets, n, batch) index and value scratch for a box block, grown only when short."""
+        cells = targets * self.n * self.batch
+        if self._fold is None or self._fold[1].size < cells:
+            self._fold = np.empty(cells, np.intp), np.empty(cells, self.dtype)
+        return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
+
     def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
         """Evaluate the bound block: the (n, batch) view or relation of each root.
 
@@ -184,35 +219,42 @@ class Plan:
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
         arrs, size = algebra.arrays, tables["size"]
+        imp, imp_scaled, meet = tables["imp"], tables["imp_scaled"], tables["meet"]
         index, terms = self._index, self._terms
+        step = max(1, _BLOCK // (n * self.batch))  # targets per box block
         rels: list = [None] * self._actions
         boxed = None    # the action whose relation the scaled buffer holds
         for op, out, a, b in self._steps:
             if type(op) is str:
-                np.copyto(index, views[a])
-                np.multiply(index, size, out=index)
-                np.add(index, views[b], out=index)
-                tables[op].take(index, out=views[out], mode="clip")
+                _read(tables[op], size, views[a], views[b], index, views[out])
             elif op is Box:
                 if a != boxed:
                     rs, boxed = self._scaled(rels[a]), a
                 body, dst = views[b], views[out]
-                imp, imp_scaled, meet = tables["imp"], tables["imp_scaled"], tables["meet"]
                 gather = frame_of is not None and rs.shape[2] > 1
-                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
-                for t in range(n):
+                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)], k targets at a time
+                for t in range(0, n, step):
+                    k = min(step, n - t)
+                    idx, vals = self._fold_buffers(k) if k > 1 else (index[None], None)
                     if gather:
-                        np.take(rs[t], frame_of, axis=1, out=index, mode="clip")
-                        np.add(index, body[t], out=index)
+                        np.take(rs[t:t + k], frame_of, axis=2, out=idx, mode="clip")
+                        np.add(idx, body[t:t + k, None], out=idx)
                     else:
-                        np.add(rs[t], body[t], out=index)
-                    if t == 0:
+                        np.add(rs[t:t + k], body[t:t + k, None], out=idx)
+                    if k > 1:
+                        imp.take(idx, out=vals, mode="clip")
+                        met = fold(lambda x, y: _read(meet, size, x, y, idx[:len(x)], x), vals)
+                        if t == 0:
+                            np.copyto(dst, met)
+                        else:
+                            _read(meet, size, dst, met, index, dst)
+                    elif t == 0:
                         imp.take(index, out=dst, mode="clip")
-                        continue
-                    # imp times size is the row of its meet with the value so far: meet commutes
-                    imp_scaled.take(index, out=terms, mode="clip")
-                    np.add(terms, dst, out=terms)
-                    meet.take(terms, out=dst, mode="clip")
+                    else:
+                        # imp times size is the row of its meet with the value so far: meet commutes
+                        imp_scaled.take(index, out=terms, mode="clip")
+                        np.add(terms, dst, out=terms)
+                        meet.take(terms, out=dst, mode="clip")
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:

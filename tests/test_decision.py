@@ -3,10 +3,12 @@
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from flpdl import kernel
 from flpdl.algebra import bool2, cost_chain
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.decision import (Countermodel, NoCountermodelUpTo,
@@ -177,6 +179,64 @@ def test_sample_hits_are_real_countermodels(C3):
     assert evaluate(out.model, f, out.witness_state) == out.value
     assert not C3.leq(C3.one, out.value)
 
+
+
+# outcomes of seeded 20,000-candidate sample searches, as sampling drew and reported them
+# before its groups were evaluated largest first: (models checked, models evaluated,
+# witness state, value, relation matrices, valuation rows)
+SAMPLED = [
+    ("bool2", "(p0 & p1 & p2 & p3 & p4 & p5 & p6) -> [a0](p0 | p1 | p2)", 4, 11,
+     (762, 762, 2, 0, {0: [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]},
+      {0: [0, 0, 1, 1], 1: [0, 0, 1, 0], 2: [0, 1, 1, 0], 3: [1, 0, 1, 0], 4: [1, 1, 1, 1],
+       5: [1, 0, 1, 1], 6: [0, 0, 1, 1]})),
+    ("bool2", "(p0 & p1 & p2 & p3 & p4 & p5 & p6) -> [a0 ; a1](p0 | p1 | p2)", 5, 3,
+     (168, 168, 1, 0, {0: [[0, 0, 0, 1, 1], [1, 0, 1, 1, 1], [1, 0, 0, 1, 0], [1, 1, 1, 0, 1],
+                           [0, 1, 0, 0, 0]],
+                       1: [[0, 0, 0, 1, 0], [0, 0, 1, 0, 1], [1, 0, 0, 0, 1], [0, 1, 1, 1, 1],
+                           [1, 1, 1, 1, 0]]},
+      {0: [1, 1, 0, 0, 1], 1: [0, 1, 1, 0, 0], 2: [1, 1, 0, 0, 1], 3: [0, 1, 1, 1, 1],
+       4: [0, 1, 1, 1, 1], 5: [1, 1, 0, 0, 1], 6: [1, 1, 1, 0, 1]})),
+    ("cost:3", "(p0 & p1 & p2 & p3 & p4) -> [a0](p0 | p1 | p2)", 5, 5,
+     (32, 32, 4, 1, {0: [[1, 0, 2, 0, 0], [1, 1, 0, 2, 0], [0, 0, 1, 0, 1], [0, 0, 2, 1, 2],
+                         [0, 1, 1, 2, 1]]},
+      {0: [2, 2, 0, 1, 0], 1: [2, 0, 1, 2, 0], 2: [2, 2, 2, 2, 0], 3: [0, 2, 1, 1, 0],
+       4: [0, 1, 1, 2, 1]})),
+    ("cost:3", "[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", 4, 2,
+     NoCountermodelUpTo(max_states=4, models_checked=20000, models_evaluated=20000,
+                        exhaustive=False)),
+]
+
+
+@pytest.mark.parametrize("key, text, max_states, seed, want", SAMPLED,
+                         ids=["bool2-box", "bool2-seq", "cost3-box", "cost3-choice"])
+def test_sampled_outcomes_are_pinned(key, text, max_states, seed, want):
+    algebra = {"bool2": bool2(), "cost:3": cost_chain(3)}[key]
+    out = decide_bounded(parse_formula(text, algebra), algebra, max_states, budget=20000,
+                         mode="sample", seed=seed)
+    if isinstance(out, Countermodel):
+        m = out.model
+        out = (out.models_checked, out.models_evaluated, out.witness_state, out.value,
+               {a: r.matrix.tolist() for a, r in sorted(m.frame.atomic.items())},
+               {p: list(row) for p, row in sorted(m.valuation.items())})
+    assert out == want
+
+
+def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
+    """One block's state-count groups all evaluate in the workspace of the first one run."""
+    roots = []
+    run = kernel.Plan.run
+
+    def recording(self, *args):
+        out = run(self, *args)
+        roots.append(out[0])
+        return out
+
+    monkeypatch.setattr(kernel.Plan, "run", recording)
+    f = parse_formula("[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", C3)
+    out = decide_bounded(f, C3, 4, budget=2000, mode="sample", seed=2)
+    assert isinstance(out, NoCountermodelUpTo)
+    assert len(roots) == 4
+    assert all(np.shares_memory(root, roots[0]) for root in roots[1:])
 
 def test_sample_mode_caps_the_state_count(B):
     f = parse_formula("[a0]p0", B)

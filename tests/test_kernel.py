@@ -127,6 +127,85 @@ def test_plan_reuses_its_workspace_across_blocks(algebra):
     assert np.shares_memory(roots[1], roots[0]) and np.shares_memory(roots[2], roots[0])
 
 
+
+def _seeded_block(algebra, rng, n, frames, batch):
+    """Random atom relations per frame and variable rows per batch member, as decide_bounded seeds them."""
+    rels = {Atom(a): rng.integers(0, algebra.size, (frames, n, n)) for a in (0, 1)}
+    vals = {Var(p): rng.integers(0, algebra.size, (n, batch)) for p in (0, 1)}
+    return rels, vals
+
+
+def _run(plan, n, rels, vals, frame_of=None):
+    batch = len(next(iter(vals.values()))[0])
+    views = plan.bind(n, batch)
+    for p, v in vals.items():
+        views[plan.inputs[p]][...] = v
+    return plan.run(rels, frame_of)[0]
+
+
+def _reference(algebra, n, rels, vals, frame, member):
+    model = Model(Frame(algebra, n, {a.index: XRelation(algebra, r[frame]) for a, r in rels.items()}),
+                  {p.index: v[:, member].tolist() for p, v in vals.items()})
+    return reference_values(model, _REUSED)
+
+
+_FIVE = pytest.mark.parametrize(
+    "algebra", [bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
+                find_non_commutative(), find_non_integral()],
+    ids=["bool2", "cost3", "product", "non-commutative", "non-integral"])
+
+
+@_FIVE
+def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
+    """Box blocks of 1, 2 and 3 targets over 7 states, so the last block is short."""
+    rng = np.random.default_rng(algebra.size + 1)
+    n, frames, batch = 7, 3, 6
+    frame_of = np.array([0, 0, 1, 2, 2, 1])    # several members share a frame
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    one_rels, one_vals = _seeded_block(algebra, rng, n, 1, 1)
+    rels, vals = _seeded_block(algebra, rng, n, frames, batch)
+    want_one = _reference(algebra, n, one_rels, one_vals, 0, 0)
+    want = [_reference(algebra, n, rels, vals, frame_of[i], i) for i in range(batch)]
+    for targets in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            # batch one, the Model.values path: blocks of `targets` targets of n entries
+            patch.setattr(kernel, "_BLOCK", targets * n)
+            model = Model(Frame(algebra, n, {a.index: XRelation(algebra, one_rels[a][0])
+                                             for a in atoms}),
+                          {p.index: one_vals[p][:, 0].tolist() for p in vars_})
+            assert model.values(_REUSED) == want_one, targets
+            # a batch over shared frames, the decide_bounded path
+            patch.setattr(kernel, "_BLOCK", targets * n * batch)
+            plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+            got = _run(plan, n, rels, vals, frame_of)
+            assert (plan._fold is None) == (targets == 1)
+        assert [tuple(got[:, i].tolist()) for i in range(batch)] == want, targets
+
+
+@_FIVE
+def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
+    rng = np.random.default_rng(algebra.size + 2)
+    n = 5
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    first = None
+    for _ in range(2):
+        rels, vals = _seeded_block(algebra, rng, n, 1, 1)
+        got = _run(plan, n, rels, vals)
+        assert tuple(got[:, 0].tolist()) == _reference(algebra, n, rels, vals, 0, 0)
+        first = first or plan._fold
+        # the second model's box blocks are folded in the first model's scratch
+        assert all(np.shares_memory(buf, old) for buf, old in zip(plan._fold, first))
+    # a block of more than _BLOCK / 2 entries per target gives one target per box block
+    batch = kernel._BLOCK // n + 1
+    wide = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    rels, vals = _seeded_block(algebra, rng, n, 3, batch)
+    frame_of = rng.integers(0, 3, batch)
+    got = _run(wide, n, rels, vals, frame_of)
+    assert wide._fold is None
+    for i in (0, batch - 1):
+        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, frame_of[i], i)
+
 def godel_chain(size):
     """The Gödel chain 0 < 1 < ... < size-1: meet and fusion min, join max, a => c
     top if a <= c and c otherwise, one the top."""
