@@ -18,16 +18,22 @@ rows as long as the batch, and hold the narrowest unsigned dtype that
 holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
 Every binary table read is one flat gather: `table[a, b]` is entry
 a * size + b of the flattened table, the index formed in a reused intp
-buffer. Actions stay int64 (frames, n, n) relations: `compose` gathers its
-fusion terms for a block of middle states at once and joins them pairwise,
-and `closure` squares. A box reads its relation transposed to (target,
-source, frame) and times size, into one reused buffer that boxes over the
-same action in a row share, and per target t gathers the column through
-`frame_of`, which maps each batch member to a row of the relations, so
-models that share a frame share its relations and none is copied per batch
-member. Its implications come from an imp table times size, each the row
-index of its meet with the value so far (meet commutes), in a second intp
-buffer.
+buffer. Every meet or join over states is a blocked gather and one
+pairwise `fold`, a block holding at most _BLOCK entries: `compose` gathers
+the int64 fusion terms of a block of middle states and joins them, and
+`closure` squares; a box gathers the implications imp[R(s, t), f(t)] of a
+block of targets t and meets them. Actions stay int64 (frames, n, n)
+relations. A box reads its relation transposed to (target, source, frame)
+and times size, into one reused buffer that boxes over the same action in
+a row share, and gathers a block's columns through `frame_of`, which maps
+each batch member to a row of the relations, so models that share a frame
+share its relations and none is copied per batch member. One add forms
+every implication index of a block and one imp take reads them, into index
+and value scratch that the plan keeps and makes only once a block holds
+more than one target. A block of one target, as every block is once
+n * batch passes _BLOCK / 2, has nothing to fold: it reads an imp table
+times size instead, the row index of its meet with the value so far (meet
+commutes), in a second intp buffer.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: it seeds every memo entry the walk
@@ -47,7 +53,7 @@ from .syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus, RDiv,
                      Seq, Var, children)
 
 
-_BLOCK = 2 ** 14  # fusion terms per compose gather, and at least one middle state
+_BLOCK = 2 ** 14  # entries per gather of a fold over states, and at least one state
 
 
 def lookup(table: np.ndarray, a, b) -> np.ndarray:

@@ -93,9 +93,13 @@ _REUSED = And(Box(Choice(Seq(Atom(0), Atom(1)), Plus(Atom(0))), RDiv(Var(0), Var
               Or(Fuse(Box(Atom(1), Var(0)), Const(1)), LDiv(Var(1), Box(Atom(0), Var(0)))))
 
 
-@pytest.mark.parametrize("algebra", [bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
-                                     find_non_commutative(), find_non_integral()],
-                         ids=["bool2", "cost3", "product", "non-commutative", "non-integral"])
+_FIVE = pytest.mark.parametrize(
+    "algebra", [bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
+                find_non_commutative(), find_non_integral()],
+    ids=["bool2", "cost3", "product", "non-commutative", "non-integral"])
+
+
+@_FIVE
 def test_plan_reuses_its_workspace_across_blocks(algebra):
     """Blocks of new content through one plan, the last one shorter, as decide_bounded runs them."""
     rng = np.random.default_rng(algebra.size)
@@ -147,12 +151,6 @@ def _reference(algebra, n, rels, vals, frame, member):
     model = Model(Frame(algebra, n, {a.index: XRelation(algebra, r[frame]) for a, r in rels.items()}),
                   {p.index: v[:, member].tolist() for p, v in vals.items()})
     return reference_values(model, _REUSED)
-
-
-_FIVE = pytest.mark.parametrize(
-    "algebra", [bool2(), cost_chain(3), product(bool2(), cost_chain(3)),
-                find_non_commutative(), find_non_integral()],
-    ids=["bool2", "cost3", "product", "non-commutative", "non-integral"])
 
 
 @_FIVE
