@@ -217,19 +217,19 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
         while checked < budget:
             block = min(_CHUNK, budget - checked)
             ns = rng.integers(1, max_states + 1, size=block)
-            groups = []     # drawn in ascending state count, the stream's order
-            for n in np.unique(ns).tolist():
+            states, members = np.unique(ns, return_counts=True)
+            # sized for the block's largest group up front, so the buffers grow once per block
+            plan.reserve(int((states * members).max()),
+                         int((states * states * members).max()) if atoms else 0)
+            best = None
+            for n in states.tolist():
                 sel = np.where(ns == n)[0]
                 g = len(sel)
                 rels = {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64)
                         for a in atoms}
                 vals = {p: rng.integers(0, size, size=(g, n), dtype=np.int64)
                         for p in vars_}
-                groups.append((sel, n, rels, vals))
-            best = None
-            # evaluated largest first, so the plan's buffers grow once per block
-            for sel, n, rels, vals in reversed(groups):
-                views = plan.bind(n, len(sel))
+                views = plan.bind(n, g)
                 for p, v in vals.items():
                     views[plan.inputs[p]][...] = v.T
                 pos = _first_hit(holds, plan.run(rels)[0])

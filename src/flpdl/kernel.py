@@ -9,9 +9,10 @@ evaluates one block of models after another in a workspace it keeps:
 `bind` sizes it for `batch` models on n states and hands back the slot
 views, the caller writes each seeded formula's values into its view, and
 `run` fills the rest. The workspace is allocated again only when a block
-has more cells (n * batch) than every block before it, so a search that
-runs many blocks through one plan evaluates them without allocating value
-arrays. Flattened tables in the slots' dtype are made once per algebra.
+has more cells (n * batch) than every block before it, or than `reserve`
+sized it for, so a search that runs many blocks through one plan evaluates
+them without allocating value arrays. Flattened tables in the slots' dtype
+are made once per algebra.
 
 Formula slots are state-major, (n, batch), so each table read runs along
 rows as long as the batch, and hold the narrowest unsigned dtype that
@@ -28,12 +29,16 @@ and times size, into one reused buffer that boxes over the same action in
 a row share, and gathers a block's columns through `frame_of`, which maps
 each batch member to a row of the relations, so models that share a frame
 share its relations and none is copied per batch member. One add forms
-every implication index of a block and one imp take reads them, into index
-and value scratch that the plan keeps and makes only once a block holds
-more than one target. A block of one target, as every block is once
-n * batch passes _BLOCK / 2, has nothing to fold: it reads an imp table
-times size instead, the row index of its meet with the value so far (meet
-commutes), in a second intp buffer.
+every implication index of a block, into intp index and value scratch
+that the plan keeps and makes only once a block holds more than one
+target. The block's first half is read from imp times size, as rows: an
+entry times size plus an element is the flat index of their meet, and
+meet commutes. The rest is read from imp, and each fold level is then one
+add and a take from meet times size for the next level's left operands
+and from meet for the rest. The block's last meet goes into the box's
+slot, or as a row into a second intp buffer for its meet with the value
+so far. A block of one target, as every block is once n * batch passes
+_BLOCK / 2, has nothing to fold: it reads its row from imp times size.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: it seeds every memo entry the walk
@@ -64,17 +69,20 @@ def lookup(table: np.ndarray, a, b) -> np.ndarray:
 def fold(combine, terms: np.ndarray) -> np.ndarray:
     """Reduce `terms` over its first axis pairwise, and return the result.
 
-    `combine(a, b)` returns table[a, b] for a join or a meet table, and may
-    write it into `a`: about log2(len(terms)) calls, an odd last term first
-    folded into the first one. Both reductions over states run through it:
-    the join over middle states in `compose` and the meet over targets in a
-    plan's box.
+    `combine(a, b, rows)` returns table[a, b] for a join or a meet table,
+    and may write it into `a`: about log2(len(terms)) calls, an odd last
+    term first folded into the first one. The first `rows` results are the
+    next call's left operands, none after the last call, so a caller that
+    enters with the first len(terms) // 2 terms as table rows (index times
+    size) may return those results as rows too. Both reductions over states
+    run through it: the join over middle states in `compose` and the meet
+    over targets in a plan's box.
     """
     while len(terms) > 1:
         half, odd = divmod(len(terms), 2)
         if odd:
-            terms[:1] = combine(terms[:1], terms[-1:])
-        terms = combine(terms[:half], terms[half:2 * half])
+            terms[:1] = combine(terms[:1], terms[-1:], 1)
+        terms = combine(terms[:half], terms[half:2 * half], half // 2)
     return terms[0]
 
 
@@ -89,7 +97,7 @@ def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK // (batch * n * n))
     join, size = arrs.join.ravel(), len(arrs.join)
 
-    def combine(a, b):
+    def combine(a, b, rows):
         return join.take(a * size + b, out=a, mode="clip")
 
     out = None
@@ -149,13 +157,19 @@ def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> 
 
 
 def _narrow(algebra: FLAlgebra) -> dict:
-    """The algebra's flattened tables in the slots' dtype, and imp times size, made once."""
+    """The algebra's flattened tables in the slots' dtype, made once.
+
+    imp and meet come in intp too, as they are (`_wide`) and times size
+    (`_rows`, each entry the row of a further read): the box's meets read them.
+    """
     tables = _NARROW.get(algebra)
     if tables is None:
         dtype = np.min_scalar_type(algebra.size - 1)
         arrs = algebra.arrays
         tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
-        tables["imp_scaled"] = arrs.imp.ravel() * algebra.size
+        for name in ("imp", "meet"):
+            tables[f"{name}_wide"] = getattr(arrs, name).ravel()
+            tables[f"{name}_rows"] = tables[f"{name}_wide"] * algebra.size
         tables["size"] = np.array(algebra.size, dtype=np.intp)  # scales faster than an int
         _NARROW[algebra] = tables
     return tables
@@ -188,23 +202,33 @@ class Plan:
         `views[inputs[formula]]` before `run`; the other slots are the plan's.
         """
         cells = n * batch
+        self.reserve(cells)
+        self.n, self.batch = n, batch
+        self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
+        self._index, self._terms = self._buffers[:, :cells].reshape(2, n, batch)
+        return self.views
+
+    def reserve(self, cells: int, relation_cells: int = 0) -> None:
+        """Grow the workspace to `cells` (n * batch) and the scaled relation buffer to
+        `relation_cells` (frames * n * n) entries, unless they already hold that many.
+
+        A caller that knows its blocks' sizes reserves for the largest one
+        first, so that binding and running the others allocates nothing.
+        """
         if cells > self._cells:
             self._ws = np.empty((self._slots, cells), self.dtype)
             for slot, value in self._consts:
                 self._ws[slot] = value
             self._buffers = np.empty((2, cells), np.intp)
             self._cells = cells
-        self.n, self.batch = n, batch
-        self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
-        self._index, self._terms = self._buffers[:, :cells].reshape(2, n, batch)
-        return self.views
+        if relation_cells > len(self._relbuf):
+            self._relbuf = np.empty(relation_cells, np.intp)
 
     def _scaled(self, rel: np.ndarray) -> np.ndarray:
         """The relation as (target, source, frame) entries times size, in the reused buffer."""
         frames, n = rel.shape[:2]
         cells = frames * n * n
-        if len(self._relbuf) < cells:
-            self._relbuf = np.empty(cells, np.intp)
+        self.reserve(0, cells)
         out = self._relbuf[:cells].reshape(n, n, frames)
         np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out)
         return out
@@ -213,7 +237,7 @@ class Plan:
         """(targets, n, batch) index and value scratch for a box block, grown only when short."""
         cells = targets * self.n * self.batch
         if self._fold is None or self._fold[1].size < cells:
-            self._fold = np.empty(cells, np.intp), np.empty(cells, self.dtype)
+            self._fold = np.empty(cells, np.intp), np.empty(cells, np.intp)
         return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
 
     def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
@@ -225,8 +249,26 @@ class Plan:
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
         arrs, size = algebra.arrays, tables["size"]
-        imp, imp_scaled, meet = tables["imp"], tables["imp_scaled"], tables["meet"]
+        imp, imp_rows, meet = tables["imp"], tables["imp_rows"], tables["meet"]
+        imp_wide, meet_wide, meet_rows = tables["imp_wide"], tables["meet_wide"], tables["meet_rows"]
         index, terms = self._index, self._terms
+
+        def meets(x, y, rows):
+            """meet[x, y] for a box block's fold, over the current block's scratch.
+
+            The first `rows` results go into x as rows of meet and the rest as
+            they are; the block's last meet goes into the box's slot for its
+            first block, and as a row into `terms` for a later one.
+            """
+            i = np.add(x, y, out=idx[:len(x)])
+            if not rows:
+                last = dst if t == 0 else terms
+                (meet if t == 0 else meet_rows).take(i[0], out=last, mode="clip")
+                return last[None]
+            meet_rows.take(i[:rows], out=x[:rows], mode="clip")
+            meet_wide.take(i[rows:], out=x[rows:], mode="clip")
+            return x
+
         step = max(1, _BLOCK // (n * self.batch))  # targets per box block
         rels: list = [None] * self._actions
         boxed = None    # the action whose relation the scaled buffer holds
@@ -248,19 +290,21 @@ class Plan:
                     else:
                         np.add(rs[t:t + k], body[t:t + k, None], out=idx)
                     if k > 1:
-                        imp.take(idx, out=vals, mode="clip")
-                        met = fold(lambda x, y: _read(meet, size, x, y, idx[:len(x)], x), vals)
+                        # the first half as rows of imp: the left operands of the first meets
+                        imp_rows.take(idx[:k // 2], out=vals[:k // 2], mode="clip")
+                        imp_wide.take(idx[k // 2:], out=vals[k // 2:], mode="clip")
+                        fold(meets, vals)
                         if t == 0:
-                            np.copyto(dst, met)
-                        else:
-                            _read(meet, size, dst, met, index, dst)
+                            continue
                     elif t == 0:
                         imp.take(index, out=dst, mode="clip")
+                        continue
                     else:
-                        # imp times size is the row of its meet with the value so far: meet commutes
-                        imp_scaled.take(index, out=terms, mode="clip")
-                        np.add(terms, dst, out=terms)
-                        meet.take(terms, out=dst, mode="clip")
+                        imp_rows.take(index, out=terms, mode="clip")
+                    # the block's value times size is the row of its meet with the value
+                    # so far: meet commutes
+                    np.add(terms, dst, out=terms)
+                    meet.take(terms, out=dst, mode="clip")
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,8 +183,8 @@ def test_sample_hits_are_real_countermodels(C3):
 
 
 # outcomes of seeded 20,000-candidate sample searches, as sampling drew and reported them
-# before its groups were evaluated largest first: (models checked, models evaluated,
-# witness state, value, relation matrices, valuation rows)
+# before it reserved its buffers for each block's largest group: (models checked,
+# models evaluated, witness state, value, relation matrices, valuation rows)
 SAMPLED = [
     ("bool2", "(p0 & p1 & p2 & p3 & p4 & p5 & p6) -> [a0](p0 | p1 | p2)", 4, 11,
      (762, 762, 2, 0, {0: [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]},
@@ -222,13 +223,14 @@ def test_sampled_outcomes_are_pinned(key, text, max_states, seed, want):
 
 
 def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
-    """One block's state-count groups all evaluate in the workspace of the first one run."""
-    roots = []
+    """One block's state-count groups all evaluate in the buffers of the first one run."""
+    roots, scaled = [], []
     run = kernel.Plan.run
 
     def recording(self, *args):
         out = run(self, *args)
         roots.append(out[0])
+        scaled.append(self._relbuf)
         return out
 
     monkeypatch.setattr(kernel.Plan, "run", recording)
@@ -237,6 +239,32 @@ def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
     assert isinstance(out, NoCountermodelUpTo)
     assert len(roots) == 4
     assert all(np.shares_memory(root, roots[0]) for root in roots[1:])
+    assert all(buf is scaled[0] for buf in scaled[1:])
+
+
+def test_sample_block_holds_one_group_at_a_time(C3):
+    """A block draws and evaluates each state-count group before it draws the next.
+
+    Held together, one block's relation draws at 64 states would come to
+    about 19 times its largest group's; evaluated one group at a time, the
+    block's traced peak stays a few of the largest group's relations.
+    """
+    budget, max_states, seed = 2000, 64, 2
+    ns = np.random.default_rng(seed).integers(1, max_states + 1, size=budget)
+    states, members = np.unique(ns, return_counts=True)
+    largest = int((states * states * members).max()) * 8    # bytes of one atom's draws
+    bound = 12 * largest
+    assert 2 * int((states * states * members).sum()) * 8 > bound  # both atoms, every group
+    f = parse_formula("[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", C3)
+    tracemalloc.start()
+    try:
+        out = decide_bounded(f, C3, max_states, budget=budget, mode="sample", seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, NoCountermodelUpTo)
+    assert peak < bound
+
 
 def test_sample_mode_caps_the_state_count(B):
     f = parse_formula("[a0]p0", B)

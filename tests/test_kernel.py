@@ -155,7 +155,7 @@ def _reference(algebra, n, rels, vals, frame, member):
 
 @_FIVE
 def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
-    """Box blocks of 1, 2 and 3 targets over 7 states, so the last block is short."""
+    """Box blocks of 1, 2, 3, 6 and 7 targets over 7 states: short last blocks, odd fold levels."""
     rng = np.random.default_rng(algebra.size + 1)
     n, frames, batch = 7, 3, 6
     frame_of = np.array([0, 0, 1, 2, 2, 1])    # several members share a frame
@@ -164,7 +164,7 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
     rels, vals = _seeded_block(algebra, rng, n, frames, batch)
     want_one = _reference(algebra, n, one_rels, one_vals, 0, 0)
     want = [_reference(algebra, n, rels, vals, frame_of[i], i) for i in range(batch)]
-    for targets in (1, 2, 3):
+    for targets in (1, 2, 3, 6, 7):
         with pytest.MonkeyPatch.context() as patch:
             # batch one, the Model.values path: blocks of `targets` targets of n entries
             patch.setattr(kernel, "_BLOCK", targets * n)
