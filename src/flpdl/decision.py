@@ -214,22 +214,32 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
 
     if mode == "sample":
         rng = np.random.default_rng(seed)
+
+        def drawn(ns, states):
+            """A block's state-count groups with their draws, drawn in ascending state count."""
+            for n in states.tolist():
+                sel = np.where(ns == n)[0]
+                g = len(sel)
+                yield (sel, n,
+                       {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64) for a in atoms},
+                       {p: rng.integers(0, size, size=(g, n), dtype=np.int64) for p in vars_})
+
         while checked < budget:
             block = min(_CHUNK, budget - checked)
             ns = rng.integers(1, max_states + 1, size=block)
             states, members = np.unique(ns, return_counts=True)
+            entries = states * states * members     # of one atom's draws, per group
             # sized for the block's largest group up front, so the buffers grow once per block
-            plan.reserve(int((states * members).max()),
-                         int((states * states * members).max()) if atoms else 0)
+            plan.reserve(int((states * members).max()), int(entries.max()) if atoms else 0)
+            # While the groups' draws together take at most twice the largest group's, they
+            # are all drawn and evaluated largest first, so that the smaller groups run in
+            # memory the largest one used; otherwise each is evaluated as it is drawn.
+            groups = drawn(ns, states)
+            if entries.sum() <= 2 * entries.max():
+                groups = reversed(list(groups))
             best = None
-            for n in states.tolist():
-                sel = np.where(ns == n)[0]
-                g = len(sel)
-                rels = {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64)
-                        for a in atoms}
-                vals = {p: rng.integers(0, size, size=(g, n), dtype=np.int64)
-                        for p in vars_}
-                views = plan.bind(n, g)
+            for sel, n, rels, vals in groups:
+                views = plan.bind(n, len(sel))
                 for p, v in vals.items():
                     views[plan.inputs[p]][...] = v.T
                 pos = _first_hit(holds, plan.run(rels)[0])

@@ -183,8 +183,9 @@ def test_sample_hits_are_real_countermodels(C3):
 
 
 # outcomes of seeded 20,000-candidate sample searches, as sampling drew and reported them
-# before it reserved its buffers for each block's largest group: (models checked,
-# models evaluated, witness state, value, relation matrices, valuation rows)
+# when it evaluated every group as it was drawn: (models checked, models evaluated,
+# witness state, value, relation matrices, valuation rows). At 4 states a block's groups
+# are now evaluated largest first, at 5 still as drawn.
 SAMPLED = [
     ("bool2", "(p0 & p1 & p2 & p3 & p4 & p5 & p6) -> [a0](p0 | p1 | p2)", 4, 11,
      (762, 762, 2, 0, {0: [[0, 0, 0, 1], [0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 1]]},
@@ -243,11 +244,12 @@ def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
 
 
 def test_sample_block_holds_one_group_at_a_time(C3):
-    """A block draws and evaluates each state-count group before it draws the next.
+    """At 64 states a block draws and evaluates each state-count group before the next.
 
-    Held together, one block's relation draws at 64 states would come to
-    about 19 times its largest group's; evaluated one group at a time, the
-    block's traced peak stays a few of the largest group's relations.
+    Held together, one block's relation draws would come to about 19 times
+    its largest group's, too many to keep for evaluating the largest first;
+    one group at a time, the block's traced peak stays a few of the largest
+    group's relations.
     """
     budget, max_states, seed = 2000, 64, 2
     ns = np.random.default_rng(seed).integers(1, max_states + 1, size=budget)
