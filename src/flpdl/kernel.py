@@ -391,7 +391,7 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
     hit = table.get(root)
     if hit is not None:
         return hit
-    p = plan((root,), algebra, {**memo, **relations})   # dict merges reuse the stored hashes
+    p = plan((root,), algebra, {**memo, **relations})   # seeds every memo entry; rehashes nothing
     views = p.bind(n, batch)
     for node, slot in p.inputs.items():
         views[slot][...] = memo[node].T

@@ -23,9 +23,10 @@ range-checked against it, and negation desugars to -> #bot.
 Nesting is capped at MAX_NESTING levels, counted twice: nested parses
 (bracketed text, prefix bodies and right operands of right-grouping
 operators) and the height of every node built, desugared forms included.
-That keeps the recursive printing, hashing and equality of a tree well
-inside Python's recursion limit; past the cap parsing stops with a
-FormulaSyntaxError at the token that crosses it.
+That keeps this recursive parser, the recursive printer and the reference
+evaluator well inside Python's recursion limit; past the cap parsing stops
+with a FormulaSyntaxError at the token that crosses it. Hashing and
+equality do not recurse: nodes are interned.
 """
 
 from __future__ import annotations
@@ -98,8 +99,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.open = 0  # nested parses in progress
-        # every node built, by id, with its height; holding the node keeps the id unique
-        self.heights: dict[int, tuple[object, int]] = {}
+        self.heights: dict[object, int] = {}  # every node built, with its height
         self.starred = False  # some box or diamond index was starred
 
     def take(self) -> tuple[str, str, int]:
@@ -121,9 +121,9 @@ class _Parser:
         return out
 
     def height(self, node) -> int:
-        built = self.heights.get(id(node))
+        built = self.heights.get(node)
         if built is not None:
-            return built[1]
+            return built
         if type(node) in (Var, Const, Atom):
             return 0
         kids = (node.body,) if type(node) is _Star else children(node)
@@ -134,7 +134,7 @@ class _Parser:
         height = self.height(node)
         if height > MAX_NESTING:
             raise _too_deep(pos)
-        self.heights[id(node)] = node, height
+        self.heights[node] = height
         return node
 
     def parse(self, tier: str):

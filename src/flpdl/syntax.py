@@ -14,39 +14,115 @@ RDiv(f, g) is the formula written f -> g, whose value is g / f.
 A node's direct subterms are defined once, by `children`; traversals go
 through the iterative `walk`. The binding levels of the infix operators
 are defined once, by `INFIX`, which the parser and the printer both read.
-Printing, hashing and equality still recurse, hence the parser's nesting
-cap.
+
+Nodes are hash-consed (Filliatre & Conchon 2006, "Type-safe modular
+hash-consing"): a constructor returns the one live node of its type with
+those fields, so equality is identity and hashing is `object`'s, and
+neither recurses. Printing still recurses, hence the parser's nesting cap.
 """
 
 from __future__ import annotations
 
+import operator
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 from .algebra import FLAlgebra
 
+# -- interning ----------------------------------------------------------------
+
+# (type, *fields) -> weak reference to the one live node with those fields; a
+# field is an interned node or an int, so a lookup hashes and compares no subtree
+_NODES: dict[tuple, weakref.ref] = {}
+# held to make a node and to drop a dead node's entry; reentrant, since a node
+# can die while its thread is making another
+_MAKING = threading.RLock()
+
+
+def _forget(key: tuple, ref: weakref.ref, nodes=_NODES, lock=_MAKING) -> None:
+    """Drop a dead node's entry, unless a new node has taken its key since."""
+    with lock:
+        if nodes.get(key) is ref:
+            del nodes[key]
+
+
+class _Interned:
+    """Base of every node type: one object per (type, fields), made once.
+
+    Subclasses are frozen, identity-compared dataclasses without an
+    `__init__`: `__new__` returns the live node or makes and registers a new
+    one, so a call never writes to a node that exists. Keyword calls, as
+    `dataclasses.replace` makes, and `pickle` and `copy` return it too.
+    """
+
+    _fields = ()    # the field names, in order, set per subclass
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = _bind(cls, args, kwargs)
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = ref and ref()
+        if node is None:
+            with _MAKING:   # two threads making one node must make one object
+                ref = _NODES.get(key)
+                node = ref and ref()
+                if node is None:
+                    node = object.__new__(cls)
+                    node.__dict__.update(zip(cls._fields, args))
+                    # only once whole: lookups take no lock
+                    _NODES[key] = weakref.ref(node, partial(_forget, key))
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class _Leaf(_Interned):
+    """A node with one integer index, normalised by `operator.index`."""
+
+    def __new__(cls, index):
+        return super().__new__(cls, operator.index(index))
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+    """The fields of a constructor call in order; TypeError as a call would raise."""
+    rest = cls._fields[len(args):]
+    if len(args) > len(cls._fields) or set(kwargs) != set(rest):
+        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
+    return args + tuple(kwargs[name] for name in rest)
+
+
+_node = dataclass(frozen=True, eq=False, init=False)
+
 # -- action expressions ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+@_node
+class Atom(_Leaf):
     index: int
 
 
-@dataclass(frozen=True)
-class Choice:
+@_node
+class Choice(_Interned):
     left: "ActionExp"
     right: "ActionExp"
 
 
-@dataclass(frozen=True)
-class Seq:
+@_node
+class Seq(_Interned):
     left: "ActionExp"
     right: "ActionExp"
 
 
-@dataclass(frozen=True)
-class Plus:
+@_node
+class Plus(_Interned):
     body: "ActionExp"
 
 
@@ -56,50 +132,50 @@ ActionExp = Union[Atom, Choice, Seq, Plus]
 # -- formulas ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Leaf):
     index: int
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Leaf):
     index: int
 
 
-@dataclass(frozen=True)
-class And:
+@_node
+class And(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+@_node
+class Or(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Fuse:
+@_node
+class Fuse(_Interned):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class LDiv:
+@_node
+class LDiv(_Interned):
     # written left \ right
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class RDiv:
+@_node
+class RDiv(_Interned):
     # written left -> right; value is right / left
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Box:
+@_node
+class Box(_Interned):
     action: ActionExp
     body: "Formula"
 
@@ -125,24 +201,22 @@ def children(node: Node) -> tuple[Node, ...]:
 
 
 def walk(root: Node, into: tuple[type, ...] | None = None) -> list[Node]:
-    """Every node object reachable from root, once, in first-visit pre-order.
+    """Every node reachable from root, once, in first-visit pre-order.
 
     Depth-first and left to right, without recursion. Only nodes of the
     types in `into` (default: all) are entered, their children visited.
-    A shared object is entered once; equal subtrees that are distinct
-    objects are each visited, and nothing is hashed, since hashing a node
-    hashes its whole subtree.
+    Nodes are interned, so equal subtrees are one node, entered once.
     """
-    seen: dict[int, Node] = {}
+    seen: dict[Node, None] = {}
     stack = [root]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen[id(node)] = node
+        seen[node] = None
         if into is None or isinstance(node, into):
             stack += children(node)[::-1]
-    return list(seen.values())
+    return list(seen)
 
 
 def neg(f: Formula, algebra: FLAlgebra) -> Formula:
@@ -212,7 +286,7 @@ def _fmt(node: Node, level: int) -> str:
 
 def subformulas(f: Formula) -> list[Formula]:
     """f and all formulas below it, in first-visit order, no duplicates."""
-    return list(dict.fromkeys(g for g in walk(f) if not isinstance(g, _ACTIONS)))
+    return [g for g in walk(f) if not isinstance(g, _ACTIONS)]
 
 
 def action_atoms(f: Formula | ActionExp) -> list[int]:
