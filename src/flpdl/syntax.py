@@ -17,45 +17,98 @@ are defined once, by `INFIX`, which the parser and the printer both read.
 
 Nodes are hash-consed (Filliatre & Conchon 2006, "Type-safe modular
 hash-consing"): a constructor returns the one live node of its type with
-those fields, so equality is identity and hashing is `object`'s, and
-neither recurses. Printing still recurses, hence the parser's nesting cap.
+those fields, so equality is identity and hashing is `object`'s. The
+table holds nodes weakly and no node's death runs Python code: dead
+entries go in purges. Hashing, equality, printing and `repr` do not
+recurse; only the reference evaluator does, hence the parser's nesting cap.
 """
 
 from __future__ import annotations
 
+import gc
 import operator
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Union
 
 from .algebra import FLAlgebra
 
 # -- interning ----------------------------------------------------------------
 
-# (type, *fields) -> weak reference to the one live node with those fields; a
-# field is an interned node or an int, so a lookup hashes and compares no subtree
+# (type, *fields) -> weak reference to the one node with those fields; a field
+# is an interned node or an int, so a lookup hashes and compares no subtree.
+# The references carry no callback: a node dies without running Python code,
+# and its entry stays until a purge.
 _NODES: dict[tuple, weakref.ref] = {}
-# held to make a node and to drop a dead node's entry; reentrant, since a node
-# can die while its thread is making another
+# held to make a node or to purge; reentrant, since a collection that a
+# thread sets off while making a node purges in that thread
 _MAKING = threading.RLock()
+_PURGE_FLOOR = 4096     # a table this small grows without a purge
+_purge_at = _PURGE_FLOOR
+_purging = False
 
 
-def _forget(key: tuple, ref: weakref.ref, nodes=_NODES, lock=_MAKING) -> None:
-    """Drop a dead node's entry, unless a new node has taken its key since."""
-    with lock:
-        if nodes.get(key) is ref:
-            del nodes[key]
+def _intern(key: tuple):
+    """The one live node for key = (type, *fields), made and registered on a miss."""
+    ref = _NODES.get(key)
+    node = ref and ref()
+    if node is None:
+        with _MAKING:   # two threads making one node must make one object
+            ref = _NODES.get(key)
+            node = ref and ref()
+            if node is None:
+                node = object.__new__(key[0])
+                node.__dict__.update(zip(key[0]._fields, key[1:]))
+                # only once whole: lookups take no lock
+                _NODES[key] = weakref.ref(node)
+                if len(_NODES) > _purge_at:
+                    _purge()
+    return node
+
+
+def _purge() -> None:
+    """Drop the entries of dead nodes; purge next when the table has doubled.
+
+    A key holds its fields, so a dead parent's entry keeps its children
+    alive until it goes. Parents are registered after their children, so
+    one pass from the newest entry to the oldest drops every node that dies,
+    those its own deletions kill included. A purge that a collection sets
+    off during a purge, or while another thread makes a node, does nothing.
+    """
+    global _purge_at, _purging
+    if _purging or not _MAKING.acquire(blocking=False):
+        return
+    _purging = True
+    try:
+        keys = list(_NODES)
+        while keys:
+            key = keys.pop()    # the last reference to a dead parent's key goes here
+            if _NODES[key]() is None:
+                del _NODES[key]
+        _purge_at = max(2 * len(_NODES), _PURGE_FLOOR)
+    finally:
+        _purging = False
+        _MAKING.release()
+
+
+def _collected(phase: str, info: dict) -> None:
+    """After a full collection, which frees nodes held in reference cycles, purge."""
+    if phase == "stop" and info["generation"] == 2:
+        _purge()
+
+
+gc.callbacks.append(_collected)
 
 
 class _Interned:
     """Base of every node type: one object per (type, fields), made once.
 
     Subclasses are frozen, identity-compared dataclasses without an
-    `__init__`: `__new__` returns the live node or makes and registers a new
-    one, so a call never writes to a node that exists. Keyword calls, as
-    `dataclasses.replace` makes, and `pickle` and `copy` return it too.
+    `__init__`: `__new__`, which names the fields, returns the live node or
+    makes and registers a new one, so a call never writes to a node that
+    exists. Keyword calls, as `dataclasses.replace` makes, and `pickle` and
+    `copy` return it too.
     """
 
     _fields = ()    # the field names, in order, set per subclass
@@ -63,43 +116,41 @@ class _Interned:
     def __init_subclass__(cls) -> None:
         cls._fields = tuple(cls.__annotations__)
 
-    def __new__(cls, *args, **kwargs):
-        if kwargs or len(args) != len(cls._fields):
-            args = _bind(cls, args, kwargs)
-        key = (cls, *args)
-        ref = _NODES.get(key)
-        node = ref and ref()
-        if node is None:
-            with _MAKING:   # two threads making one node must make one object
-                ref = _NODES.get(key)
-                node = ref and ref()
-                if node is None:
-                    node = object.__new__(cls)
-                    node.__dict__.update(zip(cls._fields, args))
-                    # only once whole: lookups take no lock
-                    _NODES[key] = weakref.ref(node, partial(_forget, key))
-        return node
-
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        """The dataclass repr, `And(left=Var(index=0), right=...)`, without recursion."""
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            out.append(f"{type(item).__qualname__}(")
+            stack.append(")")
+            for i, name in reversed(list(enumerate(item._fields))):
+                value = getattr(item, name)
+                stack += [value if isinstance(value, _Interned) else repr(value),
+                          f"{', ' if i else ''}{name}="]
+        return "".join(out)
 
 
 class _Leaf(_Interned):
     """A node with one integer index, normalised by `operator.index`."""
 
     def __new__(cls, index):
-        return super().__new__(cls, operator.index(index))
+        return _intern((cls, operator.index(index)))
 
 
-def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-    """The fields of a constructor call in order; TypeError as a call would raise."""
-    rest = cls._fields[len(args):]
-    if len(args) > len(cls._fields) or set(kwargs) != set(rest):
-        raise TypeError(f"{cls.__name__}() takes the fields {', '.join(cls._fields)}")
-    return args + tuple(kwargs[name] for name in rest)
+class _Pair(_Interned):
+    """A node with two subterms, left and right."""
+
+    def __new__(cls, left, right):
+        return _intern((cls, left, right))
 
 
-_node = dataclass(frozen=True, eq=False, init=False)
+_node = dataclass(frozen=True, eq=False, init=False, repr=False)
 
 # -- action expressions ----------------------------------------------------
 
@@ -110,13 +161,13 @@ class Atom(_Leaf):
 
 
 @_node
-class Choice(_Interned):
+class Choice(_Pair):
     left: "ActionExp"
     right: "ActionExp"
 
 
 @_node
-class Seq(_Interned):
+class Seq(_Pair):
     left: "ActionExp"
     right: "ActionExp"
 
@@ -124,6 +175,9 @@ class Seq(_Interned):
 @_node
 class Plus(_Interned):
     body: "ActionExp"
+
+    def __new__(cls, body):
+        return _intern((cls, body))
 
 
 ActionExp = Union[Atom, Choice, Seq, Plus]
@@ -143,32 +197,32 @@ class Const(_Leaf):
 
 
 @_node
-class And(_Interned):
+class And(_Pair):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Or(_Interned):
+class Or(_Pair):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class Fuse(_Interned):
+class Fuse(_Pair):
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class LDiv(_Interned):
+class LDiv(_Pair):
     # written left \ right
     left: "Formula"
     right: "Formula"
 
 
 @_node
-class RDiv(_Interned):
+class RDiv(_Pair):
     # written left -> right; value is right / left
     left: "Formula"
     right: "Formula"
@@ -178,6 +232,9 @@ class RDiv(_Interned):
 class Box(_Interned):
     action: ActionExp
     body: "Formula"
+
+    def __new__(cls, action, body):
+        return _intern((cls, action, body))
 
 
 Formula = Union[Var, Const, And, Or, Fuse, LDiv, RDiv, Box]
@@ -258,27 +315,41 @@ _LEAVES = {Var: "p", Const: "#", Atom: "a"}
 
 def format_formula(f: Formula) -> str:
     """Render core syntax with minimal parentheses; parses back to f."""
-    return _fmt(f, 0)
+    return _fmt(f)
 
 
 def format_action(a: ActionExp) -> str:
     """Render an action with minimal parentheses; parses back to a."""
-    return _fmt(a, 0)
+    return _fmt(a)
 
 
-def _fmt(node: Node, level: int) -> str:
-    kind = type(node)
-    if kind in _LEAVES:
-        return f"{_LEAVES[kind]}{node.index}"
-    if kind is Box:
-        return f"[{_fmt(node.action, 0)}]{_fmt(node.body, _TIGHT)}"
-    if kind is Plus:
-        return f"{_fmt(node.body, _TIGHT)}+"
-    if kind not in _PRINTED:
-        raise TypeError(f"not a formula or action: {node!r}")
-    symbol, own, right = _PRINTED[kind]
-    text = f"{_fmt(node.left, own + right)} {symbol} {_fmt(node.right, own + 1 - right)}"
-    return f"({text})" if level > own else text
+def _fmt(root: Node) -> str:
+    """The text of root, left to right from a stack of pieces: literal text,
+    and (node, level) for a node printed where operators below level bind."""
+    out, stack = [], [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, level = item
+        kind = type(node)
+        if kind in _LEAVES:
+            out.append(f"{_LEAVES[kind]}{node.index}")
+        elif kind is Box:
+            out.append("[")
+            stack += [(node.body, _TIGHT), "]", (node.action, 0)]
+        elif kind is Plus:
+            stack += ["+", (node.body, _TIGHT)]
+        elif kind in _PRINTED:
+            symbol, own, right = _PRINTED[kind]
+            if level > own:
+                out.append("(")
+                stack.append(")")
+            stack += [(node.right, own + 1 - right), f" {symbol} ", (node.left, own + right)]
+        else:
+            raise TypeError(f"not a formula or action: {node!r}")
+    return "".join(out)
 
 
 # -- structural walks --------------------------------------------------------

@@ -16,13 +16,14 @@ import pytest
 
 from flpdl import syntax
 from flpdl.algebra import load_algebra
-from flpdl.generators import random_formula
+from flpdl.generators import random_action, random_formula
 from flpdl.parser import MAX_NESTING, parse_formula
 from flpdl.proofs import check_proof, load_proof
 from flpdl.relations import XRelation
 from flpdl.semantics import Frame, Model
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
-                          RDiv, Seq, Var, children, closure_of, format_formula)
+                          RDiv, Seq, Var, children, closure_of, format_action,
+                          format_formula)
 
 NODE_TYPES = (Atom, Choice, Seq, Plus, Var, Const, And, Or, Fuse, LDiv, RDiv, Box)
 THREADS = 4
@@ -113,7 +114,7 @@ def test_deep_formulas_hash_compare_close_and_evaluate(C3):
     model = Model(Frame(C3, 3, {0: XRelation.from_rows(C3, [[2, 1, 0], [0, 2, 2], [1, 0, 1]])}),
                   {0: (2, 1, 0)})
     assert model.values(f) == model.values(parse_formula("p0 & [a0]p0", C3))
-    # printing, parsing and the reference evaluator still recurse
+    # only the reference evaluator still recurses, so the parser's cap stays
     assert MAX_NESTING == 64
 
 
@@ -144,3 +145,70 @@ def test_interning_survives_copies_and_holds_nodes_weakly():
     del made
     gc.collect()
     assert len(syntax._NODES) <= before + 8
+
+
+def _dataclass_repr(node):
+    """repr as a dataclass writes it, recursing: the reference for shallow nodes."""
+    if not isinstance(node, syntax._Interned):
+        return repr(node)
+    fields = ", ".join(f"{name}={_dataclass_repr(getattr(node, name))}" for name in node._fields)
+    return f"{type(node).__qualname__}({fields})"
+
+
+def test_repr_is_the_dataclass_repr_and_does_not_recurse(C3):
+    assert repr(And(Var(0), Box(Atom(0), Var(0)))) == (
+        "And(left=Var(index=0), right=Box(action=Atom(index=0), body=Var(index=0)))")
+    rng = random.Random(20261019)
+    for _ in range(300):
+        f = random_formula(rng, C3, depth=rng.randint(0, 6), variables=(0, 1, 2), atoms=(0, 1, 2))
+        a = random_action(rng, depth=rng.randint(0, 5), atoms=(0, 1, 2, 3))
+        assert repr(f) == _dataclass_repr(f) and repr(a) == _dataclass_repr(a)
+    text = repr(_deep(5000))
+    # 5,000 meets, 2,500 boxes over a0, and 5,001 occurrences of p0
+    assert len(text) == 5000 * len("And(left=, right=)") + 2500 * len(
+        "Box(action=Atom(index=0), body=)") + 5001 * len("Var(index=0)")
+    assert text.startswith("And(left=And(left=Var(index=0), right=And(left=And(left=Var(")
+    assert text.endswith("right=Box(action=Atom(index=0), body=Var(index=0)))")
+
+
+def test_deep_formulas_print():
+    text = format_formula(_deep(5000))
+    # p0 & p0, then 2,499 more "p0 & (...)" and 2,500 "... & [a0]p0"
+    assert len(text) == len("p0 & p0") + 2499 * len("p0 & ()") + 2500 * len(" & [a0]p0")
+    assert text.startswith("p0 & (p0 & (p0 & (")
+    assert text.count("(p0 & p0 & [a0]p0)") == 1
+    assert text.endswith("[a0]p0) & [a0]p0) & [a0]p0")
+    assert format_action(Seq(Plus(Atom(0)), Choice(Atom(1), Atom(2)))) == "a0+ ; (a1 u a2)"
+
+
+def _live(nodes):
+    return sum(ref() is not None for ref in nodes.values())
+
+
+def test_the_table_stays_small_without_a_callback_per_node(C3):
+    """Dead nodes leave the table at the latest when it doubles, with no
+    collection to help, and every one of them after a full collection."""
+    gc.collect()
+    live = _live(syntax._NODES)
+    gc.disable()
+    try:
+        peak = 0
+        for i in range(20_000):
+            f = parse_formula(f"[a{i % 3}](p{i} -> #1) & p{i + 1} * p{i}", C3)
+            assert f is not None
+            del f
+            peak = max(peak, len(syntax._NODES))
+    finally:
+        gc.enable()
+    # each formula is 7 nodes: the table never grew past twice the live
+    # nodes and the purge floor, whatever died in between
+    assert peak <= 2 * live + syntax._PURGE_FLOOR + 8
+    assert all(ref.__callback__ is None for ref in syntax._NODES.values())
+    gc.collect()
+    before = len(syntax._NODES)
+    assert before == _live(syntax._NODES)
+    deep = _deep(5000)
+    assert len(syntax._NODES) > before + 4990   # the 5,000 meets, bar any alive before
+    del deep
+    gc.collect()    # a parent's key holds its children: the whole chain goes
+    assert len(syntax._NODES) <= before

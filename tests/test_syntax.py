@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -224,6 +225,38 @@ def test_nesting_error_points_at_the_crossing_token(C3):
     with pytest.raises(FormulaSyntaxError) as exc:
         parse_formula(" & ".join(["p0"] * (MAX_NESTING + 2)), C3)
     assert exc.value.position == len(" & ".join(["p0"] * (MAX_NESTING + 1))) + 1
+
+
+# where each nesting kind one level past the cap crosses it
+PAST_THE_CAP = {"negation": 64, "parentheses": 64, "and-chain": 323, "implication-chain": 387,
+                "plus-chain": 0, "action-parentheses": 65, "diamonds": 0, "starred-box": 0,
+                "starred-diamond": 0}
+
+
+def _frames():
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize("kind", nested(MAX_NESTING))
+def test_the_parser_does_not_recurse(C3, kind):
+    """With only 30 frames to spare above the caller, every kind of nesting
+    parses at the cap and is refused one level past it, at the same token."""
+    limit, past = sys.getrecursionlimit(), None
+    sys.setrecursionlimit(_frames() + 30)
+    try:
+        at_cap = parse_formula(nested(MAX_NESTING)[kind], C3)
+        try:
+            parse_formula(nested(MAX_NESTING + 1)[kind], C3)
+        except FormulaSyntaxError as exc:
+            past = exc
+    finally:
+        sys.setrecursionlimit(limit)
+    assert at_cap is parse_formula(nested(MAX_NESTING)[kind], C3)
+    assert past is not None and str(past).startswith(f"nesting deeper than {MAX_NESTING} levels")
+    assert past.position == PAST_THE_CAP[kind]
 
 
 def _digest(rows):
