@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotALattice, NotAMonoid, NotResiduated
+from .errors import FLPDLError, NotALattice, NotAMonoid, NotResiduated
 
 # Largest builtin algebra (cost chains and products): tables grow as size ** 2
 # and the law checks as size ** 3, so a mistyped size fails fast instead.
@@ -179,7 +179,9 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
     associative (else NotAMonoid); then derives the order, the bounds and
     both residuals as joins and checks a*b <= c iff b <= a\\c, then
     a*b <= c iff a <= c/b (else NotResiduated). The error carries the
-    failing law's first index tuple in lexicographic order.
+    failing law's first index tuple in lexicographic order. Last, each
+    name must read as its own element in a formula's #constant, else
+    ValueError.
 
     Deterministic: identical inputs yield identical derived tables.
     """
@@ -197,7 +199,21 @@ def build_algebra(size: int, meet, join, fusion, one: int, zero: int,
             raise ValueError("names must list one name per element")
 
     _check_lattice(size, M, J)
-    return _residuated(size, M, J, F, one, zero, names, uri)
+    algebra = _residuated(size, M, J, F, one, zero, names, uri)
+    _check_names(algebra)
+    return algebra
+
+
+def _check_names(algebra: FLAlgebra) -> None:
+    """ValueError for the first name that a formula's #name would not read as its own element."""
+    from .parser import _constant   # the parser's rules; it imports this module
+    for i, name in enumerate(algebra.names or ()):
+        try:
+            own = _constant(algebra, name, 0) == i
+        except FLPDLError:  # digits past the last index, or too many of them
+            own = False
+        if not own:
+            raise ValueError(f"element name {name!r} does not read as element {i} in a formula")
 
 
 def _check_lattice(size: int, M: np.ndarray, J: np.ndarray) -> None:

@@ -19,26 +19,21 @@ rows as long as the batch, and hold the narrowest unsigned dtype that
 holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
 Every binary table read is one flat gather: `table[a, b]` is entry
 a * size + b of the flattened table, the index formed in a reused intp
-buffer. Every meet or join over states is a blocked gather and one
-pairwise `fold`, a block holding at most _BLOCK entries: `compose` gathers
-the int64 fusion terms of a block of middle states and joins them, and
-`closure` squares; a box gathers the implications imp[R(s, t), f(t)] of a
-block of targets t and meets them. Actions stay int64 (frames, n, n)
-relations. A box reads its relation transposed to (target, source, frame)
-and times size, into one reused buffer that boxes over the same action in
-a row share, and gathers a block's columns through `frame_of`, which maps
-each batch member to a row of the relations, so models that share a frame
-share its relations and none is copied per batch member. One add forms
-every implication index of a block, into intp index and value scratch
-that the plan keeps and makes only once a block holds more than one
-target. The block's first half is read from imp times size, as rows: an
-entry times size plus an element is the flat index of their meet, and
-meet commutes. The rest is read from imp, and each fold level is then one
-add and a take from meet times size for the next level's left operands
-and from meet for the rest. The block's last meet goes into the box's
-slot, or as a row into a second intp buffer for its meet with the value
-so far. A block of one target, as every block is once n * batch passes
-_BLOCK / 2, has nothing to fold: it reads its row from imp times size.
+buffer. Actions stay int64 (frames, n, n) relations.
+
+Every meet or join over states is one blocked contraction, `_contract`:
+a box meets imp[R(s, t), f(t)] over targets t, and `compose`, with which
+`closure` squares, joins r(s, x) * q(x, t) over middle states x, in
+blocks of at most _BLOCK entries and at least one term. Left operands come
+times size, so one add forms a block's flat indices in intp scratch. A
+box reads its relation transposed to (target, source, frame) and times
+size, into a buffer that boxes over one action in a row share, and
+gathers a block's columns through `frame_of`, which maps batch members to
+rows of the relations, so none is copied per member. A block's first half
+is read from the pair table times size, as rows of the acc table, which
+commutes, so each `fold` level is one add and two takes. A later block's
+value is merged, as a row, with the value so far. A box folds in scratch
+the plan keeps; `compose` makes its own per call, each buffer if used.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: it seeds every memo entry the walk
@@ -74,9 +69,7 @@ def fold(combine, terms: np.ndarray) -> np.ndarray:
     term first folded into the first one. The first `rows` results are the
     next call's left operands, none after the last call, so a caller that
     enters with the first len(terms) // 2 terms as table rows (index times
-    size) may return those results as rows too. Both reductions over states
-    run through it: the join over middle states in `compose` and the meet
-    over targets in a plan's box.
+    size) may return those results as rows too, as `_contract` does.
     """
     while len(terms) > 1:
         half, odd = divmod(len(terms), 2)
@@ -86,27 +79,56 @@ def fold(combine, terms: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def compose(arrs, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per batch member.
+def _contract(tables, lefts, rights, out, scratch=None, terms=None, gather=None) -> None:
+    """out = the fold by acc over the first axis of pair[lefts[i] / size, rights[i]].
 
-    The middle states x go in blocks of at most _BLOCK terms r(s,x) * q(x,t)
-    in all, middle state first; each block is folded by join in place and
-    then joined into the result.
+    `tables` is (pair, acc), each flat in (out's dtype, intp, intp times size);
+    `gather`, unless None, maps out's last axis to the lefts'. `scratch(k)`
+    gives index and value buffers for k terms (values None for one) and
+    `terms` a buffer shaped as out; None for either makes them here.
     """
-    batch, n = r.shape[:2]
-    step = max(1, _BLOCK // (batch * n * n))
-    join, size = arrs.join.ravel(), len(arrs.join)
+    (pair, pair_wide, pair_rows), (acc, acc_wide, acc_rows) = tables
+    count, step = len(lefts), max(1, _BLOCK // max(1, out.size))   # no cells: one term a block
+    k = min(step, count)
+    index, values = scratch(k) if scratch else (
+        np.empty((k, *out.shape), np.intp), np.empty((k, *out.shape), np.intp) if k > 1 else None)
+    if terms is None and count > step:
+        terms = np.empty(out.shape, np.intp)
 
-    def combine(a, b, rows):
-        return join.take(a * size + b, out=a, mode="clip")
+    def combine(x, y, rows):
+        i = np.add(x, y, out=idx[:len(x)])
+        if not rows:
+            last = out if first else terms
+            (acc if first else acc_rows).take(i[0], out=last, mode="clip")
+            return last[None]
+        acc_rows.take(i[:rows], out=x[:rows], mode="clip")
+        acc_wide.take(i[rows:], out=x[rows:], mode="clip")
+        return x
 
-    out = None
-    for x in range(0, n, step):
-        terms = lookup(arrs.fuse, r[:, :, x:x + step].transpose(2, 0, 1)[..., None],
-                       q[:, x:x + step].transpose(1, 0, 2)[:, :, None])
-        joined = fold(combine, terms)
-        # copied, so that the result does not hold on to the whole block
-        out = joined.copy() if out is None else lookup(arrs.join, out, joined)
+    for start in range(0, count, step):
+        k, first = min(step, count - start), start == 0
+        idx, block = index[:k], lefts[start:start + k]
+        if gather is not None:
+            block = np.take(block, gather, axis=-1, out=idx, mode="clip")
+        np.add(block, rights[start:start + k], out=idx)
+        if k > 1:
+            vals = values[:k]   # the first half as rows: the first level's left operands
+            pair_rows.take(idx[:k // 2], out=vals[:k // 2], mode="clip")
+            pair_wide.take(idx[k // 2:], out=vals[k // 2:], mode="clip")
+            fold(combine, vals)
+        else:
+            (pair if first else pair_rows).take(idx[0], out=out if first else terms, mode="clip")
+        if not first:
+            np.add(terms, out, out=terms)
+            acc.take(terms, out=out, mode="clip")
+
+
+def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per frame; r and q hold 1 or B frames."""
+    size, out = algebra.size, np.empty((max(len(r), len(q)), *r.shape[1:]), np.int64)
+    # r(s, x) times size as (x, frame, s, 1): a copy, so in the narrowest dtype that holds it
+    lefts = (r * size).astype(np.min_scalar_type(size * (size - 1))).transpose(2, 0, 1)[..., None]
+    _contract(_narrow(algebra)["seq"], lefts, q.transpose(1, 0, 2)[:, :, None], out)
     return out
 
 
@@ -120,11 +142,10 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     least transitive relation above r, reached in about log2(n) rounds on
     relations whose walks stop improving past n steps.
     """
-    arrs = algebra.arrays
     t = r
     # T only climbs, and each of the n^2 entries can strictly climb at most |X|-1 times
     for _ in range(r.shape[1] ** 2 * algebra.size + 1):
-        nxt = lookup(arrs.join, t, compose(arrs, t, t))
+        nxt = lookup(algebra.arrays.join, t, compose(algebra, t, t))
         if np.array_equal(nxt, t):
             return t
         t = nxt
@@ -159,18 +180,19 @@ def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> 
 def _narrow(algebra: FLAlgebra) -> dict:
     """The algebra's flattened tables in the slots' dtype, made once.
 
-    imp and meet come in intp too, as they are (`_wide`) and times size
-    (`_rows`, each entry the row of a further read): the box's meets read them.
+    "box" and "seq" hold the (pair, acc) tables of `_contract` for a box,
+    (imp, meet) into a slot, and for `compose`, (fuse, join) into int64.
     """
     tables = _NARROW.get(algebra)
     if tables is None:
         dtype = np.min_scalar_type(algebra.size - 1)
         arrs = algebra.arrays
         tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
-        for name in ("imp", "meet"):
-            tables[f"{name}_wide"] = getattr(arrs, name).ravel()
-            tables[f"{name}_rows"] = tables[f"{name}_wide"] * algebra.size
         tables["size"] = np.array(algebra.size, dtype=np.intp)  # scales faster than an int
+        flat = {name: getattr(arrs, name).ravel() for name in ("imp", "meet", "fuse", "join")}
+        wide = {name: (table, table * algebra.size) for name, table in flat.items()}
+        tables["box"] = [(tables[name], *wide[name]) for name in ("imp", "meet")]
+        tables["seq"] = [(flat[name], *wide[name]) for name in ("fuse", "join")]
         _NARROW[algebra] = tables
     return tables
 
@@ -235,6 +257,8 @@ class Plan:
 
     def _fold_buffers(self, targets: int):
         """(targets, n, batch) index and value scratch for a box block, grown only when short."""
+        if targets == 1:
+            return self._index[None], None
         cells = targets * self.n * self.batch
         if self._fold is None or self._fold[1].size < cells:
             self._fold = np.empty(cells, np.intp), np.empty(cells, np.intp)
@@ -248,28 +272,7 @@ class Plan:
         members to frames. Views stay the plan's, overwritten by the next block.
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
-        arrs, size = algebra.arrays, tables["size"]
-        imp, imp_rows, meet = tables["imp"], tables["imp_rows"], tables["meet"]
-        imp_wide, meet_wide, meet_rows = tables["imp_wide"], tables["meet_wide"], tables["meet_rows"]
-        index, terms = self._index, self._terms
-
-        def meets(x, y, rows):
-            """meet[x, y] for a box block's fold, over the current block's scratch.
-
-            The first `rows` results go into x as rows of meet and the rest as
-            they are; the block's last meet goes into the box's slot for its
-            first block, and as a row into `terms` for a later one.
-            """
-            i = np.add(x, y, out=idx[:len(x)])
-            if not rows:
-                last = dst if t == 0 else terms
-                (meet if t == 0 else meet_rows).take(i[0], out=last, mode="clip")
-                return last[None]
-            meet_rows.take(i[:rows], out=x[:rows], mode="clip")
-            meet_wide.take(i[rows:], out=x[rows:], mode="clip")
-            return x
-
-        step = max(1, _BLOCK // (n * self.batch))  # targets per box block
+        size, index = tables["size"], self._index
         rels: list = [None] * self._actions
         boxed = None    # the action whose relation the scaled buffer holds
         for op, out, a, b in self._steps:
@@ -278,41 +281,18 @@ class Plan:
             elif op is Box:
                 if a != boxed:
                     rs, boxed = self._scaled(rels[a]), a
-                body, dst = views[b], views[out]
-                gather = frame_of is not None and rs.shape[2] > 1
-                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)], k targets at a time
-                for t in range(0, n, step):
-                    k = min(step, n - t)
-                    idx, vals = self._fold_buffers(k) if k > 1 else (index[None], None)
-                    if gather:
-                        np.take(rs[t:t + k], frame_of, axis=2, out=idx, mode="clip")
-                        np.add(idx, body[t:t + k, None], out=idx)
-                    else:
-                        np.add(rs[t:t + k], body[t:t + k, None], out=idx)
-                    if k > 1:
-                        # the first half as rows of imp: the left operands of the first meets
-                        imp_rows.take(idx[:k // 2], out=vals[:k // 2], mode="clip")
-                        imp_wide.take(idx[k // 2:], out=vals[k // 2:], mode="clip")
-                        fold(meets, vals)
-                        if t == 0:
-                            continue
-                    elif t == 0:
-                        imp.take(index, out=dst, mode="clip")
-                        continue
-                    else:
-                        imp_rows.take(index, out=terms, mode="clip")
-                    # the block's value times size is the row of its meet with the value
-                    # so far: meet commutes
-                    np.add(terms, dst, out=terms)
-                    meet.take(terms, out=dst, mode="clip")
+                gather = frame_of if rs.shape[2] > 1 else None
+                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
+                _contract(tables["box"], rs, views[b][:, None], views[out], self._fold_buffers,
+                          self._terms, gather)
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:
                 rels[out] = np.full((1, n, n), algebra.bottom, dtype=np.int64)
             elif op is Choice:
-                rels[out] = lookup(arrs.join, rels[a], rels[b])
+                rels[out] = lookup(algebra.arrays.join, rels[a], rels[b])
             elif op is Seq:
-                rels[out] = compose(arrs, rels[a], rels[b])
+                rels[out] = compose(algebra, rels[a], rels[b])
             else:
                 rels[out] = closure(algebra, rels[a])
         self.relations = rels

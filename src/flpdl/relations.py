@@ -94,7 +94,7 @@ def rel_union(r: XRelation, q: XRelation) -> XRelation:
 def rel_compose(r: XRelation, q: XRelation) -> XRelation:
     """(r;q)(s,t) = join over x of r(s,x)*q(x,t)."""
     _check_compatible(r, q)
-    return XRelation(r.algebra, compose(r.algebra.arrays, r.matrix[None], q.matrix[None])[0])
+    return XRelation(r.algebra, compose(r.algebra, r.matrix[None], q.matrix[None])[0])
 
 
 def transitive_closure(r: XRelation) -> XRelation:

@@ -12,6 +12,8 @@ from flpdl.algebra import (MAX_SIZE, FLAlgebra, algebra_to_json, bool2,
                            resolve_builtin)
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.errors import InvalidAlgebra, NotALattice, NotAMonoid, NotResiduated
+from flpdl.parser import parse_formula
+from flpdl.syntax import Const
 
 
 def test_builtins_validate(builtins):
@@ -209,6 +211,28 @@ def test_element_names(B):
     assert named.element_name(0) == "f"
     assert named.element_name(1) == "t"
     assert B.element_name(0) in ("0", "false")
+
+
+@pytest.mark.parametrize("names", [
+    ("x", "x"),         # #x would read as element 0, whichever was meant
+    ("1", "0"),         # digits read as the index they spell
+    ("0", "2"),         # no element 2 for #2 to read as
+    ("0" * 5000, "t"),  # more digits than an index can have: #000... reads as nothing
+    ("top", "bot"),     # the aliases come before names
+    ("one", "t"),       # one is element 1 of bool2
+])
+def test_element_names_that_read_as_another_element_are_rejected(B, names):
+    with pytest.raises(ValueError, match="does not read as element"):
+        build_algebra(2, B.meet_table, B.join_table, B.fusion_table, one=1, zero=0, names=names)
+
+
+@pytest.mark.parametrize("names", [("bot", "top"), ("zero", "one"), ("00", "01"), ("f", "one")])
+def test_element_names_that_read_as_their_own_element_are_kept(B, names):
+    named = build_algebra(2, B.meet_table, B.join_table, B.fusion_table, one=1, zero=0,
+                          names=names)
+    assert named.names == names
+    for i, name in enumerate(names):
+        assert parse_formula(f"#{name}", named) == Const(i)
 
 
 def test_non_integral_search_fixture():

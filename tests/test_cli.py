@@ -130,6 +130,16 @@ def assert_input_error(code, out, err):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def test_ambiguous_element_names_are_input_errors(capsys, tmp_path):
+    """#x could mean either element named x: no verdict, exit 2."""
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+                                "fusion": [[0, 0], [0, 1]], "one": 1, "zero": 0,
+                                "names": ["x", "x"]}))
+    assert_input_error(*run(capsys, ["decide", "--algebra", str(path), "--max-states", "1",
+                                     "--formula", "#x"]))
+
+
 def _cost3_inline():
     rng = range(3)
     return {"size": 3, "meet": [[max(a, b) for b in rng] for a in rng],

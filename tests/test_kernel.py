@@ -4,6 +4,7 @@ import ast
 import functools
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,12 @@ def _reference(algebra, n, rels, vals, frame, member):
     return reference_values(model, _REUSED)
 
 
+def _member_relations(rels, frame_of, i):
+    """Member i's relation of each atom as one frame: the only one, frame_of's, or its own."""
+    return {a: r[[0 if len(r) == 1 else i if frame_of is None else frame_of[i]]]
+            for a, r in rels.items()}
+
+
 @_FIVE
 def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
     """Box blocks of 1, 2, 3, 6 and 7 targets over 7 states: short last blocks, odd fold levels."""
@@ -162,8 +169,14 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     one_rels, one_vals = _seeded_block(algebra, rng, n, 1, 1)
     rels, vals = _seeded_block(algebra, rng, n, frames, batch)
+    own = rng.integers(0, algebra.size, (batch, n, n))
+    # boxes read through frame_of, over 1 frame against 3 in `Seq(Atom(0), Atom(1))`; then
+    # without it, over a frame per member against 1 frame
+    cases = [(rels, frame_of), ({Atom(0): rels[Atom(0)][:1], Atom(1): rels[Atom(1)]}, frame_of),
+             ({Atom(0): own, Atom(1): rels[Atom(1)][:1]}, None)]
     want_one = _reference(algebra, n, one_rels, one_vals, 0, 0)
-    want = [_reference(algebra, n, rels, vals, frame_of[i], i) for i in range(batch)]
+    want = [[_reference(algebra, n, _member_relations(case, of, i), vals, 0, i)
+             for i in range(batch)] for case, of in cases]
     for targets in (1, 2, 3, 6, 7):
         with pytest.MonkeyPatch.context() as patch:
             # batch one, the Model.values path: blocks of `targets` targets of n entries
@@ -175,9 +188,9 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
             # a batch over shared frames, the decide_bounded path
             patch.setattr(kernel, "_BLOCK", targets * n * batch)
             plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
-            got = _run(plan, n, rels, vals, frame_of)
+            got = [_run(plan, n, case, vals, of).copy() for case, of in cases]
             assert (plan._fold is None) == (targets == 1)
-        assert [tuple(got[:, i].tolist()) for i in range(batch)] == want, targets
+        assert [[tuple(g[:, i].tolist()) for i in range(batch)] for g in got] == want, targets
 
 
 @_FIVE
@@ -337,18 +350,37 @@ def test_blocked_compose_matches_scalar_join_over_middle_states(data):
     entry = st.integers(0, algebra.size - 1)
     matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     batch = data.draw(st.integers(1, 4))
-    r, q = (data.draw(st.lists(matrix, min_size=batch, max_size=batch)) for _ in range(2))
+    # as many frames each, or 1 frame against `batch` in either order: the one broadcasts
+    frames = data.draw(st.sampled_from([(batch, batch), (1, batch), (batch, 1)]))
+    r, q = (data.draw(st.lists(matrix, min_size=count, max_size=count)) for count in frames)
     want = [[[functools.reduce(algebra.join, (algebra.fuse(rb[s][x], qb[x][t]) for x in range(n)),
                                algebra.bottom) for t in range(n)] for s in range(n)]
-            for rb, qb in zip(r, q)]
+            for rb, qb in zip(r * (batch // len(r)), q * (batch // len(q)))]
     terms_per_middle_state = batch * n * n
     # blocks of 1, 2 and 3 middle states: odd widths, and several blocks when n exceeds them
     for block in (terms_per_middle_state, 2 * terms_per_middle_state,
                   3 * terms_per_middle_state, kernel._BLOCK):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kernel, "_BLOCK", block)
-            got = kernel.compose(algebra.arrays, np.array(r), np.array(q))
+            got = kernel.compose(algebra, np.array(r), np.array(q))
         assert got.tolist() == want, block
+
+
+@pytest.mark.parametrize("frames, limit", [((4096, 4096), 4.25), ((1, 4096), 5)])
+def test_compose_peak_memory_stays_near_its_result(frames, limit):
+    """Scratch in blocks of the result's size, however the frames split between r and q."""
+    algebra = cost_chain(3)
+    rng = np.random.default_rng(7)
+    r, q = (rng.integers(0, algebra.size, (count, 3, 3)) for count in frames)
+    want = kernel.compose(algebra, r, q)    # the algebra's flat tables are made before tracing
+    tracemalloc.start()
+    try:
+        got = kernel.compose(algebra, r, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == want).all()
+    assert peak / got.nbytes < limit
 
 
 def test_oracles_do_not_use_the_kernel():

@@ -66,6 +66,13 @@ def test_compose_cost_reading(C3):
             assert out.values[s][t] == expect
 
 
+def test_the_relation_on_no_states_composes_and_closes(C3):
+    empty = XRelation(C3, [])
+    for got in (rel_compose(empty, empty), transitive_closure(empty),
+                refl_trans_closure(empty), rel_union(empty, empty)):
+        assert got.size == 0 and got.values == ()
+
+
 def test_identity_is_neutral(C3, rng):
     ident = identity_relation(C3, 4)
     for _ in range(20):
