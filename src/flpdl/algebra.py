@@ -35,14 +35,14 @@ def element_indices(values, size: int, what: str, error=ValueError) -> tuple[int
     """The values as a tuple of element indices in 0..size-1.
 
     Raises `error` naming the first value that is no integer in range; a
-    bool is none. Plain ints in range, the common case, are checked without
-    a Python-level loop.
+    bool is none. Plain ints in range, the common case, are checked and
+    returned without a Python-level loop.
     """
-    plain = set(map(type, values)) <= {int}
-    if not (plain and (not values or 0 <= min(values) and max(values) < size)):
-        for v in values:
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < size:
-                raise error(f"{what} {v!r} is no element index in 0..{size - 1}")
+    if set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < size):
+        return tuple(values)
+    for v in values:
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or not 0 <= v < size:
+            raise error(f"{what} {v!r} is no element index in 0..{size - 1}")
     return tuple(map(int, values))
 
 

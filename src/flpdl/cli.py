@@ -204,7 +204,11 @@ def _cmd_prove_check(args) -> int:
 def _cmd_selftest(args) -> int:
     only = None
     if args.only is not None:
-        only = tuple(int(tok) for tok in args.only.split(","))
+        try:
+            only = tuple(int(tok) for tok in args.only.split(","))
+        except ValueError:
+            raise ValueError(f"--only takes comma-separated criterion numbers, "
+                             f"not {args.only!r}") from None
     results = run_selftest(only)
     payload = [{"criterion": r.index, "name": r.name, "passed": r.passed,
                 "seconds": round(r.seconds, 2), "detail": r.detail} for r in results]

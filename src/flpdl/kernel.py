@@ -22,18 +22,21 @@ a * size + b of the flattened table, the index formed in a reused intp
 buffer. Actions stay int64 (frames, n, n) relations.
 
 Every meet or join over states is one blocked contraction, `_contract`:
-a box meets imp[R(s, t), f(t)] over targets t, and `compose`, with which
-`closure` squares, joins r(s, x) * q(x, t) over middle states x, in
-blocks of at most _BLOCK entries and at least one term. Left operands come
-times size, so one add forms a block's flat indices in intp scratch. A
-box reads its relation transposed to (target, source, frame) and times
-size, into a buffer that boxes over one action in a row share, and
-gathers a block's columns through `frame_of`, which maps batch members to
-rows of the relations, so none is copied per member. A block's first half
+a box meets imp[R(s, t), f(t)] over targets t, and `compose`, the `Seq`
+step, joins r(s, x) * q(x, t) over middle states x, in blocks of at most
+_BLOCK entries and at least one term. Left operands come times size, so
+one add forms a block's flat indices in intp scratch. A box reads its
+relation transposed to (target, source, frame) and times size, into a
+buffer that boxes over one action in a row share, and gathers a block's
+columns through `frame_of`, which maps batch members to rows of the
+relations, so none is copied per member. A block's first half
 is read from the pair table times size, as rows of the acc table, which
 commutes, so each `fold` level is one add and two takes. A later block's
 value is merged, as a row, with the value so far. A box folds in scratch
 the plan keeps; `compose` makes its own per call, each buffer if used.
+
+`closure`, the `Plus` step, folds nothing: it makes n Kleene pivots over
+the whole batch, each joining one term into every entry.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: it seeds every memo entry the walk
@@ -133,23 +136,35 @@ def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
-    """Least transitive relation above r, by repeated squaring T <- T u T;T from r.
+    """Least transitive relation above r, per frame, by n Kleene pivots.
 
-    Fusion distributes over finite joins, so `;` is associative and
-    distributes over `u`; after round i, T is the join of r^k over
-    1 <= k <= 2^i, every walk of at most 2^i steps. A fixpoint has
-    T;T <= T and T >= r and never exceeds the join of all r^k, so it is the
-    least transitive relation above r, reached in about log2(n) rounds on
-    relations whose walks stop improving past n steps.
+    Pivot k sets T(s,t) <- T(s,t) u T(s,k) * T(k,k)* * T(k,t), where x* is
+    the join of x^m over m >= 0 (Kleene 1956; Lehmann 1977). Fusion is
+    associative with unit one and distributes over finite joins on both
+    sides, so after pivot k, T(s,t) is the join over the walks from s to t
+    whose inner states are all at most k, any number of loops through k
+    contributing T(k,k)*; after the last pivot it is the join of r^k over
+    k >= 1, the least transitive relation above r. T is held times size
+    in one intp buffer, so a pivot is a gather of the column fused with its
+    star, then one add and one gather for the outer term and one add and
+    one gather to join it into T: n^2 work a frame, against n^3 for a
+    round of squaring.
     """
-    t = r
-    # T only climbs, and each of the n^2 entries can strictly climb at most |X|-1 times
-    for _ in range(r.shape[1] ** 2 * algebra.size + 1):
-        nxt = lookup(algebra.arrays.join, t, compose(algebra, t, t))
-        if np.array_equal(nxt, t):
-            return t
-        t = nxt
-    raise AssertionError("transitive closure failed to stabilize")
+    star, fuse, fuse_by_right, join_rows, join = _narrow(algebra)["plus"]
+    frames, n = r.shape[:2]
+    t = np.multiply(r, algebra.size, dtype=np.intp)
+    index, term = np.empty_like(t), np.empty_like(t)
+    col_index, col = np.empty((2, frames, n, 1), np.intp)
+    for k in range(n):
+        # c(s) = T(s,k) * T(k,k)*, then c(s) * T(k,t) read at T(k,t) * size + c(s)
+        np.add(t[:, :, k:k + 1], star.take(t[:, k:k + 1, k:k + 1]), out=col_index)
+        fuse.take(col_index, out=col, mode="clip")
+        np.add(col, t[:, k:k + 1], out=index)
+        fuse_by_right.take(index, out=term, mode="clip")
+        np.add(t, term, out=index)
+        # the last pivot leaves T as element indices, no longer times size
+        (join if k == n - 1 else join_rows).take(index, out=t, mode="clip")
+    return t
 
 
 def digits(indices: np.ndarray, size: int, rows):
@@ -182,6 +197,8 @@ def _narrow(algebra: FLAlgebra) -> dict:
 
     "box" and "seq" hold the (pair, acc) tables of `_contract` for a box,
     (imp, meet) into a slot, and for `compose`, (fuse, join) into int64.
+    "plus" holds `closure`'s: the star of x at x * size, fuse, fuse by its
+    right operand (entry b * size + a is a * b), and join times size and as is.
     """
     tables = _NARROW.get(algebra)
     if tables is None:
@@ -193,6 +210,17 @@ def _narrow(algebra: FLAlgebra) -> dict:
         wide = {name: (table, table * algebra.size) for name, table in flat.items()}
         tables["box"] = [(tables[name], *wide[name]) for name in ("imp", "meet")]
         tables["seq"] = [(flat[name], *wide[name]) for name in ("fuse", "join")]
+        # x* = one u x u x^2 u ...: the partial joins climb at most size - 1 times
+        star, step = np.full(algebra.size, algebra.one), np.arange(algebra.size)
+        while True:
+            nxt = arrs.join[algebra.one, arrs.fuse[star, step]]
+            if np.array_equal(nxt, star):
+                break
+            star = nxt
+        scaled_star = np.zeros(len(flat["fuse"]), np.intp)   # star(x) at x * size
+        scaled_star[::algebra.size] = star
+        tables["plus"] = (scaled_star, flat["fuse"], arrs.fuse.T.ravel(), wide["join"][1],
+                          flat["join"])
         _NARROW[algebra] = tables
     return tables
 

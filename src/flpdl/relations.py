@@ -5,7 +5,7 @@ and transitive closure.
 A relation holds its matrix once, as a read-only (n, n) int64 `matrix`
 that every operation hands to `kernel` as a batch of one; `values` is
 derived from it. Relations compare by identity. All operations require
-both arguments to share the same algebra object and state count;
+an algebra, and both arguments to share it and their state count;
 DimensionMismatch otherwise.
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +66,10 @@ class XRelation:
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise DimensionMismatch("relation matrix must be square")
-        return cls(algebra, [element_indices(row, algebra.size, "relation entry",
-                                             DimensionMismatch) for row in rows])
+        # one pass over the flattened rows: the first bad entry in row-major order is named
+        flat = element_indices(list(chain.from_iterable(rows)), algebra.size, "relation entry",
+                               DimensionMismatch)
+        return cls(algebra, np.fromiter(flat, np.int64, len(flat)).reshape(n, n))
 
 
 def bottom_relation(algebra: FLAlgebra, n: int) -> XRelation:
@@ -78,39 +81,49 @@ def identity_relation(algebra: FLAlgebra, n: int) -> XRelation:
     return XRelation(algebra, np.where(np.eye(n, dtype=bool), algebra.one, algebra.bottom))
 
 
-def _check_compatible(r: XRelation, q: XRelation) -> None:
-    if r.algebra is not q.algebra and not r.algebra.same_tables(q.algebra):
-        raise DimensionMismatch("relations live over different algebras")
-    if r.size != q.size:
-        raise DimensionMismatch(f"relation sizes differ: {r.size} vs {q.size}")
+def _algebra_of(r: XRelation, *others: XRelation) -> FLAlgebra:
+    """The algebra r and the others live over.
+
+    DimensionMismatch if one has no algebra, or if the others live over a
+    different algebra or state count than r.
+    """
+    if any(rel.algebra is None for rel in (r, *others)):
+        raise DimensionMismatch("relation has no algebra to join or fuse its entries in")
+    for q in others:
+        if r.algebra is not q.algebra and not r.algebra.same_tables(q.algebra):
+            raise DimensionMismatch("relations live over different algebras")
+        if r.size != q.size:
+            raise DimensionMismatch(f"relation sizes differ: {r.size} vs {q.size}")
+    return r.algebra
 
 
 def rel_union(r: XRelation, q: XRelation) -> XRelation:
     """Pointwise join."""
-    _check_compatible(r, q)
-    return XRelation(r.algebra, lookup(r.algebra.arrays.join, r.matrix, q.matrix))
+    algebra = _algebra_of(r, q)
+    return XRelation(algebra, lookup(algebra.arrays.join, r.matrix, q.matrix))
 
 
 def rel_compose(r: XRelation, q: XRelation) -> XRelation:
     """(r;q)(s,t) = join over x of r(s,x)*q(x,t)."""
-    _check_compatible(r, q)
-    return XRelation(r.algebra, compose(r.algebra, r.matrix[None], q.matrix[None])[0])
+    algebra = _algebra_of(r, q)
+    return XRelation(algebra, compose(algebra, r.matrix[None], q.matrix[None])[0])
 
 
 def transitive_closure(r: XRelation) -> XRelation:
-    """Least transitive relation extending r.
+    """Least transitive relation extending r: the join of r^k over every k >= 1.
 
-    Computed by `kernel.closure`: repeated squaring T |-> T union (T;T)
-    from r, whose fixpoint is the join of r^k over every k >= 1; entries
-    only climb in the finite lattice, so the iteration stabilizes.
+    Computed by `kernel.closure` in n pivots, one per state k, each joining
+    into every entry its walks through k.
     """
-    return XRelation(r.algebra, closure(r.algebra, r.matrix[None])[0])
+    algebra = _algebra_of(r)
+    return XRelation(algebra, closure(algebra, r.matrix[None])[0])
 
 
 def refl_trans_closure(r: XRelation) -> XRelation:
     """r*(s,t) is one when s = t and the transitive-closure value otherwise."""
-    plus = closure(r.algebra, r.matrix[None])[0]
-    return XRelation(r.algebra, np.where(np.eye(r.size, dtype=bool), r.algebra.one, plus))
+    algebra = _algebra_of(r)
+    plus = closure(algebra, r.matrix[None])[0]
+    return XRelation(algebra, np.where(np.eye(r.size, dtype=bool), algebra.one, plus))
 
 
 def path_value(r: XRelation, s: int, path: Sequence[int], t: int) -> int:

@@ -564,6 +564,14 @@ def test_selftest_unknown_criterion_is_input_error(capsys, only):
     assert_input_error(*run(capsys, ["selftest", "--only", only]))
 
 
+@pytest.mark.parametrize("only", ["1,,2", "x", ""])
+def test_selftest_only_that_is_no_number_list_names_the_flag(capsys, only):
+    code, out, err = run(capsys, ["selftest", "--only", only])
+    assert_input_error(code, out, err)
+    assert err.strip() == (f"error: --only takes comma-separated criterion numbers, "
+                           f"not {only!r}")
+
+
 @pytest.mark.parametrize("states", [10 ** 6, [f"s{i}" for i in range(MAX_STATES + 1)]],
                          ids=["a count of 10^6", "one name past the cap"])
 def test_state_count_past_the_cap_is_input_error(capsys, tmp_path, states):

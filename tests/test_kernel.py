@@ -292,7 +292,7 @@ def linear_closure(algebra: FLAlgebra, r):
 @given(st.data())
 def test_closure_matches_linear_fixpoint(data):
     algebra = data.draw(algebras())
-    n = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 8))
     entry = st.integers(0, algebra.size - 1)
     matrix = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     batch = data.draw(st.lists(matrix, min_size=1, max_size=4))
@@ -300,25 +300,50 @@ def test_closure_matches_linear_fixpoint(data):
     assert got.tolist() == [linear_closure(algebra, r) for r in batch]
 
 
-def test_closure_takes_logarithmically_many_rounds(monkeypatch):
+def test_closure_makes_no_compose_call(monkeypatch):
+    """n pivots, each one term joined in: nothing is composed or folded."""
     n = 64
-    calls = []
-    compose = kernel.compose
 
-    def counting(*args):
-        calls.append(1)
-        return compose(*args)
+    def refuse(*args):
+        raise AssertionError("closure composed")
 
-    monkeypatch.setattr(kernel, "compose", counting)
+    monkeypatch.setattr(kernel, "compose", refuse)
+    monkeypatch.setattr(kernel, "_contract", refuse)
     algebra = cost_chain(n + 2)
     # a path: one edge of cost 1 from each state to the next, bottom elsewhere
     path = np.full((1, n, n), algebra.bottom, dtype=np.int64)
     path[0, np.arange(n - 1), np.arange(1, n)] = 1
     got = kernel.closure(algebra, path)[0]
-    assert len(calls) <= math.ceil(math.log2(n)) + 2
     # the walk from s to t > s costs t - s, and bottom (the cap) is all there is otherwise
     s, t = np.indices((n, n))
     assert (got == np.where(t > s, t - s, algebra.bottom)).all()
+
+
+def test_closure_loops_through_the_pivot_by_its_star():
+    """Over find_non_integral(), one < 2 and 2 * 2 = 2, so 2* = 2: the walk 0 -> 1 -> 1 -> 2
+    is worth 1 * 2 * 1 = 2, more than the 1 * 1 = 1 of 0 -> 1 -> 2. A pivot that took the
+    star of a loop to be one would miss it: no pivot after state 1 reaches (0, 2) again."""
+    algebra = find_non_integral()
+    assert (algebra.one, algebra.bottom, algebra.fuse(2, 2)) == (1, 0, 2)
+    r = np.array([[[0, 1, 0], [0, 2, 1], [0, 0, 0]]])
+    assert kernel.closure(algebra, r).tolist() == [[[0, 2, 2], [0, 2, 2], [0, 0, 0]]]
+    assert linear_closure(algebra, r[0].tolist()) == [[0, 2, 2], [0, 2, 2], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("frames, n", [(4096, 3), (1, 64)])
+def test_closure_peak_memory_stays_near_its_result(frames, n):
+    """T, the outer term and its index: a few buffers of the result's size, whatever n is."""
+    algebra = cost_chain(3)
+    r = np.random.default_rng(7).integers(0, algebra.size, (frames, n, n))
+    want = kernel.closure(algebra, r)   # the algebra's flat tables are made before tracing
+    tracemalloc.start()
+    try:
+        got = kernel.closure(algebra, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == want).all()
+    assert peak / got.nbytes <= 6
 
 
 @PROPERTY

@@ -27,6 +27,30 @@ def test_from_rows_rejects_out_of_range(C3):
         XRelation.from_rows(C3, [[0, 3], [0, 0]])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([[0, True], [0, 0]], "relation entry True is no element index in 0..2"),
+    ([[0, 1.0], [0, 0]], "relation entry 1.0 is no element index in 0..2"),
+    ([[0, "1"], [0, 0]], "relation entry '1' is no element index in 0..2"),
+    ([[0, -1], [0, 0]], "relation entry -1 is no element index in 0..2"),
+    # past int64: named like any other entry, not an OverflowError from numpy
+    ([[10 ** 30, 0], [0, 0]],
+     "relation entry 1000000000000000000000000000000 is no element index in 0..2"),
+    ([[0, 1], [0]], "relation matrix must be square"),
+    ([[], []], "relation matrix must be square"),
+], ids=["bool", "float", "str", "negative", "huge-int", "ragged", "empty-rows"])
+def test_from_rows_names_the_bad_entry(C3, rows, message):
+    with pytest.raises(DimensionMismatch) as info:
+        XRelation.from_rows(C3, rows)
+    assert str(info.value) == message
+
+
+def test_from_rows_takes_numpy_integers_and_no_rows(C3):
+    r = XRelation.from_rows(C3, [[np.int64(1), 0], [0, np.int64(2)]])
+    assert r.values == ((1, 0), (0, 2))
+    assert all(type(v) is int for row in r.values for v in row)
+    assert XRelation.from_rows(C3, []).values == ()
+
+
 @pytest.mark.parametrize("matrix, match", [
     ([[0, -1], [1, 0]], "entries"),      # read as element 2 by negative indexing
     ([[0, 4], [0, 0]], "entries"),       # in a flat gather, 0 * 3 + 4 reads entry (1, 1)
@@ -44,6 +68,21 @@ def test_constructor_without_an_algebra_checks_only_the_shape():
     assert XRelation(None, [[0, 7], [-1, 0]]).values == ((0, 7), (-1, 0))
     with pytest.raises(DimensionMismatch, match="square"):
         XRelation(None, [[0, 1, 2], [2, 1, 0]])
+
+
+def _over_c3(r):
+    return XRelation(cost_chain(3), np.zeros((r.size, r.size), np.int64))
+
+
+@pytest.mark.parametrize("operation", [
+    transitive_closure, refl_trans_closure,
+    lambda r: rel_compose(r, r), lambda r: rel_union(r, r),
+    lambda r: rel_compose(_over_c3(r), r), lambda r: rel_union(r, _over_c3(r)),
+], ids=["transitive_closure", "refl_trans_closure", "rel_compose", "rel_union",
+        "rel_compose-right", "rel_union-left"])
+def test_operations_without_an_algebra_name_it(operation):
+    with pytest.raises(DimensionMismatch, match="relation has no algebra"):
+        operation(XRelation(None, [[0, 1], [1, 0]]))
 
 
 def test_compose_pins(C3):
@@ -235,8 +274,7 @@ def test_matrix_is_a_copy_of_the_source(C3):
 
 
 def test_star_of_a_transitive_relation_leaves_it_alone(C3):
-    # kernel.closure hands back its input when nothing climbs, so the
-    # diagonal of r* must not be written into r
+    # the diagonal of r* is written into a new matrix, never into r's
     r = bottom_relation(C3, 3)
     assert transitive_closure(r).values == r.values
     star = refl_trans_closure(r)
