@@ -11,6 +11,7 @@ reported on one line so it never reads as a verdict).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -34,9 +35,25 @@ _EXIT_BUDGET = 3
 _EXIT_INTERNAL = 4
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift Python's cap on int-to-text digits (4,300) while the CLI writes its output.
+
+    Never around input: parsing formulas and reading JSON rely on the cap.
+    """
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def _emit(args, payload, human: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        with _all_digits():
+            report = json.dumps(payload, indent=2)
+        print(report)
         if human:
             print(human, file=sys.stderr)
     else:
@@ -134,9 +151,10 @@ def _cmd_filter(args) -> int:
         with open(args.output, "w") as fh:
             json.dump(payload["model"], fh, indent=2)
             fh.write("\n")
-    _emit(args, payload,
-          f"{model.frame.size} states -> {part.class_count} classes "
-          f"(closure size {len(phis)}, bound {payload['bound']})")
+    with _all_digits():     # the bound, |algebra| ** |closure|, can pass the cap
+        human = (f"{model.frame.size} states -> {part.class_count} classes "
+                 f"(closure size {len(phis)}, bound {payload['bound']})")
+    _emit(args, payload, human)
     return _EXIT_OK
 
 
@@ -170,11 +188,12 @@ def _cmd_decide(args) -> int:
         _emit(args, payload,
               f"valid: every model up to the bound of {outcome.bound} states checked")
         return _EXIT_OK
+    with _all_digits():
+        bound = str(theoretical_bound(formula, algebra))
     payload = {"outcome": "no-countermodel", "max_states": outcome.max_states,
                "models_checked": outcome.models_checked,
                "models_evaluated": outcome.models_evaluated,
-               "exhaustive": outcome.exhaustive,
-               "theoretical_bound": str(theoretical_bound(formula, algebra))}
+               "exhaustive": outcome.exhaustive, "theoretical_bound": bound}
     _emit(args, payload,
           f"no countermodel up to {outcome.max_states} states "
           f"({outcome.models_checked} models, "

@@ -37,10 +37,11 @@ survived pruning. Every hit is re-verified by the reference evaluator in
 `oracles`, which shares no code with the kernel, before being returned.
 
 Exhausting every frame up to the class-count bound |algebra| ** |closure|
-proves validity; anything less only reports the bound reached. Sampling
-mode draws frames and valuations uniformly at random and can never prove
-validity, so its no-hit outcome is capped at the same report; it
-evaluates every candidate it draws, through the same plan, and draws
+proves validity (the filtration lemma), so exhaustive search stops there
+whatever max_states asks; anything less only reports the bound reached.
+Sampling mode draws frames and valuations uniformly at random and can
+never prove validity, so its no-hit outcome is capped at the same report;
+it evaluates every candidate it draws, through the same plan, and draws
 models of at most `semantics.MAX_STATES` states.
 """
 
@@ -209,7 +210,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     vars_ = tuple(Var(p) for p in variables(formula))
     size = algebra.size
     holds = algebra.arrays.leq[algebra.one]
-    plan = kernel.plan((formula,), algebra, atoms + vars_)
+    plan = kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
     checked = 0
 
     if mode == "sample":
@@ -256,8 +257,9 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             checked += block
         return NoCountermodelUpTo(max_states, checked, checked, exhaustive=False)
 
-    evaluated = 0
-    for n in range(1, max_states + 1):
+    # past the bound the filtration lemma leaves nothing to search
+    bound, evaluated = theoretical_bound(formula, algebra), 0
+    for n in range(1, min(max_states, bound) + 1):
         cells = len(atoms) * n * n          # frame digits
         width = size ** (len(vars_) * n)    # valuations per frame
         total = size ** cells * width
@@ -307,7 +309,6 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             checked += end - start
             start = end
 
-    bound = theoretical_bound(formula, algebra)
     if max_states >= bound:
         return ValidByExhaustion(bound, checked, evaluated)
     return NoCountermodelUpTo(max_states, checked, evaluated, exhaustive=True)

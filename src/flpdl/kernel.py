@@ -2,12 +2,12 @@
 
 `plan` walks one or more formulas once and lists their distinct subterms
 in post-order, each formula with a slot number and each action with an
-index; a subterm the caller seeds, by itself or by its type, is never
-looked into, so whole boxes can be seeded as opaque atoms. Unseeded
-variables are zero and unseeded atoms the bottom relation. The plan then
+index; a subterm for which the caller's `given` test holds is an input,
+never looked into, so whole boxes can be given as atoms. Other variables
+are zero and other atoms the bottom relation. The plan then
 evaluates one block of models after another in a workspace it keeps:
 `bind` sizes it for `batch` models on n states and hands back the slot
-views, the caller writes each seeded formula's values into its view, and
+views, the caller writes each given formula's values into its view, and
 `run` fills the rest. The workspace is allocated again only when a block
 has more cells (n * batch) than every block before it, or than `reserve`
 sized it for, so a search that runs many blocks through one plan evaluates
@@ -39,9 +39,9 @@ the plan keeps; `compose` makes its own per call, each buffer if used.
 the whole batch, each joining one term into every entry.
 
 `evaluate` is plan, bind and run for one formula or action over the
-caller's memos, int64 at the boundary: it seeds every memo entry the walk
-reaches, and copies each subterm it computed back into its memo as an
-int64 (batch, n) value or (frames, n, n) relation.
+caller's memos, int64 at the boundary: a subterm in a memo is given, read
+from it by lookup and never copied, and each subterm computed is stored
+in its memo as an int64 (batch, n) value or (frames, n, n) relation.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def digits(indices: np.ndarray, size: int, rows):
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp"}
 _ACTIONS = (Atom, Choice, Seq, Plus)
-_SEEDED, _INPUT, _BOTTOM = object(), object(), object()
+_INPUT, _BOTTOM = object(), object()
 _NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -228,7 +228,7 @@ def _narrow(algebra: FLAlgebra) -> dict:
 class Plan:
     """A compiled formula: steps over numbered slots, and the workspace they run in.
 
-    `inputs` maps each seeded formula to its slot, `computed` lists
+    `inputs` maps each given formula to its slot, `computed` lists
     (node, is action, slot or action index) for the other subterms in
     post-order, and `roots` holds (is action, slot or index) per root.
     After `run`, `relations` holds the block's relation of every action.
@@ -248,7 +248,7 @@ class Plan:
     def bind(self, n: int, batch: int) -> list[np.ndarray]:
         """The (n, batch) view of every slot for the next block, in the reused workspace.
 
-        The caller writes each seeded formula's values into
+        The caller writes each given formula's values into
         `views[inputs[formula]]` before `run`; the other slots are the plan's.
         """
         cells = n * batch
@@ -295,7 +295,7 @@ class Plan:
     def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
         """Evaluate the bound block: the (n, batch) view or relation of each root.
 
-        `relations` maps each seeded action to its int64 (frames, n, n)
+        `relations` maps each given action to its int64 (frames, n, n)
         relation, frames being 1 or the batch unless `frame_of` maps batch
         members to frames. Views stay the plan's, overwritten by the next block.
         """
@@ -327,21 +327,22 @@ class Plan:
         return [rels[i] if action else views[i] for action, i in self.roots]
 
 
-def plan(roots, algebra: FLAlgebra, seeded=(), opaque: tuple[type, ...] = ()) -> Plan:
+def plan(roots, algebra: FLAlgebra, given=lambda node: False) -> Plan:
     """Compile formulas or actions into one plan.
 
-    `seeded` holds the subterms the caller supplies, and every node the
-    walk reaches of an `opaque` type is supplied too. DimensionMismatch for
-    a constant, outside a supplied subterm, that is no element index.
+    `given(node)` is asked of each subterm the walk reaches; where it
+    holds, the caller supplies the subterm and the walk does not look
+    into it. DimensionMismatch for a constant, outside a given subterm,
+    that is no element index.
     """
-    ids = dict.fromkeys(seeded, _SEEDED)    # subterm -> slot or action index
+    ids = {}                                # subterm -> slot or action index
     counts = [0, 0]                         # formula slots, actions
     inputs, computed, consts, steps = {}, [], [], []
     # post-order: a node is expanded, then numbered, its children's numbers on `done`
     stack, done = [(r, False) for r in reversed(roots)], []
     while stack:
         node, expanded = stack.pop()
-        kind = type(node)
+        kind, supplied = type(node), False
         if expanded:
             if kind is Plus:
                 args = (done.pop(), None)
@@ -350,26 +351,24 @@ def plan(roots, algebra: FLAlgebra, seeded=(), opaque: tuple[type, ...] = ()) ->
                 args = (done.pop(), right)
         else:
             hit = ids.get(node)
-            if hit is None and isinstance(node, opaque):
-                hit = _SEEDED
-            if hit is None:
-                kids = children(node)
-                if kids:
-                    stack.append((node, True))
-                    stack.extend([(k, False) for k in reversed(kids)])
-                    continue
-            elif hit is not _SEEDED:
+            if hit is not None:
                 done.append(hit)
+                continue
+            supplied = given(node)
+            kids = () if supplied else children(node)
+            if kids:
+                stack.append((node, True))
+                stack.extend([(k, False) for k in reversed(kids)])
                 continue
         action = kind in _ACTIONS
         i = ids[node] = counts[action]
         counts[action] += 1
         done.append(i)
-        if expanded or hit is None:
+        if not supplied:
             computed.append((node, action, i))
         if expanded:
             steps.append((_TABLES.get(kind, kind), i, *args))
-        elif hit is _SEEDED:
+        elif supplied:
             if action:
                 steps.append((_INPUT, i, node, None))
             else:
@@ -392,14 +391,14 @@ def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
     """Value of a formula, as int64 (batch, n), or relation of an action, over the batch.
 
     `memo` maps formulas to int64 (batch, n) values and `relations` actions
-    to int64 (frames, n, n) relations, frames being 1 or the batch. Every
-    subterm computed is added to its memo.
+    to int64 (frames, n, n) relations, frames being 1 or the batch: looked
+    up, never listed or copied. Every subterm computed is added to its memo.
     """
     table = relations if type(root) in _ACTIONS else memo
     hit = table.get(root)
     if hit is not None:
         return hit
-    p = plan((root,), algebra, {**memo, **relations})   # seeds every memo entry; rehashes nothing
+    p = plan((root,), algebra, lambda node: node in memo or node in relations)
     views = p.bind(n, batch)
     for node, slot in p.inputs.items():
         views[slot][...] = memo[node].T

@@ -9,7 +9,7 @@ addition. Slow on purpose; correctness over speed.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -28,9 +28,12 @@ def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
     Scalar operations state by state; [A]f at s is the meet over t of
     R_A(s,t) => f(t); u joins, ; composes (join over x of R(s,x) * Q(x,t)),
     and + iterates T <- R u T;R to its fixpoint. Unmapped atoms are bottom.
+    Subterms are visited in post-order on an explicit stack, so any depth
+    evaluates.
     """
     A = model.algebra
     states = range(model.frame.size)
+    ops = {And: A.meet, Or: A.join, Fuse: A.fuse, LDiv: A.ldiv, RDiv: A.imp}
 
     def union(r, q):
         return tuple(tuple(A.join(a, b) for a, b in zip(rs, qs)) for rs, qs in zip(r, q))
@@ -39,38 +42,63 @@ def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
         return tuple(tuple(reduce(A.join, (A.fuse(r[s][x], q[x][t]) for x in states), A.bottom)
                            for t in states) for s in states)
 
-    @cache
-    def relation(action: ActionExp):
-        if isinstance(action, Atom):
-            rel = model.frame.atomic.get(action.index)
+    def parts(node, action):
+        """The subterms a node's meaning reads, each with whether it is an action."""
+        if action:
+            if isinstance(node, Atom):
+                return ()
+            if isinstance(node, (Choice, Seq)):
+                return (node.left, True), (node.right, True)
+            if isinstance(node, Plus):
+                return ((node.body, True),)
+            raise TypeError(f"not an action expression: {node!r}")
+        if isinstance(node, (Var, Const)):
+            return ()
+        if isinstance(node, Box):
+            return (node.action, True), (node.body, False)
+        if type(node) in ops:
+            return (node.left, False), (node.right, False)
+        raise TypeError(f"not a formula: {node!r}")
+
+    def meaning(node, got):
+        """A node's relation or value row, from those of its parts."""
+        if isinstance(node, Atom):
+            rel = model.frame.atomic.get(node.index)
             return rel.values if rel is not None else ((A.bottom,) * len(states),) * len(states)
-        if isinstance(action, Choice):
-            return union(relation(action.left), relation(action.right))
-        if isinstance(action, Seq):
-            return compose(relation(action.left), relation(action.right))
-        if isinstance(action, Plus):
-            r = t = relation(action.body)
+        if isinstance(node, Choice):
+            return union(*got)
+        if isinstance(node, Seq):
+            return compose(*got)
+        if isinstance(node, Plus):
+            r = t = got[0]
             while (nxt := union(r, compose(t, r))) != t:
                 t = nxt
             return t
-        raise TypeError(f"not an action expression: {action!r}")
-
-    @cache
-    def values(f: Formula) -> tuple[int, ...]:
-        if isinstance(f, Var):
-            return model.var_row(f.index)
-        if isinstance(f, Const):
-            return (f.index,) * len(states)
-        if isinstance(f, Box):
-            rel, body = relation(f.action), values(f.body)
+        if isinstance(node, Var):
+            return model.var_row(node.index)
+        if isinstance(node, Const):
+            return (node.index,) * len(states)
+        if isinstance(node, Box):
+            rel, body = got
             return tuple(reduce(A.meet, (A.imp(rel[s][t], body[t]) for t in states), A.top)
                          for s in states)
-        op = {And: A.meet, Or: A.join, Fuse: A.fuse, LDiv: A.ldiv, RDiv: A.imp}.get(type(f))
-        if op is None:
-            raise TypeError(f"not a formula: {f!r}")
-        return tuple(op(a, b) for a, b in zip(values(f.left), values(f.right)))
+        return tuple(map(ops[type(node)], *got))
 
-    return values(formula)
+    done: dict = {}     # (node, is action) -> its relation or value row
+    stack = [(formula, False)]
+    while stack:
+        key = stack[-1]
+        if key in done:
+            stack.pop()
+            continue
+        needed = parts(*key)
+        missing = [part for part in needed if part not in done]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        done[key] = meaning(key[0], [done[part] for part in needed])
+    return done[(formula, False)]
 
 
 # -- two-valued reference checker ---------------------------------------------

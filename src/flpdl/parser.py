@@ -26,10 +26,11 @@ range-checked against it, and negation desugars to -> #bot.
 Nesting is capped at MAX_NESTING levels, counted twice: nested parses
 (bracketed text, prefix bodies and right operands of right-grouping
 operators) and the height of every node built, desugared forms included,
-which the stack carries beside each node. Parsing, printing, hashing and
-equality do not recurse; the cap keeps the reference evaluator, which
-does, well inside Python's recursion limit. Past the cap parsing stops
-with a FormulaSyntaxError at the token that crosses it.
+which the stack carries beside each node. Parsing, printing, hashing,
+equality and the reference evaluator do not recurse; the cap stays because
+the pinned parse outcomes and the bench's cli inputs are built around it.
+Past the cap parsing stops with a FormulaSyntaxError at the token that
+crosses it.
 """
 
 from __future__ import annotations

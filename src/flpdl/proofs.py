@@ -161,7 +161,7 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
                     atom_budget: int = DEFAULT_ATOM_BUDGET) -> bool:
     """Does the conclusion follow from the premises propositionally?
 
-    Variables and outermost boxes are opaque atoms; everything else is
+    Variables and outermost boxes are the atoms; everything else is
     evaluated through the algebra. True iff every atom assignment that
     puts one below the meet of the premises also puts one below the
     conclusion. Exact for a finite algebra, at |algebra| ** #atoms
@@ -169,8 +169,8 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     """
     if atom_budget < 1:
         raise ValueError("atom budget must be positive")
-    # one assignment per one-state model; the atoms are seeded, never looked into
-    plan = kernel.plan((conclusion, *premises), algebra, opaque=(Var, Box))
+    # one assignment per one-state model; the atoms are given, never looked into
+    plan = kernel.plan((conclusion, *premises), algebra, lambda node: isinstance(node, (Var, Box)))
     atoms = len(plan.inputs)
     count = algebra.size ** atoms
     if count > atom_budget:

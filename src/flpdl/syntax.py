@@ -20,7 +20,7 @@ hash-consing"): a constructor returns the one live node of its type with
 those fields, so equality is identity and hashing is `object`'s. The
 table holds nodes weakly and no node's death runs Python code: dead
 entries go in purges. Hashing, equality, printing and `repr` do not
-recurse; only the reference evaluator does, hence the parser's nesting cap.
+recurse.
 """
 
 from __future__ import annotations
@@ -257,12 +257,11 @@ def children(node: Node) -> tuple[Node, ...]:
     return kids(node)
 
 
-def walk(root: Node, into: tuple[type, ...] | None = None) -> list[Node]:
+def walk(root: Node) -> list[Node]:
     """Every node reachable from root, once, in first-visit pre-order.
 
-    Depth-first and left to right, without recursion. Only nodes of the
-    types in `into` (default: all) are entered, their children visited.
-    Nodes are interned, so equal subtrees are one node, entered once.
+    Depth-first and left to right, without recursion. Nodes are
+    interned, so equal subtrees are one node, entered once.
     """
     seen: dict[Node, None] = {}
     stack = [root]
@@ -271,8 +270,7 @@ def walk(root: Node, into: tuple[type, ...] | None = None) -> list[Node]:
         if node in seen:
             continue
         seen[node] = None
-        if into is None or isinstance(node, into):
-            stack += children(node)[::-1]
+        stack += children(node)[::-1]
     return list(seen)
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -465,6 +466,51 @@ def test_decide_valid_by_exhaustion(capsys):
     doc = json.loads(out)
     assert doc["outcome"] == "valid-by-exhaustion"
     assert doc["bound"] == 2
+
+
+def test_decide_stops_at_the_class_count_bound(capsys):
+    """max_states past the bound (4) searches no larger frames and proves validity."""
+    code, out, _ = run(capsys, [
+        "decide", "--algebra", "builtin:bool2", "--max-states", "5",
+        "--formula", "[a0]#one"])
+    assert code == 0
+    assert json.loads(out) == {"outcome": "valid-by-exhaustion", "bound": 4,
+                               "models_checked": 66066, "models_evaluated": 3973}
+
+
+def _conjunction(terms):
+    """The terms' conjunction as text, a balanced tree of `&`."""
+    while len(terms) > 1:
+        terms = [f"({' & '.join(terms[i:i + 2])})" for i in range(0, len(terms), 2)]
+    return terms[0]
+
+
+def test_bounds_past_the_int_to_text_digit_cap_print_in_full(capsys, tmp_path, model_file):
+    cap = sys.get_int_max_str_digits()
+    one_state = tmp_path / "one.json"
+    one_state.write_text(json.dumps({"algebra": "builtin:cost:8", "states": 1,
+                                     "relations": {}, "valuation": {}}))
+    filtered = run(capsys, ["filter", "--model", str(one_state),
+                            "--seed-formula", _conjunction([f"p{k}" for k in range(2500)])])
+    assert sys.get_int_max_str_digits() == cap
+    decided = run(capsys, ["decide", "--algebra", "builtin:cost:8", "--mode", "sample",
+                           "--budget", "3", "--max-states", "1",
+                           "--formula", _conjunction([f"(p{k} -> p{k})" for k in range(1700)])])
+    assert sys.get_int_max_str_digits() == cap
+    assert (filtered[0], decided[0]) == (0, 0)
+    sys.set_int_max_str_digits(0)
+    try:
+        # 4,999 closure formulas over 8 elements: 4,515 digits; 5,099: 4,605 digits
+        doc = json.loads(filtered[1])
+        assert (doc["closure_size"], doc["bound"]) == (4999, 8 ** 4999)
+        assert filtered[2].endswith(f"(closure size 4999, bound {8 ** 4999})\n")
+        assert json.loads(decided[1])["theoretical_bound"] == str(8 ** 5099)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    # input keeps the cap: a 5,000-digit variable index is still refused
+    code, out, err = run(capsys, ["eval", "--model", model_file, "--formula", "p" + "1" * 5000])
+    assert_input_error(code, out, err)
+    assert sys.get_int_max_str_digits() == cap
 
 
 def test_decide_sample_deterministic(capsys):

@@ -114,6 +114,28 @@ def test_valid_by_exhaustion_for_designated_constant(B):
     assert below.max_states == 1 and below.exhaustive
 
 
+def test_exhaustive_search_stops_at_the_class_count_bound(B):
+    """Every frame up to the bound (4) proves validity; max_states past it adds nothing."""
+    f = parse_formula("[a0]#one", B)
+    want = ValidByExhaustion(bound=4, models_checked=66066, models_evaluated=3973)
+    assert decide_bounded(f, B, 4) == want
+    assert decide_bounded(f, B, 5) == want
+
+
+def test_hit_on_a_deep_formula_built_in_code_is_verified(B):
+    """The reference check of a hit on a 3,000-conjunct premise does not recurse."""
+    premise = Var(0)
+    for _ in range(2999):
+        premise = And(premise, Var(0))
+    deep = decide_bounded(RDiv(premise, Box(Atom(0), Var(0))), B, 2)
+    shallow = decide_bounded(parse_formula("p0 -> [a0]p0", B), B, 2)
+    for out in (deep, shallow):
+        assert isinstance(out, Countermodel)
+        assert (out.models_checked, out.witness_state, out.value) == (14, 1, 0)
+        assert out.model.frame.atomic[0].values == ((0, 0), (1, 0))
+        assert out.model.var_row(0) == (0, 1)
+
+
 def test_theoretical_bound_pins(B):
     assert theoretical_bound(parse_formula("p -> [a]p", B), B) == 8
     assert theoretical_bound(parse_formula("[a](p & p1) -> [a]p", B), B) == 64

@@ -89,6 +89,25 @@ def test_kernel_matches_reference_evaluator(data):
     assert got.tolist() == [list(row) for row in want]
 
 
+class _Unlisted(dict):
+    """A memo that may be looked up and stored into, but never listed or copied."""
+
+    def _refuse(self, *args):
+        raise AssertionError("a memo was listed")
+
+    __iter__ = keys = items = values = _refuse
+
+
+def test_evaluation_never_lists_or_copies_its_memos():
+    algebra, rows = cost_chain(3), [[0, 1], [2, 0]]
+    f = Box(Plus(Atom(0)), Var(0))
+    memo, relations = _Unlisted({Var(0): np.array([[1, 2]])}), _Unlisted({Atom(0): np.array([rows])})
+    got = kernel.evaluate(f, algebra, memo, relations, 1, 2)
+    model = Model(Frame(algebra, 2, {0: XRelation.from_rows(algebra, rows)}), {0: (1, 2)})
+    assert got.tolist() == [list(reference_values(model, f))]
+    assert memo[f] is got and Plus(Atom(0)) in relations
+
+
 # a box over every kind of action, several variables, a constant and each connective
 _REUSED = And(Box(Choice(Seq(Atom(0), Atom(1)), Plus(Atom(0))), RDiv(Var(0), Var(1))),
               Or(Fuse(Box(Atom(1), Var(0)), Const(1)), LDiv(Var(1), Box(Atom(0), Var(0)))))
@@ -106,7 +125,7 @@ def test_plan_reuses_its_workspace_across_blocks(algebra):
     rng = np.random.default_rng(algebra.size)
     n, frames = 3, 5
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
-    plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     roots = []
     for batch in (40, 40, 17):
         rels = {a: rng.integers(0, algebra.size, (frames, n, n)) for a in atoms}
@@ -118,7 +137,7 @@ def test_plan_reuses_its_workspace_across_blocks(algebra):
         (root,) = plan.run(rels, frame_of)
         roots.append(root)
         got = root.copy()
-        fresh = kernel.plan((_REUSED,), algebra, atoms + vars_)
+        fresh = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
         fresh_views = fresh.bind(n, batch)
         for p in vars_:
             fresh_views[fresh.inputs[p]][...] = vals[p]
@@ -187,7 +206,7 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
             assert model.values(_REUSED) == want_one, targets
             # a batch over shared frames, the decide_bounded path
             patch.setattr(kernel, "_BLOCK", targets * n * batch)
-            plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+            plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
             got = [_run(plan, n, case, vals, of).copy() for case, of in cases]
             assert (plan._fold is None) == (targets == 1)
         assert [[tuple(g[:, i].tolist()) for i in range(batch)] for g in got] == want, targets
@@ -198,7 +217,7 @@ def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
     rng = np.random.default_rng(algebra.size + 2)
     n = 5
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
-    plan = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     first = None
     for _ in range(2):
         rels, vals = _seeded_block(algebra, rng, n, 1, 1)
@@ -209,7 +228,7 @@ def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
         assert all(np.shares_memory(buf, old) for buf, old in zip(plan._fold, first))
     # a block of more than _BLOCK / 2 entries per target gives one target per box block
     batch = kernel._BLOCK // n + 1
-    wide = kernel.plan((_REUSED,), algebra, atoms + vars_)
+    wide = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     rels, vals = _seeded_block(algebra, rng, n, 3, batch)
     frame_of = rng.integers(0, 3, batch)
     got = _run(wide, n, rels, vals, frame_of)
