@@ -417,7 +417,11 @@ def _split_product_args(body: str) -> tuple[str, str]:
 
 def resolve_builtin(uri: str) -> FLAlgebra:
     """Resolve builtin:bool2, builtin:cost:N and builtin:product(a,b)."""
+    from .parser import MAX_NESTING     # parser imports this module
+
     name = uri[8:] if uri.startswith("builtin:") else uri
+    if name.count("product(") > MAX_NESTING:
+        raise ValueError(f"builtin algebra has more than {MAX_NESTING} products")
     if name == "bool2":
         return bool2()
     if name.startswith("cost:"):

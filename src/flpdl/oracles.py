@@ -1,10 +1,12 @@
 """Independent reference implementations used only to cross-check results.
 
-Nothing here shares code with the main evaluation path, `kernel`: the
-reference evaluator applies the definitions one scalar lookup at a time,
-the classical checker works on sets, the closure oracles work by
-brute-force candidate enumeration and by cheapest walks with plain capped
-addition. Slow on purpose; correctness over speed.
+Nothing here shares code with the main evaluation path, `kernel`. Both
+checkers run on one post-order walk, `_post_order`, which evaluates each
+distinct subterm once, at any depth: the reference evaluator applies the
+definitions one scalar lookup at a time, the classical checker works on
+sets. The closure oracles work by brute-force candidate enumeration and by
+cheapest walks with plain capped addition. Slow on purpose; correctness
+over speed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,45 @@ from .syntax import (ActionExp, And, Atom, Box, Choice, Const, Formula, Fuse,
                      LDiv, Or, Plus, RDiv, Seq, Var)
 
 
+# -- one post-order walk for both checkers ----------------------------------------
+
+def _parts(node, action: bool) -> tuple:
+    """The subterms a node's meaning reads, each with whether it is an action."""
+    if action:
+        if isinstance(node, Atom):
+            return ()
+        if isinstance(node, (Choice, Seq)):
+            return (node.left, True), (node.right, True)
+        if isinstance(node, Plus):
+            return ((node.body, True),)
+        raise TypeError(f"not an action expression: {node!r}")
+    if isinstance(node, (Var, Const)):
+        return ()
+    if isinstance(node, Box):
+        return (node.action, True), (node.body, False)
+    if isinstance(node, (And, Or, Fuse, LDiv, RDiv)):
+        return (node.left, False), (node.right, False)
+    raise TypeError(f"not a formula: {node!r}")
+
+
+def _post_order(root: tuple, meaning):
+    """meaning(node, meanings of its parts) for root, a (node, is action) pair:
+    each distinct subterm once, in post-order on an explicit stack."""
+    done: dict = {}     # (node, is action) -> its meaning
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        needed = _parts(*key)
+        missing = [part for part in needed if part not in done]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        if key not in done:     # a subterm can wait on the stack twice
+            done[key] = meaning(key[0], [done[part] for part in needed])
+    return done[root]
+
+
 # -- the definitional evaluator --------------------------------------------------
 
 def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
@@ -28,8 +69,6 @@ def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
     Scalar operations state by state; [A]f at s is the meet over t of
     R_A(s,t) => f(t); u joins, ; composes (join over x of R(s,x) * Q(x,t)),
     and + iterates T <- R u T;R to its fixpoint. Unmapped atoms are bottom.
-    Subterms are visited in post-order on an explicit stack, so any depth
-    evaluates.
     """
     A = model.algebra
     states = range(model.frame.size)
@@ -41,24 +80,6 @@ def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
     def compose(r, q):
         return tuple(tuple(reduce(A.join, (A.fuse(r[s][x], q[x][t]) for x in states), A.bottom)
                            for t in states) for s in states)
-
-    def parts(node, action):
-        """The subterms a node's meaning reads, each with whether it is an action."""
-        if action:
-            if isinstance(node, Atom):
-                return ()
-            if isinstance(node, (Choice, Seq)):
-                return (node.left, True), (node.right, True)
-            if isinstance(node, Plus):
-                return ((node.body, True),)
-            raise TypeError(f"not an action expression: {node!r}")
-        if isinstance(node, (Var, Const)):
-            return ()
-        if isinstance(node, Box):
-            return (node.action, True), (node.body, False)
-        if type(node) in ops:
-            return (node.left, False), (node.right, False)
-        raise TypeError(f"not a formula: {node!r}")
 
     def meaning(node, got):
         """A node's relation or value row, from those of its parts."""
@@ -84,21 +105,7 @@ def reference_values(model: Model, formula: Formula) -> tuple[int, ...]:
                          for s in states)
         return tuple(map(ops[type(node)], *got))
 
-    done: dict = {}     # (node, is action) -> its relation or value row
-    stack = [(formula, False)]
-    while stack:
-        key = stack[-1]
-        if key in done:
-            stack.pop()
-            continue
-        needed = parts(*key)
-        missing = [part for part in needed if part not in done]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        done[key] = meaning(key[0], [done[part] for part in needed])
-    return done[(formula, False)]
+    return _post_order((formula, False), meaning)
 
 
 # -- two-valued reference checker ---------------------------------------------
@@ -124,51 +131,43 @@ class ClassicalModel:
         return cls(model.frame.size, rels, vals)
 
 
-def _classical_relation(m: ClassicalModel, action: ActionExp) -> set[tuple[int, int]]:
-    if isinstance(action, Atom):
-        return m.relations.get(action.index, set())
-    if isinstance(action, Choice):
-        return _classical_relation(m, action.left) | _classical_relation(m, action.right)
-    if isinstance(action, Seq):
-        left = _classical_relation(m, action.left)
-        right = _classical_relation(m, action.right)
-        return {(s, u) for (s, t) in left for (t2, u) in right if t == t2}
-    if isinstance(action, Plus):
-        rel = set(_classical_relation(m, action.body))
-        while True:
-            step = {(s, u) for (s, t) in rel for (t2, u) in rel if t == t2}
-            if step <= rel:
-                return rel
-            rel |= step
-    raise TypeError(f"not an action expression: {action!r}")
+def _classical(m: ClassicalModel, root: tuple) -> set:
+    """The states where a formula holds, or the pairs of an action's relation."""
+    everything = set(range(m.size))
+
+    def meaning(node, got):
+        if isinstance(node, Atom):
+            return m.relations.get(node.index, set())
+        if isinstance(node, (Choice, Or)):
+            return got[0] | got[1]
+        if isinstance(node, Seq):
+            return {(s, u) for (s, t) in got[0] for (t2, u) in got[1] if t == t2}
+        if isinstance(node, Plus):
+            rel = set(got[0])
+            while not (step := {(s, u) for (s, t) in rel for (t2, u) in rel if t == t2}) <= rel:
+                rel |= step
+            return rel
+        if isinstance(node, Var):
+            return set(m.valuation.get(node.index, set()))
+        if isinstance(node, Const):
+            return everything if node.index == 1 else set()
+        if isinstance(node, (And, Fuse)):
+            return got[0] & got[1]
+        if isinstance(node, (LDiv, RDiv)):
+            return (everything - got[0]) | got[1]
+        return everything - {s for (s, t) in got[0] if t not in got[1]}     # a Box
+
+    return _post_order(root, meaning)
 
 
 def classical_states(m: ClassicalModel, formula: Formula) -> set[int]:
     """States where the formula is classically true."""
-    everything = set(range(m.size))
-    if isinstance(formula, Var):
-        return set(m.valuation.get(formula.index, set()))
-    if isinstance(formula, Const):
-        return everything if formula.index == 1 else set()
-    if isinstance(formula, (And, Fuse)):
-        return classical_states(m, formula.left) & classical_states(m, formula.right)
-    if isinstance(formula, Or):
-        return classical_states(m, formula.left) | classical_states(m, formula.right)
-    if isinstance(formula, (LDiv, RDiv)):
-        left = classical_states(m, formula.left)
-        right = classical_states(m, formula.right)
-        return (everything - left) | right
-    if isinstance(formula, Box):
-        rel = _classical_relation(m, formula.action)
-        body = classical_states(m, formula.body)
-        return {s for s in everything
-                if all(t in body for (s2, t) in rel if s2 == s)}
-    raise TypeError(f"not a formula: {formula!r}")
+    return _classical(m, (formula, False))
 
 
 def classical_reachable(m: ClassicalModel, action: ActionExp, start: int) -> set[int]:
     """Start state plus everything reachable through the action's relation."""
-    rel = _classical_relation(m, action)
+    rel = _classical(m, (action, True))
     seen = {start}
     frontier = [start]
     while frontier:

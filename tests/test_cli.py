@@ -667,6 +667,17 @@ def test_algebra_check_nested_product(capsys):
     assert_input_error(*run(capsys, ["algebra-check", "--algebra", "builtin:product(bool2)"]))
 
 
+def test_algebra_check_refuses_products_past_the_nesting_cap(capsys):
+    """Resolving recurses once per product: more than MAX_NESTING is an input error."""
+    def nested(k):
+        return "builtin:" + "product(" * k + "bool2" + ",cost:1)" * k
+
+    code, out, _ = run(capsys, ["algebra-check", "--algebra", nested(MAX_NESTING)])
+    assert code == 0 and json.loads(out)["size"] == 2
+    assert_input_error(*run(capsys, ["algebra-check", "--algebra", nested(MAX_NESTING + 1)]))
+    assert_input_error(*run(capsys, ["algebra-check", "--algebra", nested(1200)]))
+
+
 def test_constant_by_element_name(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"algebra": LO_HI, "states": 2,

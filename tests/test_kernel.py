@@ -441,3 +441,43 @@ def test_oracles_do_not_use_the_kernel():
     # nor reached as a module attribute, as in flpdl.kernel.lookup or relations.compose
     assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & helpers
     assert "kernel" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _classical_truth(model, f):
+    """The states where the kernel gives f the value 1, over bool2."""
+    return {s for s, value in enumerate(model.values(f)) if value == 1}
+
+
+def test_classical_checker_takes_formulas_thousands_of_levels_deep():
+    B = bool2()
+    model = Model(Frame(B, 3, {0: XRelation(B, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])}),
+                  {0: (1, 0, 1)})
+    f = Var(0)
+    for _ in range(3000):
+        f = And(Var(0), f)
+    truth = oracles.classical_states(oracles.ClassicalModel.from_model(model), f)
+    assert truth == _classical_truth(model, f) == {0, 2}
+
+
+class _CountingGets(dict):
+    """A valuation that counts how often it is read."""
+
+    gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_classical_checker_evaluates_a_shared_subterm_once():
+    """f_k = f_{k-1} & [a0+]f_{k-1} holds 2^k occurrences of p0 and k + 1 distinct formulas."""
+    B = bool2()
+    model = Model(Frame(B, 3, {0: XRelation(B, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])}),
+                  {0: (1, 1, 0)})
+    f = Var(0)
+    for _ in range(12):
+        f = And(f, Box(Plus(Atom(0)), f))
+    cm = oracles.ClassicalModel.from_model(model)
+    cm.valuation = _CountingGets(cm.valuation)
+    assert oracles.classical_states(cm, f) == _classical_truth(model, f) == {0, 1}
+    assert cm.valuation.gets == 1
