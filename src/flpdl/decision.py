@@ -59,7 +59,7 @@ from .errors import BudgetExceeded
 from .oracles import reference_values
 from .relations import XRelation
 from .semantics import MAX_STATES, Frame, Model
-from .syntax import Atom, Formula, Var, action_atoms, closure_of, variables
+from .syntax import Atom, Formula, Var, action_atoms, closure_of, iter_closure, variables
 
 DEFAULT_BUDGET = 10 ** 6
 _CHUNK = 1 << 14
@@ -257,8 +257,13 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             checked += block
         return NoCountermodelUpTo(max_states, checked, checked, exhaustive=False)
 
-    # past the bound the filtration lemma leaves nothing to search
-    bound, evaluated = theoretical_bound(formula, algebra), 0
+    # past the bound the filtration lemma leaves nothing to search; only whether it passes
+    # max_states matters, so the closure is counted no further than that
+    bound, evaluated = 1, 0
+    for _ in iter_closure([formula]):
+        bound *= size
+        if bound > max_states:
+            break
     for n in range(1, min(max_states, bound) + 1):
         cells = len(atoms) * n * n          # frame digits
         width = size ** (len(vars_) * n)    # valuations per frame

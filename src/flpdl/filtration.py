@@ -6,8 +6,9 @@ relation entry is the join of the original entries across the two classes,
 and each variable of the set keeps its value (read off any member, they
 all agree). Variables outside the set get the zero element.
 
-The quotient is numpy folds over each relation's matrix: the rows of
-every class's members are joined, then the columns, one member at a time.
+The quotient joins every relation's matrix over the classes at once by
+`kernel.join_classes`: one AND reduction of up-set masks over the rows of
+each class's members, then one over the columns.
 
 Formulas of the set keep their value: the value at a state equals the
 value at its class in the quotient. That and the class-count bound
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotClosed
-from .kernel import lookup
+from .kernel import join_classes
 from .relations import XRelation
 from .semantics import Frame, Model
 from .syntax import Formula, Var, is_closed
@@ -80,20 +81,10 @@ def filtrate(model: Model, phis: Sequence[Formula],
     if not is_closed(phis):
         raise NotClosed("filtration needs a closed formula set")
     part = partition if partition is not None else phi_partition(model, phis)
-    A = model.algebra
-    members = part.members()
-    width = max(map(len, members))
-    # row j lists one member per class; short classes repeat their first, which a join absorbs
-    padded = np.array([m + m[:1] * (width - len(m)) for m in members]).T
-    relations = {}
-    for idx, rel in model.frame.atomic.items():
-        quotient = rel.matrix
-        for axis in (0, 1):    # rows into classes, then columns
-            folded = np.take(quotient, padded[0], axis=axis)
-            for row in padded[1:]:
-                folded = lookup(A.arrays.join, folded, np.take(quotient, row, axis=axis))
-            quotient = folded
-        relations[idx] = XRelation(A, quotient)
+    A, atomic, n = model.algebra, model.frame.atomic, model.frame.size
+    matrices = np.array([rel.matrix for rel in atomic.values()], np.int64).reshape(-1, n, n)
+    relations = {idx: XRelation(A, quotient)
+                 for idx, quotient in zip(atomic, join_classes(A, matrices, part.class_of))}
 
     valuation = {
         f.index: tuple(model.values(f)[rep] for rep in part.representatives)

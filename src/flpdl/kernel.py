@@ -4,36 +4,33 @@
 in post-order, each formula with a slot number and each action with an
 index; a subterm for which the caller's `given` test holds is an input,
 never looked into, so whole boxes can be given as atoms. Other variables
-are zero and other atoms the bottom relation. The plan then
-evaluates one block of models after another in a workspace it keeps:
-`bind` sizes it for `batch` models on n states and hands back the slot
-views, the caller writes each given formula's values into its view, and
-`run` fills the rest. The workspace is allocated again only when a block
-has more cells (n * batch) than every block before it, or than `reserve`
-sized it for, so a search that runs many blocks through one plan evaluates
-them without allocating value arrays. Flattened tables in the slots' dtype
-are made once per algebra.
+are zero and other atoms the bottom relation. The plan then evaluates
+one block of models after another in a workspace it keeps: `bind` sizes
+it for `batch` models on n states and hands back the slot views, the
+caller writes each given formula's values into its view, and `run` fills
+the rest. The workspace is allocated again only when a block has more
+cells (n * batch) than every block before it, or than `reserve` sized it
+for, so a search that runs many blocks through one plan evaluates them
+without allocating value arrays.
 
 Formula slots are state-major, (n, batch), so each table read runs along
 rows as long as the batch, and hold the narrowest unsigned dtype that
 holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
-Every binary table read is one flat gather: `table[a, b]` is entry
-a * size + b of the flattened table, the index formed in a reused intp
-buffer. Actions stay int64 (frames, n, n) relations.
+Every binary table read is one gather from a flattened table, made once
+per algebra. Actions stay int64 (frames, n, n) relations.
 
 Every meet or join over states is one blocked contraction, `_contract`:
 a box meets imp[R(s, t), f(t)] over targets t, and `compose`, the `Seq`
-step, joins r(s, x) * q(x, t) over middle states x, in blocks of at most
-_BLOCK entries and at least one term. Left operands come times size, so
-one add forms a block's flat indices in intp scratch. A box reads its
-relation transposed to (target, source, frame) and times size, into a
-buffer that boxes over one action in a row share, and gathers a block's
-columns through `frame_of`, which maps batch members to rows of the
-relations, so none is copied per member. A block's first half
-is read from the pair table times size, as rows of the acc table, which
-commutes, so each `fold` level is one add and two takes. A later block's
-value is merged, as a row, with the value so far. A box folds in scratch
-the plan keeps; `compose` makes its own per call, each buffer if used.
+step, joins r(s, x) * q(x, t) over middle states x. In any finite
+lattice, distributive or not, the down-set of a meet is the intersection
+of the down-sets and the up-set of a join that of the up-sets (Davey &
+Priestley 2002), so a meet or join of many terms is the AND of their
+masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
+entries is one add forming flat indices (left operands come times size),
+one gather of masks and one AND reduction. A box reads its relation as
+(target, source, frame) times size, into a buffer shared by boxes over
+one action in a row, gathers columns through `frame_of`, which maps batch
+members to the relations' frames, and reduces in scratch the plan keeps.
 
 `closure`, the `Plus` step, folds nothing: it makes n Kleene pivots over
 the whole batch, each joining one term into every entry.
@@ -56,7 +53,7 @@ from .syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus, RDiv,
                      Seq, Var, children)
 
 
-_BLOCK = 2 ** 14  # entries per gather of a fold over states, and at least one state
+_BLOCK = 2 ** 14  # entries per gather of a meet or join over states, and at least one state
 
 
 def lookup(table: np.ndarray, a, b) -> np.ndarray:
@@ -64,66 +61,47 @@ def lookup(table: np.ndarray, a, b) -> np.ndarray:
     return table.ravel().take(a * len(table) + b)
 
 
-def fold(combine, terms: np.ndarray) -> np.ndarray:
-    """Reduce `terms` over its first axis pairwise, and return the result.
+def _unmask(acc: np.ndarray, decode, out: np.ndarray) -> np.ndarray:
+    """out = the element at the highest set bit of each mask, word w in acc[w]: the
+    highest nonzero word decides, so each word past the first overwrites where nonzero."""
+    decode[0].take(acc[0], out=out, mode="clip")
+    for w in range(1, len(decode)):
+        np.copyto(out, decode[w].take(acc[w]), where=acc[w] != 0)
+    return out
 
-    `combine(a, b, rows)` returns table[a, b] for a join or a meet table,
-    and may write it into `a`: about log2(len(terms)) calls, an odd last
-    term first folded into the first one. The first `rows` results are the
-    next call's left operands, none after the last call, so a caller that
-    enters with the first len(terms) // 2 terms as table rows (index times
-    size) may return those results as rows too, as `_contract` does.
+
+def _contract(tables, lefts, rights, out, scratch=None, acc=None, gather=None) -> None:
+    """out = the meet or join over the first axis of the table entries at lefts[i] + rights[i].
+
+    `tables` is (masks, decode): masks[w] is word w of each flat entry's
+    down-set mask for a meet, up-set for a join, and decode[w][v], in out's
+    dtype, the element at v's highest set bit in word w. `acc` holds a row
+    per word and one for a later block, shaped as out; `gather`, unless
+    None, maps out's last axis to the lefts'; `scratch(k)` gives index and
+    mask buffers for k terms (masks None for one). Either None is made here.
     """
-    while len(terms) > 1:
-        half, odd = divmod(len(terms), 2)
-        if odd:
-            terms[:1] = combine(terms[:1], terms[-1:], 1)
-        terms = combine(terms[:half], terms[half:2 * half], half // 2)
-    return terms[0]
-
-
-def _contract(tables, lefts, rights, out, scratch=None, terms=None, gather=None) -> None:
-    """out = the fold by acc over the first axis of pair[lefts[i] / size, rights[i]].
-
-    `tables` is (pair, acc), each flat in (out's dtype, intp, intp times size);
-    `gather`, unless None, maps out's last axis to the lefts'. `scratch(k)`
-    gives index and value buffers for k terms (values None for one) and
-    `terms` a buffer shaped as out; None for either makes them here.
-    """
-    (pair, pair_wide, pair_rows), (acc, acc_wide, acc_rows) = tables
+    masks, decode = tables
+    word = masks[0].dtype
     count, step = len(lefts), max(1, _BLOCK // max(1, out.size))   # no cells: one term a block
     k = min(step, count)
     index, values = scratch(k) if scratch else (
-        np.empty((k, *out.shape), np.intp), np.empty((k, *out.shape), np.intp) if k > 1 else None)
-    if terms is None and count > step:
-        terms = np.empty(out.shape, np.intp)
-
-    def combine(x, y, rows):
-        i = np.add(x, y, out=idx[:len(x)])
-        if not rows:
-            last = out if first else terms
-            (acc if first else acc_rows).take(i[0], out=last, mode="clip")
-            return last[None]
-        acc_rows.take(i[:rows], out=x[:rows], mode="clip")
-        acc_wide.take(i[rows:], out=x[rows:], mode="clip")
-        return x
-
+        np.empty((k, *out.shape), np.intp), np.empty((k, *out.shape), word) if k > 1 else None)
+    if acc is None:
+        acc = np.empty((len(masks) + 1, *out.shape), word)
     for start in range(0, count, step):
         k, first = min(step, count - start), start == 0
         idx, block = index[:k], lefts[start:start + k]
         if gather is not None:
             block = np.take(block, gather, axis=-1, out=idx, mode="clip")
         np.add(block, rights[start:start + k], out=idx)
-        if k > 1:
-            vals = values[:k]   # the first half as rows: the first level's left operands
-            pair_rows.take(idx[:k // 2], out=vals[:k // 2], mode="clip")
-            pair_wide.take(idx[k // 2:], out=vals[k // 2:], mode="clip")
-            fold(combine, vals)
-        else:
-            (pair if first else pair_rows).take(idx[0], out=out if first else terms, mode="clip")
-        if not first:
-            np.add(terms, out, out=terms)
-            acc.take(terms, out=out, mode="clip")
+        for w, table in enumerate(masks):
+            into = acc[w] if first else acc[-1]    # a later block is ANDed in from the last row
+            terms = table.take(idx, out=values[:k] if k > 1 else into[None], mode="clip")
+            if k > 1:
+                np.bitwise_and.reduce(terms, axis=0, out=into)
+            if not first:
+                np.bitwise_and(acc[w], into, out=acc[w])
+    _unmask(acc, decode, out)
 
 
 def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -135,20 +113,31 @@ def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def join_classes(algebra: FLAlgebra, matrices: np.ndarray, class_of) -> np.ndarray:
+    """(k, c, c) int64: entry (r, i, j) joins matrices[r, s, t] over the states s of class i
+    and t of class j, by one AND reduction of up-set masks per axis. Row p of `members`
+    holds every class's p-th state, a smaller class repeating its last, which the AND absorbs."""
+    (masks, decode), class_of = _narrow(algebra)["up"], np.asarray(class_of)
+    count = np.bincount(class_of)
+    members = np.argsort(class_of, kind="stable")[
+        np.cumsum(count) - count + np.minimum(np.arange(count.max())[:, None], count - 1)]
+    acc = np.bitwise_and.reduce(masks.take(matrices.take(members, axis=1), axis=1), axis=2)
+    acc = np.bitwise_and.reduce(acc.take(members, axis=3), axis=3)
+    return _unmask(acc, decode, np.empty(acc.shape[1:], np.int64))
+
+
 def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     """Least transitive relation above r, per frame, by n Kleene pivots.
 
     Pivot k sets T(s,t) <- T(s,t) u T(s,k) * T(k,k)* * T(k,t), where x* is
     the join of x^m over m >= 0 (Kleene 1956; Lehmann 1977). Fusion is
     associative with unit one and distributes over finite joins on both
-    sides, so after pivot k, T(s,t) is the join over the walks from s to t
-    whose inner states are all at most k, any number of loops through k
-    contributing T(k,k)*; after the last pivot it is the join of r^k over
-    k >= 1, the least transitive relation above r. T is held times size
-    in one intp buffer, so a pivot is a gather of the column fused with its
-    star, then one add and one gather for the outer term and one add and
-    one gather to join it into T: n^2 work a frame, against n^3 for a
-    round of squaring.
+    sides, so after pivot k, T(s,t) joins the walks from s to t whose inner
+    states are at most k, loops through k contributing T(k,k)*; the last
+    pivot leaves the join of r^k over k >= 1. T is held times size in one
+    intp buffer, so a pivot fuses the column with its star, forms the outer
+    term and joins it into T, each an add and a gather: n^2 work a frame,
+    against n^3 for a round of squaring.
     """
     star, fuse, fuse_by_right, join_rows, join = _narrow(algebra)["plus"]
     frames, n = r.shape[:2]
@@ -193,34 +182,51 @@ def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> 
 
 
 def _narrow(algebra: FLAlgebra) -> dict:
-    """The algebra's flattened tables in the slots' dtype, made once.
+    """The algebra's flattened tables in the slots' dtype, and its masks, made once.
 
-    "box" and "seq" hold the (pair, acc) tables of `_contract` for a box,
-    (imp, meet) into a slot, and for `compose`, (fuse, join) into int64.
-    "plus" holds `closure`'s: the star of x at x * size, fuse, fuse by its
-    right operand (entry b * size + a is a * b), and join times size and as is.
+    Mask bits follow a linear extension of the order (down-set size, then
+    index), so the highest set bit of x's down-set mask is x's own; up-set
+    masks number the bits the other way. A mask is one word up to 16
+    elements, else bytes. "box" and "seq" hold `_contract`'s tables, masks
+    and decode as tuples of words: imp's down-set masks with a decode into a
+    slot, fuse's up-set masks with an int64 decode; "up" holds each element's
+    up-set mask and that decode as (words, size) and (words, 2 ** bits)
+    arrays. "plus" holds `closure`'s: the star of x at x * size, fuse, fuse
+    by its right operand (entry b * size + a is a * b), and join times size
+    and as is.
     """
     tables = _NARROW.get(algebra)
     if tables is None:
-        dtype = np.min_scalar_type(algebra.size - 1)
-        arrs = algebra.arrays
+        size, arrs = algebra.size, algebra.arrays
+        dtype = np.min_scalar_type(size - 1)
         tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
-        tables["size"] = np.array(algebra.size, dtype=np.intp)  # scales faster than an int
-        flat = {name: getattr(arrs, name).ravel() for name in ("imp", "meet", "fuse", "join")}
-        wide = {name: (table, table * algebra.size) for name, table in flat.items()}
-        tables["box"] = [(tables[name], *wide[name]) for name in ("imp", "meet")]
-        tables["seq"] = [(flat[name], *wide[name]) for name in ("fuse", "join")]
+        tables["size"] = np.array(size, dtype=np.intp)  # scales faster than an int
+        order = np.lexsort((np.arange(size), arrs.leq.sum(axis=0)))   # position -> element
+        bits = size if size <= 16 else 8
+        words = -(-size // bits)
+        high = np.arange(words)[:, None] * bits + np.frexp(np.arange(2 ** bits))[1] - 1
+        masks = []
+        for member, by_bit in ((arrs.leq[order].T, order), (arrs.leq[:, order[::-1]], order[::-1])):
+            # bit i of x's mask is member[x, i]: by_bit[i] is below (above) x
+            packed = np.pad(member, ((0, 0), (0, words * bits - size))).reshape(
+                size, words, bits) @ (1 << np.arange(bits))
+            masks.append((packed.T.astype(np.min_scalar_type(2 ** bits - 1)),
+                          by_bit[np.clip(high, 0, size - 1)]))
+        (down, meet), (up, join) = masks
+        tables["box"] = tuple(down[:, arrs.imp.ravel()]), tuple(meet.astype(dtype))
+        tables["seq"] = tuple(up[:, arrs.fuse.ravel()]), tuple(join)
+        tables["up"] = up, join
         # x* = one u x u x^2 u ...: the partial joins climb at most size - 1 times
-        star, step = np.full(algebra.size, algebra.one), np.arange(algebra.size)
+        star, step = np.full(size, algebra.one), np.arange(size)
         while True:
             nxt = arrs.join[algebra.one, arrs.fuse[star, step]]
             if np.array_equal(nxt, star):
                 break
             star = nxt
-        scaled_star = np.zeros(len(flat["fuse"]), np.intp)   # star(x) at x * size
-        scaled_star[::algebra.size] = star
-        tables["plus"] = (scaled_star, flat["fuse"], arrs.fuse.T.ravel(), wide["join"][1],
-                          flat["join"])
+        scaled_star = np.zeros(size * size, np.intp)   # star(x) at x * size
+        scaled_star[::size] = star
+        tables["plus"] = (scaled_star, arrs.fuse.ravel(), arrs.fuse.T.ravel(),
+                          arrs.join.ravel() * size, arrs.join.ravel())
         _NARROW[algebra] = tables
     return tables
 
@@ -242,7 +248,7 @@ class Plan:
         self.dtype = self._tables["meet"].dtype
         self._cells = 0
         self._relbuf = np.empty(0, np.intp)
-        self._fold = None   # the box fold's index and value scratch, made when first needed
+        self._fold = None   # the box blocks' index and mask scratch, made when first needed
         self.relations: list[np.ndarray] = []
 
     def bind(self, n: int, batch: int) -> list[np.ndarray]:
@@ -255,7 +261,8 @@ class Plan:
         self.reserve(cells)
         self.n, self.batch = n, batch
         self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
-        self._index, self._terms = self._buffers[:, :cells].reshape(2, n, batch)
+        index, acc = self._buffers
+        self._index, self._acc = index[:cells].reshape(n, batch), acc[:, :cells].reshape(-1, n, batch)
         return self.views
 
     def reserve(self, cells: int, relation_cells: int = 0) -> None:
@@ -269,7 +276,8 @@ class Plan:
             self._ws = np.empty((self._slots, cells), self.dtype)
             for slot, value in self._consts:
                 self._ws[slot] = value
-            self._buffers = np.empty((2, cells), np.intp)
+            masks = self._tables["box"][0]
+            self._buffers = np.empty(cells, np.intp), np.empty((len(masks) + 1, cells), masks[0].dtype)
             self._cells = cells
         if relation_cells > len(self._relbuf):
             self._relbuf = np.empty(relation_cells, np.intp)
@@ -284,12 +292,12 @@ class Plan:
         return out
 
     def _fold_buffers(self, targets: int):
-        """(targets, n, batch) index and value scratch for a box block, grown only when short."""
+        """(targets, n, batch) index and mask scratch for a box block, grown only when short."""
         if targets == 1:
             return self._index[None], None
         cells = targets * self.n * self.batch
         if self._fold is None or self._fold[1].size < cells:
-            self._fold = np.empty(cells, np.intp), np.empty(cells, np.intp)
+            self._fold = np.empty(cells, np.intp), np.empty(cells, self._tables["box"][0][0].dtype)
         return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
 
     def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
@@ -312,7 +320,7 @@ class Plan:
                 gather = frame_of if rs.shape[2] > 1 else None
                 # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
                 _contract(tables["box"], rs, views[b][:, None], views[out], self._fold_buffers,
-                          self._terms, gather)
+                          self._acc, gather)
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:

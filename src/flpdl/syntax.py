@@ -30,7 +30,7 @@ import operator
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .algebra import FLAlgebra
 
@@ -375,13 +375,23 @@ def closure_of(formulas: Iterable[Formula]) -> list[Formula]:
     unfolds its action one step -- [A u B]f adds [A]f and [B]f;
     [A ; B]f adds [A][B]f; [A+]f adds [A][A+]f and [A]f.
     """
-    out: dict[Formula, None] = {}
+    return list(iter_closure(formulas))
+
+
+def iter_closure(formulas: Iterable[Formula]) -> Iterator[Formula]:
+    """`closure_of`'s formulas in its order, each made only when the one before is taken.
+
+    The closure of k nested `+` has 2 ** (k + 1) formulas, so a caller that
+    needs only a few of them stops early.
+    """
+    seen: set[Formula] = set()
     work = list(formulas)
     while work:
         f = work.pop()
-        if f in out:
+        if f in seen:
             continue
-        out[f] = None
+        seen.add(f)
+        yield f
         if isinstance(f, _BINARY):
             work.append(f.left)
             work.append(f.right)
@@ -396,7 +406,6 @@ def closure_of(formulas: Iterable[Formula]) -> list[Formula]:
             elif isinstance(a, Plus):
                 work.append(Box(a.body, f))
                 work.append(Box(a.body, f.body))
-    return list(out)
 
 
 def is_closed(formulas: Iterable[Formula]) -> bool:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from flpdl import kernel
+from flpdl import decision, kernel, syntax
 from flpdl.algebra import bool2, cost_chain
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.decision import (Countermodel, NoCountermodelUpTo,
@@ -134,6 +134,22 @@ def test_hit_on_a_deep_formula_built_in_code_is_verified(B):
         assert (out.models_checked, out.witness_state, out.value) == (14, 1, 0)
         assert out.model.frame.atomic[0].values == ((0, 0), (1, 0))
         assert out.model.var_row(0) == (0, 1)
+
+
+def test_search_under_nested_plus_enumerates_only_the_closure_it_needs(B, monkeypatch):
+    """[a0 + 40 x '+']p0 has 2 ** 41 closure formulas; one state needs size ** 1 > 1 of them."""
+    taken = []
+
+    def counted(formulas):
+        for f in syntax.iter_closure(formulas):
+            taken.append(f)
+            yield f
+
+    monkeypatch.setattr(decision, "iter_closure", counted)
+    out = decide_bounded(parse_formula("[a0" + "+" * 40 + "]p0", B), B, 1, budget=10)
+    assert isinstance(out, Countermodel)
+    assert (out.model.frame.size, out.models_checked, out.value) == (1, 3, 0)
+    assert 0 < len(taken) < 100
 
 
 def test_theoretical_bound_pins(B):

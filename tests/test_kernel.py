@@ -262,6 +262,46 @@ def test_wide_algebras_evaluate_in_wider_slots(size, dtype):
     check()
 
 
+_MASKED = {"bool2": bool2, "cost2": lambda: cost_chain(2), "cost3": lambda: cost_chain(3),
+           "cost5": lambda: cost_chain(5), "cost8": lambda: cost_chain(8),
+           "cost70": lambda: cost_chain(70), "product": lambda: product(bool2(), cost_chain(3)),
+           "product-cost2": lambda: product(cost_chain(2), cost_chain(2)),
+           "non-commutative": find_non_commutative, "non-integral": find_non_integral,
+           "godel256": lambda: godel_chain(256), "godel300": lambda: godel_chain(300)}
+
+
+@pytest.mark.parametrize("name", list(_MASKED))
+def test_anded_masks_decode_to_the_meet_and_the_join(name):
+    """`_contract` ANDs down-set (up-set) masks into the meet (join): each element alone,
+    every pair, comparable or not, and random lists, against a fold of the table. Meets
+    read the box table at one => x, which is x; joins read each element's own mask."""
+    algebra = _MASKED[name]()
+    tables, size, arrs = kernel._narrow(algebra), algebra.size, algebra.arrays
+    assert (arrs.imp[algebra.one] == np.arange(size)).all()
+    cases = [(tables["box"], algebra.one * size, arrs.meet, tables["meet"].dtype),
+             (tables["up"], 0, arrs.join, np.int64)]
+
+    def contracted(case, terms):
+        masks, left, _, dtype = case
+        out = np.empty(terms.shape[1:], dtype)
+        lefts = np.full((len(terms),) + (1,) * (terms.ndim - 1), left, np.intp)
+        kernel._contract(masks, lefts, terms, out)
+        return out
+
+    for case in cases:
+        assert (contracted(case, np.arange(size)[None]) == np.arange(size)).all()
+        assert (contracted(case, np.indices((size, size))) == case[2]).all()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, size - 1), min_size=1, max_size=9))
+    def check(elements):
+        for case in cases:
+            want = functools.reduce(lambda x, y: case[2][x, y], elements)
+            assert contracted(case, np.array(elements)[:, None])[0] == want
+
+    check()
+
+
 @PROPERTY
 @given(st.data())
 def test_log_consequence_matches_one_state_models(data):
