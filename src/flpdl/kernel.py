@@ -32,8 +32,9 @@ one gather of masks and one AND reduction. A box reads its relation as
 one action in a row, gathers columns through `frame_of`, which maps batch
 members to the relations' frames, and reduces in scratch the plan keeps.
 
-`closure`, the `Plus` step, folds nothing: it makes n Kleene pivots over
-the whole batch, each joining one term into every entry.
+`closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
+over the whole batch, each joining one term into every entry, and stops
+at the first of pivots 4, 8, 16, ... that finds every entry at top.
 
 `evaluate` is plan, bind and run for one formula or action over the
 caller's memos, int64 at the boundary: a subterm in a memo is given, read
@@ -127,7 +128,7 @@ def join_classes(algebra: FLAlgebra, matrices: np.ndarray, class_of) -> np.ndarr
 
 
 def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
-    """Least transitive relation above r, per frame, by n Kleene pivots.
+    """Least transitive relation above r, per frame, by at most n Kleene pivots.
 
     Pivot k sets T(s,t) <- T(s,t) u T(s,k) * T(k,k)* * T(k,t), where x* is
     the join of x^m over m >= 0 (Kleene 1956; Lehmann 1977). Fusion is
@@ -138,6 +139,13 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     intp buffer, so a pivot fuses the column with its star, forms the outer
     term and joins it into T, each an add and a gather: n^2 work a frame,
     against n^3 for a round of squaring.
+
+    A pivot only joins a term into T, and top absorbs every join, so once
+    every entry of every frame is top the pivots left change nothing and
+    are skipped. The test is an n^2 pass like a pivot, so it runs before
+    pivots 4, 8, 16, ... only: a closure that never saturates pays at most
+    log2(n) - 1 passes, one that saturates at most twice the pivots it
+    needed (or 4), and one of at most 4 states never runs it.
     """
     star, fuse, fuse_by_right, join_rows, join = _narrow(algebra)["plus"]
     frames, n = r.shape[:2]
@@ -145,6 +153,11 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
     index, term = np.empty_like(t), np.empty_like(t)
     col_index, col = np.empty((2, frames, n, 1), np.intp)
     for k in range(n):
+        # at k = 4, 8, 16, ...: a T at top everywhere stays there, the rest is skipped
+        if k >= 4 and k & (k - 1) == 0 and not np.not_equal(
+                t, algebra.top * algebra.size, out=term).any():
+            t.fill(algebra.top)
+            return t
         # c(s) = T(s,k) * T(k,k)*, then c(s) * T(k,t) read at T(k,t) * size + c(s)
         np.add(t[:, :, k:k + 1], star.take(t[:, k:k + 1, k:k + 1]), out=col_index)
         fuse.take(col_index, out=col, mode="clip")

@@ -112,8 +112,9 @@ def rel_compose(r: XRelation, q: XRelation) -> XRelation:
 def transitive_closure(r: XRelation) -> XRelation:
     """Least transitive relation extending r: the join of r^k over every k >= 1.
 
-    Computed by `kernel.closure` in n pivots, one per state k, each joining
-    into every entry its walks through k.
+    Computed by `kernel.closure` in at most n pivots, one per state k, each
+    joining into every entry its walks through k; it stops early once every
+    entry is top.
     """
     algebra = _algebra_of(r)
     return XRelation(algebra, closure(algebra, r.matrix[None])[0])

@@ -359,8 +359,24 @@ def test_closure_matches_linear_fixpoint(data):
     assert got.tolist() == [linear_closure(algebra, r) for r in batch]
 
 
+def _count_pivots(monkeypatch, algebra):
+    """A list that grows by one per closure pivot over `algebra`: each pivot reads the
+    star table once, so that table is swapped for a view that records its gathers."""
+    pivots = []
+
+    class Star(np.ndarray):
+        def take(self, *args, **kwargs):
+            pivots.append(None)
+            return self.view(np.ndarray).take(*args, **kwargs)
+
+    star, *rest = kernel._narrow(algebra)["plus"]
+    monkeypatch.setitem(kernel._narrow(algebra), "plus", (star.view(Star), *rest))
+    return pivots
+
+
 def test_closure_makes_no_compose_call(monkeypatch):
-    """n pivots, each one term joined in: nothing is composed or folded."""
+    """n pivots, each one term joined in: nothing is composed or folded, and a path,
+    never at top off its diagonal, is not cut short by the saturation test."""
     n = 64
 
     def refuse(*args):
@@ -369,6 +385,7 @@ def test_closure_makes_no_compose_call(monkeypatch):
     monkeypatch.setattr(kernel, "compose", refuse)
     monkeypatch.setattr(kernel, "_contract", refuse)
     algebra = cost_chain(n + 2)
+    pivots = _count_pivots(monkeypatch, algebra)
     # a path: one edge of cost 1 from each state to the next, bottom elsewhere
     path = np.full((1, n, n), algebra.bottom, dtype=np.int64)
     path[0, np.arange(n - 1), np.arange(1, n)] = 1
@@ -376,6 +393,7 @@ def test_closure_makes_no_compose_call(monkeypatch):
     # the walk from s to t > s costs t - s, and bottom (the cap) is all there is otherwise
     s, t = np.indices((n, n))
     assert (got == np.where(t > s, t - s, algebra.bottom)).all()
+    assert len(pivots) == n
 
 
 def test_closure_loops_through_the_pivot_by_its_star():
@@ -387,6 +405,80 @@ def test_closure_loops_through_the_pivot_by_its_star():
     r = np.array([[[0, 1, 0], [0, 2, 1], [0, 0, 0]]])
     assert kernel.closure(algebra, r).tolist() == [[[0, 2, 2], [0, 2, 2], [0, 0, 0]]]
     assert linear_closure(algebra, r[0].tolist()) == [[0, 2, 2], [0, 2, 2], [0, 0, 0]]
+
+
+_SATURATING = {"cost1": lambda: cost_chain(1), **_MASKED}   # cost1: bottom = top, all top at once
+
+
+def _hub(algebra, n, hub):
+    """Top on every edge into or out of `hub`, bottom elsewhere. No walk avoiding hub
+    is worth more than bottom, so T first reaches top everywhere at pivot hub."""
+    r = np.full((n, n), algebra.bottom, dtype=np.int64)
+    r[hub], r[:, hub] = algebra.top, algebra.top
+    return r
+
+
+def _unreachable(algebra, rng, n):
+    """Random entries, but no edge into state 0: its column stays at bottom, x * bottom
+    being bottom, so the closure never saturates."""
+    r = rng.integers(0, algebra.size, (n, n))
+    r[:, 0] = algebra.bottom
+    return r
+
+
+@pytest.mark.parametrize("name", list(_SATURATING))
+def test_closure_that_saturates_matches_linear_fixpoint(name, monkeypatch):
+    """The early return at top is exact, and taken at the first power of two >= 4 where T
+    is top everywhere. Since top * top = top, a relation with one entry below top on three
+    or more states closes to top; a state no edge enters keeps its column off top."""
+    algebra = _SATURATING[name]()
+    rng = np.random.default_rng(algebra.size)
+    pivots = _count_pivots(monkeypatch, algebra)
+    # one with probability 1/2, as in the model-check workload's dense relations
+    dense = np.where(rng.random((3, 20, 20)) < 0.5, algebra.one,
+                     rng.integers(0, algebra.size, (3, 20, 20)))
+    almost = np.full((20, 20), algebra.top)
+    almost[rng.integers(20), rng.integers(20)] = rng.integers(algebra.size)
+    cases = [dense, almost[None], _unreachable(algebra, rng, 20)[None]]
+    for r in cases:
+        for n in (5, 9, 20):
+            frames = r[:, :n, :n]
+            got = kernel.closure(algebra, frames)
+            assert got.tolist() == [linear_closure(algebra, m) for m in frames.tolist()]
+    for k in (4, 8, 16):
+        n = min(20, k + 1 + int(rng.integers(4)))
+        r, top = _hub(algebra, n, k - 1), np.full((n, n), algebra.top).tolist()
+        pivots.clear()
+        assert kernel.closure(algebra, r[None]).tolist() == [top]
+        assert linear_closure(algebra, r.tolist()) == top
+        assert len(pivots) == (4 if algebra.size == 1 else k)
+    # one frame saturates at pivot 4, the other never: the batch runs every pivot
+    n = int(rng.integers(5, 21))
+    batch = np.stack([_hub(algebra, n, 3), _unreachable(algebra, rng, n)])
+    pivots.clear()
+    got = kernel.closure(algebra, batch)
+    assert got.tolist() == [linear_closure(algebra, m) for m in batch.tolist()]
+    assert len(pivots) == (4 if algebra.size == 1 else n)
+
+
+def test_closure_stops_within_a_power_of_two_of_saturation(monkeypatch):
+    """A dense 48-state cost:8 relation is top everywhere after 7 pivots and stops at 8;
+    the test runs before pivots 4, 8, 16, ... below n, so n <= 4 never runs it."""
+    algebra = cost_chain(8)
+    pivots = _count_pivots(monkeypatch, algebra)
+    tests = []
+    not_equal = np.not_equal
+    monkeypatch.setattr(kernel.np, "not_equal",
+                        lambda *args, **kwargs: tests.append(None) or not_equal(*args, **kwargs))
+    rng = np.random.default_rng(0)
+    r = np.where(rng.random((1, 48, 48)) < 0.5, algebra.one, rng.integers(0, 8, (1, 48, 48)))
+    assert (kernel.closure(algebra, r) == algebra.top).all()
+    assert (len(pivots), len(tests)) == (8, 2)
+    for n in (1, 2, 3, 4, 5):
+        pivots.clear()
+        tests.clear()
+        assert (kernel.closure(algebra, np.full((2, n, n), algebra.top)) == algebra.top).all()
+        assert (len(pivots), len(tests)) == ((4, 1) if n == 5 else (n, 0))
 
 
 @pytest.mark.parametrize("frames, n", [(4096, 3), (1, 64)])
