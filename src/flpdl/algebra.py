@@ -19,6 +19,8 @@ box clause of the semantics.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,20 +434,36 @@ def resolve_builtin(uri: str) -> FLAlgebra:
     raise ValueError(f"unknown builtin algebra {uri!r}")
 
 
+def read_json(source, what: str):
+    """The JSON value of the file a string source names; any other source as it is."""
+    if not isinstance(source, str):
+        return source
+    if not os.path.exists(source):
+        raise ValueError(f"no such {what} file: {source}")
+    with open(source) as fh:
+        return json.load(fh)
+
+
+def ambient(source, algebra: FLAlgebra | dict | str | None, what: str) -> FLAlgebra:
+    """The algebra a model or proof source is read over.
+
+    `algebra`, anything load_algebra takes, wins unless it is None or "";
+    then the source's own "algebra" field; else ValueError.
+    """
+    if algebra not in (None, ""):
+        return load_algebra(algebra)
+    if isinstance(source, dict) and "algebra" in source:
+        return load_algebra(source["algebra"])
+    raise ValueError(f"{what} gives no algebra and none was supplied")
+
+
 def load_algebra(source) -> FLAlgebra:
     """Load an algebra from a dict, a JSON file path, or a builtin: URI."""
-    import json
-    import os
-
     if isinstance(source, FLAlgebra):
         return source
-    if isinstance(source, str):
-        if source.startswith("builtin:"):
-            return resolve_builtin(source)
-        if not os.path.exists(source):
-            raise ValueError(f"no such algebra file: {source}")
-        with open(source) as fh:
-            source = json.load(fh)
+    if isinstance(source, str) and source.startswith("builtin:"):
+        return resolve_builtin(source)
+    source = read_json(source, "algebra")
     if not isinstance(source, dict):
         raise ValueError("algebra source must be a dict, file path, or builtin: URI")
     try:

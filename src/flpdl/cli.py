@@ -60,11 +60,6 @@ def _emit(args, payload, human: str) -> None:
         print(human)
 
 
-def _load_model_arg(args):
-    algebra = load_algebra(args.algebra) if args.algebra else None
-    return load_model(args.model, algebra)
-
-
 def _cmd_algebra_check(args) -> int:
     try:
         algebra = load_algebra(args.algebra)
@@ -93,7 +88,7 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = _load_model_arg(args)
+    model = load_model(args.model, args.algebra)
     formula = parse_formula(args.formula, model.algebra)
     if args.state is not None:
         value = evaluate(model, formula, args.state)
@@ -109,7 +104,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    model = _load_model_arg(args)
+    model = load_model(args.model, args.algebra)
     formula = parse_formula(args.formula, model.algebra)
     ok, state, value = valid_in_model(model, formula)
     if ok:
@@ -123,7 +118,7 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    model = _load_model_arg(args)
+    model = load_model(args.model, args.algebra)
     algebra = model.algebra
     seed = parse_formula(args.seed_formula, algebra)
     phis = closure_of([seed])
@@ -202,8 +197,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_prove_check(args) -> int:
-    algebra = load_algebra(args.algebra) if args.algebra else None
-    script, algebra = read_proof(args.proof, algebra)
+    script, algebra = read_proof(args.proof, args.algebra)
     verdict = check_proof(script, algebra, default_budget(DEFAULT_ATOM_BUDGET)
                           if args.atom_budget is None else args.atom_budget)
     payload = {"accepted": verdict.accepted, "lines": len(script.lines),
@@ -302,7 +296,7 @@ def main(argv=None) -> int:
     except (AtomBudgetExceeded, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_BUDGET
-    except (FLPDLError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (FLPDLError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
     except Exception as exc:

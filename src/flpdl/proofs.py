@@ -22,15 +22,13 @@ fail there) without rejecting the script.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import kernel
-from .algebra import FLAlgebra, is_commutative, is_integral, load_algebra
+from .algebra import FLAlgebra, ambient, is_commutative, is_integral, read_json
 from .errors import AtomBudgetExceeded
 from .parser import parse_formula
 from .syntax import (And, Box, Choice, Const, Formula, Plus, RDiv, Seq, Var,
@@ -282,37 +280,26 @@ def _line_from_json(obj: dict, algebra: FLAlgebra, where: str) -> ProofLine:
     return ProofLine(parse_formula(obj["formula"], algebra), by)
 
 
-def read_proof(source, algebra: FLAlgebra | None = None) -> tuple[ProofScript, FLAlgebra]:
+def read_proof(source, algebra: FLAlgebra | dict | str | None = None
+               ) -> tuple[ProofScript, FLAlgebra]:
     """A proof script and the algebra its lines are read over.
 
-    The source is a dict, a list of lines, or the path of a JSON file
-    holding either. A dict form may carry "algebra" (inline or URI), used
-    when no algebra argument is given; a passed algebra always wins.
+    The source is a dict with a "lines" array, a list of lines, or the
+    path of a JSON file holding either. The algebra argument wins over a
+    dict's own "algebra" field (inline or URI): see `algebra.ambient`.
     """
-    if isinstance(source, str):
-        if not os.path.exists(source):
-            raise ValueError(f"no such proof file: {source}")
-        with open(source) as fh:
-            source = json.load(fh)
-        if not isinstance(source, (dict, list)):
-            raise ValueError("a proof file must hold a JSON object or a list")
-    if isinstance(source, dict):
-        if algebra is None and "algebra" in source:
-            algebra = load_algebra(source["algebra"])
-        raw_lines = source.get("lines")
-        if not isinstance(raw_lines, list):
-            raise ValueError('proof dict needs a "lines" array')
-    elif isinstance(source, list):
-        raw_lines = source
-    else:
-        raise ValueError("proof source must be a dict, a list, or a file path")
-    if algebra is None:
-        raise ValueError("proof gives no algebra and none was supplied")
+    source = read_json(source, "proof")
+    if not isinstance(source, (dict, list)):
+        raise ValueError("a proof source must be a JSON object or a list")
+    algebra = ambient(source, algebra, "proof")
+    raw_lines = source.get("lines") if isinstance(source, dict) else source
+    if not isinstance(raw_lines, list):
+        raise ValueError('proof dict needs a "lines" array')
     lines = tuple(_line_from_json(obj, algebra, f"line {i}") for i, obj in enumerate(raw_lines))
     return ProofScript(lines), algebra
 
 
-def load_proof(source, algebra: FLAlgebra | None = None) -> ProofScript:
+def load_proof(source, algebra: FLAlgebra | dict | str | None = None) -> ProofScript:
     """The proof script of read_proof(source, algebra)."""
     return read_proof(source, algebra)[0]
 

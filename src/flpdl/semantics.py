@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernel
-from .algebra import FLAlgebra, algebra_to_json, element_indices, load_algebra
+from .algebra import FLAlgebra, algebra_to_json, ambient, element_indices, read_json
 from .errors import DimensionMismatch, UnknownAtom
 from .relations import XRelation
 from .syntax import ActionExp, Atom, Formula, Var, action_atoms
@@ -52,6 +52,8 @@ class Frame:
         for idx, rel in (relations or {}).items():
             if rel.size != size:
                 raise DimensionMismatch(f"relation for a{idx} has {rel.size} states, frame has {size}")
+            if rel.algebra is None:
+                raise DimensionMismatch(f"relation for a{idx} has no algebra")
             if rel.algebra is not algebra and not rel.algebra.same_tables(algebra):
                 raise DimensionMismatch(f"relation for a{idx} lives over a different algebra")
             self.atomic[int(idx)] = rel
@@ -147,29 +149,20 @@ def _by_index(entries: Mapping, letter: str, what: str) -> dict:
     return {idx: entries[key] for idx, key in keys.items()}
 
 
-def load_model(source, algebra: FLAlgebra | None = None, strict: bool = False) -> Model:
-    """Build a model from a dict or JSON file.
+def load_model(source, algebra: FLAlgebra | dict | str | None = None,
+               strict: bool = False) -> Model:
+    """Build a model from a dict or the path of a JSON file holding one.
 
     Fields: "algebra" (inline dict or builtin: URI; optional when the
-    algebra argument is given, which always wins), "states" (count or list
-    of names, at most MAX_STATES), "relations" (map "aK" -> n x n matrix
-    of element indices), "valuation" (map "pK" -> per-state element indices).
+    algebra argument is given, which wins: see `algebra.ambient`), "states"
+    (count or list of names, at most MAX_STATES), "relations" (map "aK" ->
+    n x n matrix of element indices), "valuation" (map "pK" -> per-state
+    element indices).
     """
-    import json
-    import os
-
-    if isinstance(source, str):
-        if not os.path.exists(source):
-            raise ValueError(f"no such model file: {source}")
-        with open(source) as fh:
-            source = json.load(fh)
+    source = read_json(source, "model")
     if not isinstance(source, dict):
         raise ValueError("model source must be a dict or a file path")
-
-    if algebra is None:
-        if "algebra" not in source:
-            raise ValueError("model gives no algebra and none was supplied")
-        algebra = load_algebra(source["algebra"])
+    algebra = ambient(source, algebra, "model")
 
     states = source.get("states")
     if isinstance(states, int) and not isinstance(states, bool):

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import flpdl
 from flpdl.cli import main
 from flpdl.parser import MAX_NESTING
-from flpdl.semantics import MAX_STATES
+from flpdl.proofs import load_proof
+from flpdl.semantics import MAX_STATES, load_model
 
 
 @pytest.fixture()
@@ -358,7 +359,9 @@ def test_proof_file_of_neither_object_nor_list_is_input_error(capsys, tmp_path, 
                "null": None}[case]
     path = tmp_path / "p.json"
     path.write_text(json.dumps(content))
-    assert_input_error(*run(capsys, ["prove-check", str(path)]))
+    code, out, err = run(capsys, ["prove-check", str(path)])
+    assert_input_error(code, out, err)
+    assert err == "error: a proof source must be a JSON object or a list\n"
 
 
 def test_unmapped_exception_is_internal_error(capsys, monkeypatch, model_file):
@@ -554,7 +557,6 @@ def test_filter_output_file_round_trips(capsys, model_file, tmp_path):
         "filter", "--model", model_file, "--seed-formula", "[a+]p",
         "--output", str(out_path)])
     assert code == 0
-    from flpdl.semantics import load_model
     small = load_model(str(out_path))
     assert small.frame.size == json.loads(out)["classes"]
 
@@ -585,6 +587,66 @@ def test_prove_check_algebra_override(capsys):
     good = str(resources.files("flpdl") / "data" / "proofs" / "box_one.json")
     code, _, _ = run(capsys, ["prove-check", good, "--algebra", "builtin:bool2"])
     assert code == 0
+
+
+def test_prove_check_past_the_atom_budget_exits_three(capsys):
+    proof = str(resources.files("flpdl") / "data" / "proofs" / "box_meet_projection.json")
+    code, out, err = run(capsys, ["prove-check", proof, "--atom-budget", "1"])
+    assert (code, out) == (3, "")
+    assert err == "error: 9 assignments over 2 atoms exceed the budget of 1\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["eval", "--model", "{missing}", "--formula", "p0"], "model"),
+    (["prove-check", "{missing}"], "proof"),
+    (["algebra-check", "--algebra", "{missing}"], "algebra"),
+    (["eval", "--model", "{model}", "--algebra", "{missing}", "--formula", "p0"], "algebra"),
+    (["prove-check", "{proof}", "--algebra", "{missing}"], "algebra"),
+])
+def test_missing_file_is_input_error(capsys, tmp_path, model_file, argv, what):
+    missing = str(tmp_path / "missing.json")
+    proof = str(resources.files("flpdl") / "data" / "proofs" / "box_one.json")
+    code, out, err = run(capsys, [a.format(missing=missing, model=model_file, proof=proof)
+                                  for a in argv])
+    assert_input_error(code, out, err)
+    assert err == f"error: no such {what} file: {missing}\n"
+
+
+def test_directory_as_model_is_input_error(capsys, tmp_path):
+    assert_input_error(*run(capsys, ["eval", "--model", str(tmp_path), "--formula", "p0"]))
+
+
+def test_algebra_flag_wins_over_the_files_own(capsys, tmp_path):
+    doc = {"algebra": "builtin:nope", "states": 2, "valuation": {"p0": [0, 1]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    argv = ["eval", "--model", str(path), "--formula", "p0"]
+    assert_input_error(*run(capsys, argv))
+    code, out, _ = run(capsys, [*argv, "--algebra", "builtin:cost:3"])
+    assert code == 0 and json.loads(out)["values"] == [0, 1]
+    # an empty --algebra supplies none, so the file's own field is read
+    assert_input_error(*run(capsys, [*argv, "--algebra", ""]))
+    del doc["algebra"]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, argv)
+    assert_input_error(code, out, err)
+    assert err == "error: model gives no algebra and none was supplied\n"
+
+
+@pytest.mark.parametrize("source", [[], 5])
+def test_model_source_neither_dict_nor_path_is_refused(source):
+    with pytest.raises(ValueError, match="model source must be a dict or a file path"):
+        load_model(source, "builtin:bool2")
+
+
+def test_proof_source_list_or_number_in_the_library():
+    line = {"formula": "[a0]#one", "by": {"kind": "axiom", "axiom": "A-1"}}
+    script = load_proof([line], "builtin:bool2")
+    assert len(script.lines) == 1
+    with pytest.raises(ValueError, match="proof gives no algebra and none was supplied"):
+        load_proof([line])
+    with pytest.raises(ValueError, match="a proof source must be a JSON object or a list"):
+        load_proof(5, "builtin:bool2")
 
 
 def test_selftest_subset(capsys):

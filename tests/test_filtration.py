@@ -13,7 +13,7 @@ from flpdl.generators import random_formula, random_model
 from flpdl.parser import parse_formula
 from flpdl.relations import XRelation
 from flpdl.semantics import Frame, Model
-from flpdl.syntax import closure_of, Var
+from flpdl.syntax import closure_of, is_closed, Var
 
 
 def _m4(C3):
@@ -154,6 +154,23 @@ def test_requires_closed_list(m4, C3):
     with pytest.raises(NotClosed):
         filtrate(m4, [f])
     assert phi_partition(m4, [f]).class_count >= 1
+
+
+@pytest.mark.parametrize("text, dropped", [
+    ("[a0]p0", "p0"),
+    ("[a0 u a1]p0", "[a0]p0"),
+    ("[a0 u a1]p0", "[a1]p0"),
+    ("[a0;a1]p0", "[a0][a1]p0"),
+    ("[a0+]p0", "[a0][a0+]p0"),
+    ("[a0+]p0", "[a0]p0"),
+])
+def test_closure_missing_one_required_member_is_refused(m4, C3, text, dropped):
+    phis = closure_of([parse_formula(text, C3)])
+    short = [f for f in phis if f is not parse_formula(dropped, C3)]
+    assert len(short) == len(phis) - 1
+    assert not is_closed(short)
+    with pytest.raises(NotClosed):
+        filtrate(m4, short)
 
 
 def test_all_states_distinct_is_isomorphic(C3):

@@ -11,7 +11,7 @@ from flpdl.parser import parse_formula
 from flpdl.relations import XRelation, refl_trans_closure
 from flpdl.semantics import (Frame, Model, derived_relation, evaluate,
                              load_model, model_to_json, valid_in_model)
-from flpdl.syntax import Atom, Box, Choice, Plus, Seq, Var
+from flpdl.syntax import Atom, Box, Choice, Const, Plus, Seq, Var
 
 
 @pytest.fixture()
@@ -144,6 +144,16 @@ def test_frame_rejects_bad_relation_size(C3):
 def test_frame_rejects_relation_over_another_algebra(C3, B):
     with pytest.raises(DimensionMismatch, match="different algebra"):
         Frame(C3, 2, relations={0: XRelation.from_rows(B, [[0, 1], [1, 0]])})
+
+
+def test_frame_rejects_relation_with_no_algebra(C3):
+    with pytest.raises(DimensionMismatch, match="relation for a0 has no algebra"):
+        Frame(C3, 2, relations={0: XRelation(None, [[0, 1], [1, 0]])})
+
+
+def test_constant_past_the_algebra_is_refused(C3):
+    with pytest.raises(DimensionMismatch, match="constant #99 is no element index"):
+        Model(Frame(C3, 2, {}), {}).values(Const(99))
 
 
 def test_atom_relation_is_a_new_relation_or_bottom(m, C3):

@@ -105,6 +105,13 @@ def test_syntax_errors_carry_positions(C3):
     assert exc.value.position == 3
     with pytest.raises(FormulaSyntaxError):
         parse_formula("", C3)
+    with pytest.raises(FormulaSyntaxError, match="nesting deeper than") as exc:
+        parse_formula("[a0" + "+" * 65 + "]p0", C3)
+    assert exc.value.position == 67
+    with pytest.raises(FormulaSyntaxError, match="Kleene star is only allowed as the "
+                                                 "outermost action operator") as exc:
+        parse_action("a0* ; a1")
+    assert exc.value.position == 2
 
 
 def test_format_parse_round_trip_pins(C3):
