@@ -438,6 +438,8 @@ def read_json(source, what: str):
     """The JSON value of the file a string source names; any other source as it is."""
     if not isinstance(source, str):
         return source
+    if not source:
+        raise ValueError(f"{what} source is empty")
     if not os.path.exists(source):
         raise ValueError(f"no such {what} file: {source}")
     with open(source) as fh:

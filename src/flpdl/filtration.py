@@ -58,8 +58,9 @@ def phi_partition(model: Model, phis: Iterable[Formula]) -> Partition:
     seen: dict[tuple[int, ...], int] = {}
     class_of: list[int] = []
     reps: list[int] = []
-    for s in range(model.frame.size):
-        key = tuple(row[s] for row in rows)
+    # a state's key is its column of values; with no formulas every state's is ()
+    keys = zip(*rows) if rows else [()] * model.frame.size
+    for s, key in enumerate(keys):
         c = seen.get(key)
         if c is None:
             c = len(reps)

@@ -36,10 +36,12 @@ members to the relations' frames, and reduces in scratch the plan keeps.
 over the whole batch, each joining one term into every entry, and stops
 at the first of pivots 4, 8, 16, ... that finds every entry at top.
 
-`evaluate` is plan, bind and run for one formula or action over the
-caller's memos, int64 at the boundary: a subterm in a memo is given, read
-from it by lookup and never copied, and each subterm computed is stored
-in its memo as an int64 (batch, n) value or (frames, n, n) relation.
+A plan can also grow: `Plan.extend` numbers only the subterms of a new
+root that the plan does not hold, runs only their steps, and leaves every
+value computed before in its slot. A model evaluates all its formulas in
+one such plan of batch one, and a frame derives all its actions in
+another (see `semantics`); the workspace's rows at least double as slots
+are added, keeping the rows computed.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ import numpy as np
 
 from .algebra import FLAlgebra
 from .errors import DimensionMismatch
-from .syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus, RDiv,
-                     Seq, Var, children)
+from .syntax import (ACTIONS, And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
+                     RDiv, Seq, Var, children)
 
 
 _BLOCK = 2 ** 14  # entries per gather of a meet or join over states, and at least one state
@@ -181,7 +183,6 @@ def digits(indices: np.ndarray, size: int, rows):
 
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp"}
-_ACTIONS = (Atom, Choice, Seq, Plus)
 _INPUT, _BOTTOM = object(), object()
 _NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -245,24 +246,84 @@ def _narrow(algebra: FLAlgebra) -> dict:
 
 
 class Plan:
-    """A compiled formula: steps over numbered slots, and the workspace they run in.
+    """Formulas and actions compiled into steps over numbered slots, and the workspace they run in.
 
-    `inputs` maps each given formula to its slot, `computed` lists
-    (node, is action, slot or action index) for the other subterms in
-    post-order, and `roots` holds (is action, slot or index) per root.
-    After `run`, `relations` holds the block's relation of every action.
+    `add` numbers the subterms of more roots, so a plan can grow: `ids` maps
+    each subterm to its formula slot or action index, `inputs` each given
+    formula to its slot, and `steps` lists how the others are computed, in
+    post-order. `roots` holds (is action, slot or index) per root given to
+    `plan`. After `run`, `relations` holds the relation of every action.
     """
 
-    def __init__(self, algebra: FLAlgebra, counts, inputs, computed, consts, steps, roots):
+    def __init__(self, algebra: FLAlgebra):
         self.algebra = algebra
-        (self._slots, self._actions), self._consts, self._steps = counts, consts, steps
-        self.inputs, self.computed, self.roots = inputs, computed, roots
+        self.ids: dict = {}
+        self._counts = [0, 0]                   # formula slots, actions
+        self.inputs: dict = {}
+        self.steps: list = []
+        self._consts: list = []
+        self.roots: list = []
         self._tables = _narrow(algebra)
         self.dtype = self._tables["meet"].dtype
-        self._cells = 0
+        self._ws = np.empty((0, 0), self.dtype)
+        self._cells = self._written = self._ran = 0   # cells held, consts written, steps run
+        self._bound = None      # the (n, batch) that `views` are cut for
         self._relbuf = np.empty(0, np.intp)
         self._fold = None   # the box blocks' index and mask scratch, made when first needed
+        self.views: list[np.ndarray] = []
         self.relations: list[np.ndarray] = []
+
+    def add(self, roots, given=lambda node: False) -> list:
+        """Number the subterms of `roots` that the plan does not hold yet, and
+        list their steps; returns (is action, slot or index) per root.
+
+        `given(node)` is asked of each new subterm the walk reaches; where it
+        holds, the caller supplies the subterm and the walk does not look into
+        it. DimensionMismatch for a constant, outside a given subterm, that is
+        no element index; the subterms numbered before it stay numbered.
+        """
+        ids, counts, steps, size = self.ids, self._counts, self.steps, self.algebra.size
+        # post-order: a node is expanded, then numbered, its children's numbers on `done`
+        stack, done = [(r, False) for r in reversed(roots)], []
+        while stack:
+            node, expanded = stack.pop()
+            kind, supplied = type(node), False
+            if expanded:
+                if kind is Plus:
+                    args = (done.pop(), None)
+                else:
+                    right = done.pop()
+                    args = (done.pop(), right)
+            else:
+                hit = ids.get(node)
+                if hit is not None:
+                    done.append(hit)
+                    continue
+                supplied = given(node)
+                kids = () if supplied else children(node)
+                if kids:
+                    stack.append((node, True))
+                    stack.extend([(k, False) for k in reversed(kids)])
+                    continue
+                if kind is Const and not supplied and not (0 <= node.index < size):
+                    raise DimensionMismatch(f"constant #{node.index} is no element index")
+            action = kind in ACTIONS
+            i = ids[node] = counts[action]
+            counts[action] += 1
+            done.append(i)
+            if expanded:
+                steps.append((_TABLES.get(kind, kind), i, *args))
+            elif supplied:
+                if action:
+                    steps.append((_INPUT, i, node, None))
+                else:
+                    self.inputs[node] = i
+            elif kind is Atom:
+                steps.append((_BOTTOM, i, None, None))
+            else:
+                self._consts.append((i, self.algebra.zero if kind is Var else node.index))
+        # each root left its number on `done`, in order
+        return [(type(r) in ACTIONS, i) for r, i in zip(roots, done)]
 
     def bind(self, n: int, batch: int) -> list[np.ndarray]:
         """The (n, batch) view of every slot for the next block, in the reused workspace.
@@ -270,12 +331,13 @@ class Plan:
         The caller writes each given formula's values into
         `views[inputs[formula]]` before `run`; the other slots are the plan's.
         """
-        cells = n * batch
-        self.reserve(cells)
-        self.n, self.batch = n, batch
-        self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
-        index, acc = self._buffers
-        self._index, self._acc = index[:cells].reshape(n, batch), acc[:, :cells].reshape(-1, n, batch)
+        self.reserve(n * batch)
+        if self._bound != (n, batch):
+            cells = n * batch
+            self._bound, self.n, self.batch = (n, batch), n, batch
+            self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
+            index, acc = self._buffers
+            self._index, self._acc = index[:cells].reshape(n, batch), acc[:, :cells].reshape(-1, n, batch)
         return self.views
 
     def reserve(self, cells: int, relation_cells: int = 0) -> None:
@@ -284,14 +346,22 @@ class Plan:
 
         A caller that knows its blocks' sizes reserves for the largest one
         first, so that binding and running the others allocates nothing.
+        Slots that `add` numbered since are made room for too: the rows at
+        least double, keeping every row computed so far.
         """
+        rows = self._counts[0]
         if cells > self._cells:
-            self._ws = np.empty((self._slots, cells), self.dtype)
-            for slot, value in self._consts:
-                self._ws[slot] = value
+            self._ws = np.empty((rows, cells), self.dtype)
             masks = self._tables["box"][0]
             self._buffers = np.empty(cells, np.intp), np.empty((len(masks) + 1, cells), masks[0].dtype)
-            self._cells = cells
+            self._cells, self._written, self._bound = cells, 0, None
+        elif rows > len(self._ws):
+            ws = np.empty((max(rows, 2 * len(self._ws)), self._cells), self.dtype)
+            ws[:len(self._ws)] = self._ws
+            self._ws, self._bound = ws, None
+        for slot, value in self._consts[self._written:]:
+            self._ws[slot] = value
+        self._written = len(self._consts)
         if relation_cells > len(self._relbuf):
             self._relbuf = np.empty(relation_cells, np.intp)
 
@@ -313,18 +383,18 @@ class Plan:
             self._fold = np.empty(cells, np.intp), np.empty(cells, self._tables["box"][0][0].dtype)
         return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
 
-    def run(self, relations: dict, frame_of: np.ndarray | None = None) -> list:
-        """Evaluate the bound block: the (n, batch) view or relation of each root.
+    def run(self, relations, frame_of: np.ndarray | None = None, start: int = 0) -> list:
+        """Evaluate the bound block from step `start` on: the (n, batch) view or relation of each root.
 
-        `relations` maps each given action to its int64 (frames, n, n)
+        `relations[action]` is each given action's int64 (frames, n, n)
         relation, frames being 1 or the batch unless `frame_of` maps batch
         members to frames. Views stay the plan's, overwritten by the next block.
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
-        size, index = tables["size"], self._index
-        rels: list = [None] * self._actions
+        size, index, rels = tables["size"], self._index, self.relations
+        rels.extend([None] * (self._counts[1] - len(rels)))
         boxed = None    # the action whose relation the scaled buffer holds
-        for op, out, a, b in self._steps:
+        for op, out, a, b in self.steps[start:] if start else self.steps:
             if type(op) is str:
                 _read(tables[op], size, views[a], views[b], index, views[out])
             elif op is Box:
@@ -344,90 +414,26 @@ class Plan:
                 rels[out] = compose(algebra, rels[a], rels[b])
             else:
                 rels[out] = closure(algebra, rels[a])
-        self.relations = rels
+        self._ran = len(self.steps)
         return [rels[i] if action else views[i] for action, i in self.roots]
+
+    def extend(self, roots, given, relations) -> list:
+        """`add` the roots to a bound plan and run only the steps no earlier run ran,
+        over `relations` as `run` reads them; (is action, slot or index) per root.
+
+        Every value computed before stays in its slot or relation and is not
+        computed again.
+        """
+        numbers = self.add(roots, given)
+        self.bind(self.n, self.batch)
+        self.run(relations, start=self._ran)
+        # a plan kept for its values keeps no relation-sized scratch (8 MB at 1,024 states)
+        self._relbuf = np.empty(0, np.intp)
+        return numbers
 
 
 def plan(roots, algebra: FLAlgebra, given=lambda node: False) -> Plan:
-    """Compile formulas or actions into one plan.
-
-    `given(node)` is asked of each subterm the walk reaches; where it
-    holds, the caller supplies the subterm and the walk does not look
-    into it. DimensionMismatch for a constant, outside a given subterm,
-    that is no element index.
-    """
-    ids = {}                                # subterm -> slot or action index
-    counts = [0, 0]                         # formula slots, actions
-    inputs, computed, consts, steps = {}, [], [], []
-    # post-order: a node is expanded, then numbered, its children's numbers on `done`
-    stack, done = [(r, False) for r in reversed(roots)], []
-    while stack:
-        node, expanded = stack.pop()
-        kind, supplied = type(node), False
-        if expanded:
-            if kind is Plus:
-                args = (done.pop(), None)
-            else:
-                right = done.pop()
-                args = (done.pop(), right)
-        else:
-            hit = ids.get(node)
-            if hit is not None:
-                done.append(hit)
-                continue
-            supplied = given(node)
-            kids = () if supplied else children(node)
-            if kids:
-                stack.append((node, True))
-                stack.extend([(k, False) for k in reversed(kids)])
-                continue
-        action = kind in _ACTIONS
-        i = ids[node] = counts[action]
-        counts[action] += 1
-        done.append(i)
-        if not supplied:
-            computed.append((node, action, i))
-        if expanded:
-            steps.append((_TABLES.get(kind, kind), i, *args))
-        elif supplied:
-            if action:
-                steps.append((_INPUT, i, node, None))
-            else:
-                inputs[node] = i
-        elif kind is Atom:
-            steps.append((_BOTTOM, i, None, None))
-        elif kind is Var:
-            consts.append((i, algebra.zero))
-        elif not (0 <= node.index < algebra.size):
-            raise DimensionMismatch(f"constant #{node.index} is no element index")
-        else:
-            consts.append((i, node.index))
-    # each root left its number on `done`, in order
-    return Plan(algebra, counts, inputs, computed, consts, steps,
-                [(type(r) in _ACTIONS, i) for r, i in zip(roots, done)])
-
-
-def evaluate(root, algebra: FLAlgebra, memo: dict, relations: dict,
-             batch: int, n: int) -> np.ndarray:
-    """Value of a formula, as int64 (batch, n), or relation of an action, over the batch.
-
-    `memo` maps formulas to int64 (batch, n) values and `relations` actions
-    to int64 (frames, n, n) relations, frames being 1 or the batch: looked
-    up, never listed or copied. Every subterm computed is added to its memo.
-    """
-    table = relations if type(root) in _ACTIONS else memo
-    hit = table.get(root)
-    if hit is not None:
-        return hit
-    p = plan((root,), algebra, lambda node: node in memo or node in relations)
-    views = p.bind(n, batch)
-    for node, slot in p.inputs.items():
-        views[slot][...] = memo[node].T
-    p.run(relations)
-    # the root is numbered last, so it is the last subterm copied out
-    for node, action, i in p.computed:
-        if action:
-            out = relations[node] = p.relations[i]
-        else:
-            out = memo[node] = views[i].T.astype(np.int64, order="C")
-    return out
+    """Compile formulas or actions into one plan, numbered by `Plan.add`."""
+    p = Plan(algebra)
+    p.roots = p.add(roots, given)
+    return p

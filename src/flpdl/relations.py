@@ -66,10 +66,16 @@ class XRelation:
         for row in rows:
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise DimensionMismatch("relation matrix must be square")
-        # one pass over the flattened rows: the first bad entry in row-major order is named
-        flat = element_indices(list(chain.from_iterable(rows)), algebra.size, "relation entry",
-                               DimensionMismatch)
-        return cls(algebra, np.fromiter(flat, np.int64, len(flat)).reshape(n, n))
+        flat = list(chain.from_iterable(rows))
+        if set(map(type, flat)) <= {int}:
+            # plain ints, the common case: the constructor checks their range on the array
+            try:
+                return cls(algebra, np.array(flat, np.int64).reshape(n, n))
+            except (OverflowError, DimensionMismatch):
+                pass
+        # the first bad entry in row-major order is named
+        flat = element_indices(flat, algebra.size, "relation entry", DimensionMismatch)
+        return cls(algebra, np.array(flat, np.int64).reshape(n, n))
 
 
 def bottom_relation(algebra: FLAlgebra, n: int) -> XRelation:

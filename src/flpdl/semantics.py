@@ -13,20 +13,25 @@ evaluate computes the value of a formula per state:
 
 with => the right division. Composite actions get their relation from the
 atoms by union / composition / transitive closure. All of it runs through
-`kernel`, a model being a batch of one; the kernel's relation memo lives on
-the frame, shared by its models, and its formula memo on the model. It is
-seeded with each atom's read-only `XRelation.matrix` as it is.
+`kernel`, a model being a batch of one, in plans that grow: a frame derives
+every action in one plan, seeded with each atom's read-only
+`XRelation.matrix` as it is, and publishes each relation asked of it as an
+int64 array in `relation_memo`, shared by its models; a model evaluates
+every formula in one plan, made on its first evaluation, whose boxes read
+their relations from the frame. Each subterm is compiled and computed once
+per model (actions once per frame), and its value stays in the plan's slot.
 
 In the JSON form, keys are "aK" and "pK" with K in ASCII digits, one key per K.
 
-Evaluation is deterministic and side-effect free apart from caches whose
-entries are only ever written with the one value they can take, so
-concurrent evaluate calls agree.
+Evaluation is deterministic. A plan grows and runs under its model's (or
+frame's) lock, and the memos outside it are only ever written with the one
+value an entry can take, so concurrent evaluate calls agree.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +40,7 @@ from . import kernel
 from .algebra import FLAlgebra, algebra_to_json, ambient, element_indices, read_json
 from .errors import DimensionMismatch, UnknownAtom
 from .relations import XRelation
-from .syntax import ActionExp, Atom, Formula, Var, action_atoms
+from .syntax import ACTIONS, ActionExp, Atom, Formula, Var, action_atoms
 
 MAX_STATES = 1024  # a model file's state cap: one int64 relation is then 8 MB
 
@@ -59,11 +64,26 @@ class Frame:
             self.atomic[int(idx)] = rel
         self.state_names = tuple(state_names) if state_names is not None else None
         self.relation_memo = {Atom(idx): rel.matrix[None] for idx, rel in self.atomic.items()}
+        self._plan = None   # the actions' plan, made when a derived relation is first asked for
+        self._lock = threading.Lock()
+
+    def __getitem__(self, action: ActionExp) -> np.ndarray:
+        """The int64 (1, n, n) relation of any action, derived once in the frame's plan."""
+        rel = self.relation_memo.get(action)
+        if rel is None:
+            with self._lock:
+                plan = self._plan
+                if plan is None:
+                    plan = self._plan = kernel.Plan(self.algebra)
+                    plan.bind(self.size, 1)
+                ((_, i),) = plan.extend((action,), self.relation_memo.__contains__,
+                                        self.relation_memo)
+                rel = self.relation_memo[action] = plan.relations[i]
+        return rel
 
     def relation(self, action: ActionExp) -> XRelation:
-        """Relation of any action, atoms included, as a new XRelation; the kernel memoizes it."""
-        arr = kernel.evaluate(action, self.algebra, {}, self.relation_memo, 1, self.size)
-        return XRelation(self.algebra, arr[0])
+        """Relation of any action, atoms included, as a new XRelation."""
+        return XRelation(self.algebra, self[action][0])
 
     def require_atoms(self, node) -> None:
         """UnknownAtom unless the frame maps every action atom in node."""
@@ -90,7 +110,8 @@ class Model:
             self.valuation[int(var)] = element_indices(row, frame.algebra.size, "valuation entry",
                                                        DimensionMismatch)
         self._values: dict[Formula, tuple[int, ...]] = {}
-        self._memo = {Var(p): np.array([row]) for p, row in self.valuation.items()}
+        self._plan = None   # made on the first evaluation
+        self._lock = threading.Lock()
 
     @property
     def algebra(self) -> FLAlgebra:
@@ -108,10 +129,29 @@ class Model:
         if cached is None:
             if self.strict:
                 self.frame.require_atoms(formula)
-            arr = kernel.evaluate(formula, self.algebra, self._memo, self.frame.relation_memo,
-                                  1, self.frame.size)
-            cached = self._values[formula] = tuple(arr[0].tolist())
+            with self._lock:
+                plan = self._plan
+                if plan is None:
+                    plan = self._plan = self._start_plan()
+                slot = plan.ids.get(formula)
+                if slot is None:
+                    # actions are given: the frame derives them when a box's step reads them
+                    ((_, slot),) = plan.extend((formula,), _is_action, self.frame)
+                cached = self._values[formula] = tuple(plan.views[slot][:, 0].tolist())
         return cached
+
+    def _start_plan(self) -> kernel.Plan:
+        """A plan of batch one holding the valuation's variables as inputs."""
+        plan = kernel.Plan(self.algebra)
+        numbers = plan.add([Var(p) for p in self.valuation], lambda node: True)
+        views = plan.bind(self.frame.size, 1)
+        for (_, slot), row in zip(numbers, self.valuation.values()):
+            views[slot][:, 0] = row
+        return plan
+
+
+def _is_action(node) -> bool:
+    return type(node) in ACTIONS
 
 
 def evaluate(model: Model, formula: Formula, state: int) -> int:

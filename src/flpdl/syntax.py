@@ -241,7 +241,7 @@ Formula = Union[Var, Const, And, Or, Fuse, LDiv, RDiv, Box]
 Node = Union[Formula, ActionExp]
 
 _BINARY = (And, Or, Fuse, LDiv, RDiv)
-_ACTIONS = (Atom, Choice, Seq, Plus)
+ACTIONS = (Atom, Choice, Seq, Plus)
 
 # each node type's direct subterms, in field order
 _KIDS = {**dict.fromkeys((Var, Const, Atom), lambda n: ()),
@@ -355,7 +355,7 @@ def _fmt(root: Node) -> str:
 
 def subformulas(f: Formula) -> list[Formula]:
     """f and all formulas below it, in first-visit order, no duplicates."""
-    return [g for g in walk(f) if not isinstance(g, _ACTIONS)]
+    return [g for g in walk(f) if not isinstance(g, ACTIONS)]
 
 
 def action_atoms(f: Formula | ActionExp) -> list[int]:

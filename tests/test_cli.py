@@ -612,6 +612,16 @@ def test_missing_file_is_input_error(capsys, tmp_path, model_file, argv, what):
     assert err == f"error: no such {what} file: {missing}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["algebra-check", "--algebra", ""],
+    ["decide", "--formula", "p0", "--algebra", "", "--max-states", "1"],
+])
+def test_empty_algebra_source_is_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert_input_error(code, out, err)
+    assert err == "error: algebra source is empty\n"
+
+
 def test_directory_as_model_is_input_error(capsys, tmp_path):
     assert_input_error(*run(capsys, ["eval", "--model", str(tmp_path), "--formula", "p0"]))
 

@@ -86,6 +86,12 @@ def test_partition_pin(m4, C3):
     assert part.class_count == 3
 
 
+def test_partition_over_no_formulas_is_one_class(m4):
+    part = phi_partition(m4, [])
+    assert part.class_of == (0,) * m4.frame.size
+    assert part.representatives == (0,)
+
+
 def test_partition_members(m4, C3):
     phis = closure_of([parse_formula("[a0+]p0", C3)])
     part = phi_partition(m4, phis)

@@ -4,7 +4,10 @@ import ast
 import functools
 import itertools
 import math
+import random
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +18,13 @@ from hypothesis import strategies as st
 from flpdl import kernel, oracles
 from flpdl.algebra import FLAlgebra, bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
+from flpdl.errors import DimensionMismatch
 from flpdl.oracles import reference_values
 from flpdl.proofs import _BLOCK, log_consequence
 from flpdl.relations import XRelation
 from flpdl.semantics import Frame, Model
 from flpdl.syntax import (And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plus,
-                          RDiv, Seq, Var, neg)
+                          RDiv, Seq, Var, children, closure_of, neg)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -82,11 +86,14 @@ def test_kernel_matches_reference_evaluator(data):
     # one model at a time: Model.values is the kernel on a batch of one
     assert [m.values(f) for m in batch] == want
     # all at once, seeded the way decide_bounded seeds its candidate blocks
-    relations = {Atom(a): np.stack([m.frame.relation(Atom(a)).matrix for m in batch])
-                 for a in (0, 1)}
-    memo = {Var(p): np.array([m.var_row(p) for m in batch]) for p in (0, 1, 2)}
-    got = kernel.evaluate(f, algebra, memo, relations, len(batch), n)
-    assert got.tolist() == [list(row) for row in want]
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1), Var(2))
+    relations = {a: np.stack([m.frame.relation(a).matrix for m in batch]) for a in atoms}
+    plan = kernel.plan((f,), algebra, set(atoms + vars_).__contains__)
+    views = plan.bind(n, len(batch))
+    for p, slot in plan.inputs.items():
+        views[slot][...] = np.array([m.var_row(p.index) for m in batch]).T
+    (got,) = plan.run(relations)
+    assert got.T.tolist() == [list(row) for row in want]
 
 
 class _Unlisted(dict):
@@ -101,11 +108,119 @@ class _Unlisted(dict):
 def test_evaluation_never_lists_or_copies_its_memos():
     algebra, rows = cost_chain(3), [[0, 1], [2, 0]]
     f = Box(Plus(Atom(0)), Var(0))
-    memo, relations = _Unlisted({Var(0): np.array([[1, 2]])}), _Unlisted({Atom(0): np.array([rows])})
-    got = kernel.evaluate(f, algebra, memo, relations, 1, 2)
-    model = Model(Frame(algebra, 2, {0: XRelation.from_rows(algebra, rows)}), {0: (1, 2)})
-    assert got.tolist() == [list(reference_values(model, f))]
-    assert memo[f] is got and Plus(Atom(0)) in relations
+    frame = Frame(algebra, 2, {0: XRelation.from_rows(algebra, rows)})
+    frame.relation_memo = _Unlisted(frame.relation_memo)
+    model = Model(frame, {0: (1, 2)})
+    assert model.values(f) == reference_values(model, f)
+    assert Plus(Atom(0)) in frame.relation_memo
+    # the atom's relation is the XRelation's own matrix, read where it lies
+    assert np.shares_memory(frame.relation_memo[Atom(0)], frame.atomic[0].matrix)
+    assert np.shares_memory(frame._plan.relations[frame._plan.ids[Atom(0)]],
+                            frame.atomic[0].matrix)
+
+
+def _subterms(formulas):
+    """The distinct formula subterms and the distinct actions under boxes, and every action
+    subterm, of the formulas."""
+    formulas_, boxed, actions = set(), set(), set()
+    stack = list(formulas)
+    while stack:
+        node = stack.pop()
+        if type(node) in (Atom, Choice, Seq, Plus):
+            actions.add(node)
+        else:
+            formulas_.add(node)
+            if type(node) is Box:
+                boxed.add(node.action)
+        stack.extend(children(node))
+    return formulas_, boxed, actions
+
+
+@PROPERTY
+@given(st.data())
+def test_model_plan_computes_each_subterm_once_in_any_order(data):
+    """Closure formulas asked for forward or reversed agree with the reference, and the
+    model's and the frame's plans hold one number and at most one step per subterm."""
+    algebra = data.draw(algebras())
+    n = data.draw(st.integers(1, 3))
+    phis = closure_of([data.draw(formulas(algebra.size))])
+    model = data.draw(models(algebra, n))
+    order = phis if data.draw(st.booleans()) else phis[::-1]
+    for f in order:
+        assert model.values(f) == reference_values(model, f)
+    # a second pass finds every value where the first left it
+    fresh = Model(model.frame, {p: model.var_row(p) for p in model.valuation})
+    for f in order[::-1]:
+        assert fresh.values(f) == reference_values(model, f)
+    formulas_, boxed, _ = _subterms(phis)
+    plan = model._plan
+    vars_ = {Var(p) for p in model.valuation}
+    assert set(plan.ids) == formulas_ | boxed | vars_
+    # a step per subterm that is not a variable or a constant, an input step per boxed action
+    leaves = sum(type(g) in (Var, Const) for g in formulas_ | vars_)
+    assert len(plan.steps) == len(formulas_ | vars_) - leaves + len(boxed)
+    # the frame derives only what its atoms' seeded relations do not give
+    frame = model.frame
+    derived = [a for a in boxed if not (type(a) is Atom and a.index in frame.atomic)]
+    if derived:
+        assert set(frame._plan.ids) == _subterms([Box(a, Var(0)) for a in derived])[2]
+        assert len(frame._plan.steps) == len(frame._plan.ids)
+    else:
+        assert frame._plan is None
+
+
+def test_concurrent_values_on_one_model_agree():
+    algebra = cost_chain(5)
+    rng = np.random.default_rng(5)
+    n = 12
+    frame = Frame(algebra, n, {a: XRelation(algebra, rng.integers(0, algebra.size, (n, n)))
+                               for a in (0, 1)})
+    valuation = {p: rng.integers(0, algebra.size, n).tolist() for p in (0, 1, 2)}
+    phis = closure_of([And(Box(Plus(Seq(Atom(0), Atom(1))), LDiv(Var(0), Var(1))),
+                           Box(Choice(Atom(1), Plus(Atom(0))), Or(Fuse(Var(2), Const(3)), Var(0))))])
+    reference = Model(frame, valuation)
+    want = {f: reference_values(reference, f) for f in phis}
+    for _ in range(3):
+        model = Model(Frame(algebra, n, frame.atomic), valuation)
+        barrier = threading.Barrier(8)
+
+        def work(seed):
+            order = list(phis)
+            random.Random(seed).shuffle(order)
+            barrier.wait()
+            return {f: model.values(f) for f in order}
+
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(work, range(8)))
+        assert all(got == want for got in results)
+
+
+def test_model_keeps_no_relation_sized_scratch():
+    """A model's plan keeps its values between evaluations, not the scaled relation buffer."""
+    algebra, n = cost_chain(8), 256
+    rng = np.random.default_rng(8)
+    model = Model(Frame(algebra, n, {0: XRelation(algebra, rng.integers(0, algebra.size, (n, n)))}),
+                  {0: rng.integers(0, algebra.size, n).tolist()})
+    model.values(Var(0))
+    f = Box(Atom(0), Var(0))
+    tracemalloc.start()
+    try:
+        got = model.values(f)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert got == reference_values(model, f)
+    # the scaled relation alone would be n * n intp entries; box fold scratch stays
+    assert retained < n * n * 8 // 2
+
+
+def test_bad_constant_is_refused_every_time():
+    algebra = cost_chain(3)
+    model = Model(Frame(algebra, 2), {0: (0, 1)})
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="constant #7 is no element index"):
+            model.values(And(Var(0), Const(7)))
+    assert model.values(And(Var(0), Const(2))) == reference_values(model, And(Var(0), Const(2)))
 
 
 # a box over every kind of action, several variables, a constant and each connective

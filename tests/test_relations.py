@@ -35,13 +35,20 @@ def test_from_rows_rejects_out_of_range(C3):
     # past int64: named like any other entry, not an OverflowError from numpy
     ([[10 ** 30, 0], [0, 0]],
      "relation entry 1000000000000000000000000000000 is no element index in 0..2"),
+    # two bad entries: the first in row-major order is named
+    ([[0, 0, 0], [0, 0, 7], [-2, 0, 0]], "relation entry 7 is no element index in 0..2"),
     ([[0, 1], [0]], "relation matrix must be square"),
     ([[], []], "relation matrix must be square"),
-], ids=["bool", "float", "str", "negative", "huge-int", "ragged", "empty-rows"])
+], ids=["bool", "float", "str", "negative", "huge-int", "first-of-two", "ragged", "empty-rows"])
 def test_from_rows_names_the_bad_entry(C3, rows, message):
     with pytest.raises(DimensionMismatch) as info:
         XRelation.from_rows(C3, rows)
     assert str(info.value) == message
+
+
+def test_from_rows_takes_numpy_integers(C3):
+    rel = XRelation.from_rows(C3, [[np.int64(2), 0], [1, np.uint8(0)]])
+    assert rel.values == ((2, 0), (1, 0))
 
 
 def test_from_rows_takes_numpy_integers_and_no_rows(C3):
