@@ -11,16 +11,16 @@ canonically first hit.
 
 A candidate's index thus splits into a frame index (the relation digits)
 and a valuation index below it, and each frame owns a run of
-|algebra| ** (variables * n) consecutive candidates. Enumeration works
-frame by frame, in blocks of consecutive candidates that hold whole frames
-unless a frame alone has more than _CHUNK valuations or the budget ends
-mid-frame. A block decodes its distinct frames, drops every frame that
-some transposition of two states maps to a smaller frame index (n(n-1)/2
-vectorized digit comparisons), and evaluates the candidates of the
-surviving frames as one block of a kernel plan compiled once per search:
-their valuation digits are written straight into the plan's variable
-slots, its boxes read the frames' relations through `frame_of` instead of
-per-candidate copies, and every block runs in the plan's reused workspace.
+|algebra| ** (variables * n) consecutive candidates. Enumeration works in
+blocks of at most _CHUNK consecutive candidates that hold whole frames,
+or one run inside one frame when the frame is wider or the budget ends in
+it, so all frames of a block run the same valuations. A block decodes its
+frames, drops every frame that some transposition of two states maps to a
+smaller frame index (n(n-1)/2 vectorized digit comparisons), and evaluates
+the rest as one frame-major block of a kernel plan compiled once per
+search: the valuations are decoded once, into the first frame's variable
+slots, and copied to the others, each box adds a frame's relation to its
+run by one broadcast, and every block runs in the plan's reused workspace.
 
 Pruning cannot change the reported countermodel. Suppose the first hit
 (F, v) had a transposition t with tF < F. Renaming the states by t gives
@@ -277,42 +277,41 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                     frontier={"states": n, "next_index": start,
                               "models_checked": checked, "max_states": max_states},
                     models_evaluated=evaluated)
-            # whole frames where they fit, else the rest of one frame up to _CHUNK
-            end = min(total, start + _CHUNK)
-            if end // width * width > start:
-                end = end // width * width
-            end = min(end, start + budget - checked)
-            first = start // width
-            base = first * width    # index of the first frame's first candidate
-            frames = np.arange(first, (end - 1) // width + 1, dtype=np.int64)
-            frame_digits = kernel.digits(frames, size, np.empty((cells, len(frames)), np.int64)).T
-            keep = _least_frames(frame_digits, swaps)
-            offsets = np.arange(start - base, end - base, dtype=np.int64)
-            # a block spanning frames has them at most _CHUNK wide, so width fits int64
-            frame_of, valuation = (np.divmod(offsets, width) if len(keep) > 1
-                                   else (np.zeros_like(offsets), offsets))
-            live = keep[frame_of]
-            if live.any():
-                offsets = offsets[live]
-                frame_of = (np.cumsum(keep) - 1)[frame_of[live]]
+            # whole frames in the room left, else one run inside frame `first` (a frame wider
+            # than _CHUNK, or the part of one within the budget); no block after such a run
+            # has room for a whole frame, so whole frames start at a frame's start
+            first, v0 = divmod(start, width)
+            room = min(_CHUNK, budget - checked)
+            if room >= width:
+                count, per = min(room // width, total // width - first), width
+            else:
+                count, per = 1, min(room, width - v0)
+            frame_digits = kernel.digits(np.arange(first, first + count, dtype=np.int64), size,
+                                         np.empty((cells, count), np.int64)).T
+            keep = np.flatnonzero(_least_frames(frame_digits, swaps))
+            if len(keep):
                 kept = frame_digits[keep]
                 rels = {a: kept[:, i * n * n:(i + 1) * n * n].reshape(-1, n, n)
                         for i, a in enumerate(atoms)}
-                # valuation digits go straight into the variables' slots, state rows in order
-                views = plan.bind(n, len(offsets))
-                kernel.digits(valuation[live], size,
-                              [views[plan.inputs[p]][s] for p in vars_ for s in range(n)])
-                pos = _first_hit(holds, plan.run(rels, frame_of)[0])
+                # every kept frame runs valuations v0 .. v0 + per - 1: their digits are
+                # decoded once, into the first frame's slots, and copied to the others
+                views = plan.bind(n, len(keep) * per)
+                slots = [views[plan.inputs[p]].reshape(n, len(keep), per) for p in vars_]
+                kernel.digits(np.arange(v0, v0 + per, dtype=np.int64), size,
+                              [slot[s, 0] for slot in slots for s in range(n)])
+                for slot in slots:
+                    slot[:, 1:] = slot[:, :1]
+                pos = _first_hit(holds, plan.run(rels)[0])
                 if pos is not None:
-                    checked += base + int(offsets[pos]) - start + 1
+                    frame, valuation = divmod(pos, per)
+                    checked += int(keep[frame]) * width + valuation + 1
                     evaluated += pos + 1
-                    model = _materialize(algebra, n,
-                                         {a: r[frame_of[pos]] for a, r in rels.items()},
+                    model = _materialize(algebra, n, {a: r[frame] for a, r in rels.items()},
                                          {p: views[plan.inputs[p]][:, pos] for p in vars_})
                     return _verify_hit(model, formula, checked, evaluated)
-                evaluated += len(offsets)
-            checked += end - start
-            start = end
+                evaluated += len(keep) * per
+            checked += count * per
+            start += count * per
 
     if max_states >= bound:
         return ValidByExhaustion(bound, checked, evaluated)

@@ -29,8 +29,9 @@ masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
 entries is one add forming flat indices (left operands come times size),
 one gather of masks and one AND reduction. A box reads its relation as
 (target, source, frame) times size, into a buffer shared by boxes over
-one action in a row, gathers columns through `frame_of`, which maps batch
-members to the relations' frames, and reduces in scratch the plan keeps.
+one action in a row, adds it to a frame-major block (one frame, a frame
+per member, or F frames over F runs of members, each broadcast over its
+run), and reduces in scratch the plan keeps.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -73,15 +74,15 @@ def _unmask(acc: np.ndarray, decode, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract(tables, lefts, rights, out, scratch=None, acc=None, gather=None) -> None:
+def _contract(tables, lefts, rights, out, scratch=None, acc=None) -> None:
     """out = the meet or join over the first axis of the table entries at lefts[i] + rights[i].
 
     `tables` is (masks, decode): masks[w] is word w of each flat entry's
     down-set mask for a meet, up-set for a join, and decode[w][v], in out's
     dtype, the element at v's highest set bit in word w. `acc` holds a row
-    per word and one for a later block, shaped as out; `gather`, unless
-    None, maps out's last axis to the lefts'; `scratch(k)` gives index and
-    mask buffers for k terms (masks None for one). Either None is made here.
+    per word and one for a later block, shaped as out; `scratch(k)` gives
+    index and mask buffers for k terms (masks None for one). Either None is
+    made here.
     """
     masks, decode = tables
     word = masks[0].dtype
@@ -93,10 +94,8 @@ def _contract(tables, lefts, rights, out, scratch=None, acc=None, gather=None) -
         acc = np.empty((len(masks) + 1, *out.shape), word)
     for start in range(0, count, step):
         k, first = min(step, count - start), start == 0
-        idx, block = index[:k], lefts[start:start + k]
-        if gather is not None:
-            block = np.take(block, gather, axis=-1, out=idx, mode="clip")
-        np.add(block, rights[start:start + k], out=idx)
+        idx = index[:k]
+        np.add(lefts[start:start + k], rights[start:start + k], out=idx)
         for w, table in enumerate(masks):
             into = acc[w] if first else acc[-1]    # a later block is ANDed in from the last row
             terms = table.take(idx, out=values[:k] if k > 1 else into[None], mode="clip")
@@ -383,12 +382,14 @@ class Plan:
             self._fold = np.empty(cells, np.intp), np.empty(cells, self._tables["box"][0][0].dtype)
         return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
 
-    def run(self, relations, frame_of: np.ndarray | None = None, start: int = 0) -> list:
+    def run(self, relations, start: int = 0) -> list:
         """Evaluate the bound block from step `start` on: the (n, batch) view or relation of each root.
 
         `relations[action]` is each given action's int64 (frames, n, n)
-        relation, frames being 1 or the batch unless `frame_of` maps batch
-        members to frames. Views stay the plan's, overwritten by the next block.
+        relation. The block is frame-major: each action holds 1 frame, shared
+        by the whole batch, or the same F frames, batch being F * per and
+        member i in frame i // per (per is 1 for a frame per member). Views
+        stay the plan's, overwritten by the next block.
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
         size, index, rels = tables["size"], self._index, self.relations
@@ -400,10 +401,18 @@ class Plan:
             elif op is Box:
                 if a != boxed:
                     rs, boxed = self._scaled(rels[a]), a
-                gather = frame_of if rs.shape[2] > 1 else None
                 # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
-                _contract(tables["box"], rs, views[b][:, None], views[out], self._fold_buffers,
-                          self._acc, gather)
+                frames = rs.shape[2]
+                if 1 < frames < self.batch:     # each frame broadcast over its per members
+                    shape = (n, frames, self.batch // frames)
+                    _contract(tables["box"], rs[..., None], views[b].reshape(n, 1, *shape[1:]),
+                              views[out].reshape(shape),
+                              lambda k: [buf if buf is None else buf.reshape(k, *shape)
+                                         for buf in self._fold_buffers(k)],
+                              self._acc.reshape(-1, *shape))
+                else:
+                    _contract(tables["box"], rs, views[b][:, None], views[out],
+                              self._fold_buffers, self._acc)
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:

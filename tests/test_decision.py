@@ -57,6 +57,25 @@ def slow_first_countermodel(formula, algebra, max_states, limit=None):
     return None, seen
 
 
+def evaluated_below(size, atoms, vars_, limit):
+    """Candidates among the first `limit` in canonical order whose frame no swap of two
+    states maps to a smaller frame index: the count decide_bounded reports as
+    `models_evaluated`, read off the frame digits one frame at a time."""
+    count = seen = 0
+    for n in itertools.count(1):
+        cells = list(itertools.product(range(atoms), range(n), range(n)))
+        swaps = [{i: j, j: i} for i, j in itertools.combinations(range(n), 2)]
+        width = size ** (vars_ * n)
+        for frame in itertools.product(range(size), repeat=len(cells)):
+            digit = dict(zip(cells, frame))
+            least = all(frame <= tuple(digit[a, tau.get(s, s), tau.get(t, t)] for a, s, t in cells)
+                        for tau in swaps)
+            take = min(width, limit - seen)
+            seen, count = seen + take, count + take * least
+            if seen == limit:
+                return count
+
+
 def test_pinned_first_countermodel(B):
     f = parse_formula("p -> [a]p", B)
     out = decide_bounded(f, B, 2)
@@ -372,6 +391,29 @@ def test_budget_cut_frontier_counts_pruned_frames(C3):
     assert exc.value.models_evaluated < exc.value.frontier["models_checked"]
 
 
+@pytest.mark.parametrize("chunk", [-1, 0, 1, "3w+1"], ids=["w-1", "w", "w+1", "3w+1"])
+def test_budget_cuts_frames_at_every_block_boundary(B, monkeypatch, chunk):
+    # at two states: 16 frames of 16 valuations each. Blocks of one run of 15, of one frame,
+    # one frame again (16 < 17 < 2 frames) and three frames; every budget ends some block
+    # inside a frame, at its start or on a later frame of the block
+    f = parse_formula("[a0](p0 & p1) <-> ([a0]p0 & [a0]p1)", B)
+    width = 2 ** 4
+    monkeypatch.setattr(decision, "_CHUNK", 3 * width + 1 if chunk == "3w+1" else width + chunk)
+    totals = [2 ** 1 * 2 ** 2, 2 ** 4 * width]     # candidates at one and at two states
+    for budget in range(1, sum(totals) + 1):
+        want = evaluated_below(B.size, 1, 2, budget)
+        if budget == sum(totals):
+            out = decide_bounded(f, B, 2, budget=budget)
+            assert out == NoCountermodelUpTo(2, budget, want, exhaustive=True)
+            continue
+        with pytest.raises(BudgetExceeded) as exc:
+            decide_bounded(f, B, 2, budget=budget)
+        states = 1 if budget < totals[0] else 2
+        assert exc.value.frontier == {"states": states, "models_checked": budget, "max_states": 2,
+                                      "next_index": budget - sum(totals[:states - 1])}, budget
+        assert exc.value.models_evaluated == want, budget
+
+
 def test_models_evaluated_counts_surviving_frames(B):
     # one atom, one variable: 4 + 64 candidates. At two states there are 16
     # frames of 4 valuations; the swap fixes the 4 with r00 = r11 and r01 = r10
@@ -448,7 +490,8 @@ def test_pruned_search_matches_reference_enumeration(data):
     except BudgetExceeded as exc:
         assert ref == (None, limit)
         assert exc.frontier["models_checked"] == limit
-        assert exc.models_evaluated <= limit
+        assert exc.models_evaluated == evaluated_below(
+            algebra.size, len(action_atoms(f)), len(variables(f)), limit)
         return
     assert out.models_evaluated <= out.models_checked
     if ref[0] is None:

@@ -236,29 +236,30 @@ _FIVE = pytest.mark.parametrize(
 
 @_FIVE
 def test_plan_reuses_its_workspace_across_blocks(algebra):
-    """Blocks of new content through one plan, the last one shorter, as decide_bounded runs them."""
+    """Frame-major blocks of new content through one plan, the last one shorter, as
+    decide_bounded runs them: member i of a block of F frames is in frame i // per."""
     rng = np.random.default_rng(algebra.size)
-    n, frames = 3, 5
+    n = 3
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     roots = []
-    for batch in (40, 40, 17):
+    for frames, per in ((5, 8), (5, 8), (3, 5)):
+        batch = frames * per
         rels = {a: rng.integers(0, algebra.size, (frames, n, n)) for a in atoms}
         vals = {p: rng.integers(0, algebra.size, (n, batch)) for p in vars_}
-        frame_of = rng.integers(0, frames, batch)
         views = plan.bind(n, batch)
         for p in vars_:
             views[plan.inputs[p]][...] = vals[p]
-        (root,) = plan.run(rels, frame_of)
+        (root,) = plan.run(rels)
         roots.append(root)
         got = root.copy()
         fresh = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
         fresh_views = fresh.bind(n, batch)
         for p in vars_:
             fresh_views[fresh.inputs[p]][...] = vals[p]
-        assert (fresh.run(rels, frame_of)[0] == got).all()
+        assert (fresh.run(rels)[0] == got).all()
         for i in (0, batch // 2, batch - 1):
-            frame = Frame(algebra, n, {a.index: XRelation(algebra, rels[a][frame_of[i]])
+            frame = Frame(algebra, n, {a.index: XRelation(algebra, rels[a][i // per])
                                        for a in atoms})
             model = Model(frame, {p.index: vals[p][:, i].tolist() for p in vars_})
             assert reference_values(model, _REUSED) == tuple(got[:, i].tolist())
@@ -274,12 +275,12 @@ def _seeded_block(algebra, rng, n, frames, batch):
     return rels, vals
 
 
-def _run(plan, n, rels, vals, frame_of=None):
+def _run(plan, n, rels, vals):
     batch = len(next(iter(vals.values()))[0])
     views = plan.bind(n, batch)
     for p, v in vals.items():
         views[plan.inputs[p]][...] = v
-    return plan.run(rels, frame_of)[0]
+    return plan.run(rels)[0]
 
 
 def _reference(algebra, n, rels, vals, frame, member):
@@ -288,10 +289,10 @@ def _reference(algebra, n, rels, vals, frame, member):
     return reference_values(model, _REUSED)
 
 
-def _member_relations(rels, frame_of, i):
-    """Member i's relation of each atom as one frame: the only one, frame_of's, or its own."""
-    return {a: r[[0 if len(r) == 1 else i if frame_of is None else frame_of[i]]]
-            for a, r in rels.items()}
+def _member_relations(rels, i, batch):
+    """Member i's relation of each atom as one frame, read frame-major: of F frames over the
+    batch, member i is in frame i // (batch / F), so i * F // batch."""
+    return {a: r[[i * len(r) // batch]] for a, r in rels.items()}
 
 
 @_FIVE
@@ -299,18 +300,17 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
     """Box blocks of 1, 2, 3, 6 and 7 targets over 7 states: short last blocks, odd fold levels."""
     rng = np.random.default_rng(algebra.size + 1)
     n, frames, batch = 7, 3, 6
-    frame_of = np.array([0, 0, 1, 2, 2, 1])    # several members share a frame
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     one_rels, one_vals = _seeded_block(algebra, rng, n, 1, 1)
     rels, vals = _seeded_block(algebra, rng, n, frames, batch)
     own = rng.integers(0, algebra.size, (batch, n, n))
-    # boxes read through frame_of, over 1 frame against 3 in `Seq(Atom(0), Atom(1))`; then
-    # without it, over a frame per member against 1 frame
-    cases = [(rels, frame_of), ({Atom(0): rels[Atom(0)][:1], Atom(1): rels[Atom(1)]}, frame_of),
-             ({Atom(0): own, Atom(1): rels[Atom(1)][:1]}, None)]
+    # two members per frame, over 3 frames in every box and then over 1 frame against 3 in
+    # `Seq(Atom(0), Atom(1))`; one frame for the whole batch; a frame per member against 1 frame
+    cases = [rels, {Atom(0): rels[Atom(0)][:1], Atom(1): rels[Atom(1)]},
+             {a: r[:1] for a, r in rels.items()}, {Atom(0): own, Atom(1): rels[Atom(1)][:1]}]
     want_one = _reference(algebra, n, one_rels, one_vals, 0, 0)
-    want = [[_reference(algebra, n, _member_relations(case, of, i), vals, 0, i)
-             for i in range(batch)] for case, of in cases]
+    want = [[_reference(algebra, n, _member_relations(case, i, batch), vals, 0, i)
+             for i in range(batch)] for case in cases]
     for targets in (1, 2, 3, 6, 7):
         with pytest.MonkeyPatch.context() as patch:
             # batch one, the Model.values path: blocks of `targets` targets of n entries
@@ -322,7 +322,7 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
             # a batch over shared frames, the decide_bounded path
             patch.setattr(kernel, "_BLOCK", targets * n * batch)
             plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
-            got = [_run(plan, n, case, vals, of).copy() for case, of in cases]
+            got = [_run(plan, n, case, vals).copy() for case in cases]
             assert (plan._fold is None) == (targets == 1)
         assert [[tuple(g[:, i].tolist()) for i in range(batch)] for g in got] == want, targets
 
@@ -342,14 +342,13 @@ def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
         # the second model's box blocks are folded in the first model's scratch
         assert all(np.shares_memory(buf, old) for buf, old in zip(plan._fold, first))
     # a block of more than _BLOCK / 2 entries per target gives one target per box block
-    batch = kernel._BLOCK // n + 1
+    per = kernel._BLOCK // n // 3 + 1
     wide = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
-    rels, vals = _seeded_block(algebra, rng, n, 3, batch)
-    frame_of = rng.integers(0, 3, batch)
-    got = _run(wide, n, rels, vals, frame_of)
+    rels, vals = _seeded_block(algebra, rng, n, 3, 3 * per)
+    got = _run(wide, n, rels, vals)
     assert wide._fold is None
-    for i in (0, batch - 1):
-        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, frame_of[i], i)
+    for i in (0, per, 3 * per - 1):
+        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // per, i)
 
 def godel_chain(size):
     """The Gödel chain 0 < 1 < ... < size-1: meet and fusion min, join max, a => c
