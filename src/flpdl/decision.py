@@ -59,7 +59,8 @@ from .errors import BudgetExceeded
 from .oracles import reference_values
 from .relations import XRelation
 from .semantics import MAX_STATES, Frame, Model
-from .syntax import Atom, Formula, Var, action_atoms, closure_of, iter_closure, variables
+from .syntax import (Atom, Formula, Var, action_atoms, closure_of, iter_closure, require_formula,
+                     variables)
 
 DEFAULT_BUDGET = 10 ** 6
 _CHUNK = 1 << 14
@@ -194,6 +195,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     1..max_states, entries uniform) and cannot prove validity; it takes
     max_states up to `semantics.MAX_STATES`, the cap on a model file.
     """
+    require_formula(formula)
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     if mode not in ("exhaustive", "sample"):

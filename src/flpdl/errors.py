@@ -34,23 +34,20 @@ class DimensionMismatch(FLPDLError):
     """Relations or models built over incompatible sizes or algebras."""
 
 
-class FormulaSyntaxError(FLPDLError):
-    """Unparseable formula or action text. `position` is a 0-based offset."""
+class _Positioned(FLPDLError):
+    """An error at a 0-based offset `position` in formula or action text."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
 
-class UnknownConstant(FLPDLError):
-    """A constant token names no element of the ambient algebra.
+class FormulaSyntaxError(_Positioned):
+    """Unparseable formula or action text."""
 
-    `position` is the 0-based offset of the token.
-    """
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+class UnknownConstant(_Positioned):
+    """A constant token names no element of the ambient algebra."""
 
 
 class UnknownAtom(FLPDLError):

@@ -37,16 +37,17 @@ run), and reduces in scratch the plan keeps.
 over the whole batch, each joining one term into every entry, and stops
 at the first of pivots 4, 8, 16, ... that finds every entry at top.
 
-A plan can also grow: `Plan.extend` numbers only the subterms of a new
-root that the plan does not hold, runs only their steps, and leaves every
-value computed before in its slot. A model evaluates all its formulas in
-one such plan of batch one, and a frame derives all its actions in
-another (see `semantics`); the workspace's rows at least double as slots
-are added, keeping the rows computed.
+A plan of batch one can also grow: `Plan.grow` numbers only what the
+plan lacks of a root, runs only those steps under the plan's lock, and
+leaves every value in its slot. A model evaluates all its formulas in
+one such plan, its valuation in the variables' slots, and a frame derives
+all its actions in another (see `semantics`); the workspace's rows at
+least double as slots are added, keeping the rows computed.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -251,11 +252,13 @@ class Plan:
     each subterm to its formula slot or action index, `inputs` each given
     formula to its slot, and `steps` lists how the others are computed, in
     post-order. `roots` holds (is action, slot or index) per root given to
-    `plan`. After `run`, `relations` holds the relation of every action.
+    `plan`. After `run`, `relations` holds the relation of every action. A
+    variable not given takes its `valuation` row (batch one), else zero.
     """
 
-    def __init__(self, algebra: FLAlgebra):
+    def __init__(self, algebra: FLAlgebra, valuation=None):
         self.algebra = algebra
+        self.valuation = valuation or {}
         self.ids: dict = {}
         self._counts = [0, 0]                   # formula slots, actions
         self.inputs: dict = {}
@@ -271,6 +274,7 @@ class Plan:
         self._fold = None   # the box blocks' index and mask scratch, made when first needed
         self.views: list[np.ndarray] = []
         self.relations: list[np.ndarray] = []
+        self._lock = threading.Lock()   # held by `grow`
 
     def add(self, roots, given=lambda node: False) -> list:
         """Number the subterms of `roots` that the plan does not hold yet, and
@@ -320,7 +324,8 @@ class Plan:
             elif kind is Atom:
                 steps.append((_BOTTOM, i, None, None))
             else:
-                self._consts.append((i, self.algebra.zero if kind is Var else node.index))
+                self._consts.append((i, self.valuation.get(node.index, self.algebra.zero)
+                                     if kind is Var else node.index))
         # each root left its number on `done`, in order
         return [(type(r) in ACTIONS, i) for r, i in zip(roots, done)]
 
@@ -426,19 +431,23 @@ class Plan:
         self._ran = len(self.steps)
         return [rels[i] if action else views[i] for action, i in self.roots]
 
-    def extend(self, roots, given, relations) -> list:
-        """`add` the roots to a bound plan and run only the steps no earlier run ran,
-        over `relations` as `run` reads them; (is action, slot or index) per root.
+    def grow(self, root, given, relations, n: int) -> np.ndarray:
+        """The (n,) values or (1, n, n) relation of `root` in a plan of batch one, under its lock.
 
-        Every value computed before stays in its slot or relation and is not
-        computed again.
+        `add` numbers what the plan lacks of the root and only the steps no
+        earlier call ran are run, over `relations` as `run` reads them (a
+        refused root may have left some); a root the plan holds is read where
+        it lies. Every value computed before stays in its slot or relation.
         """
-        numbers = self.add(roots, given)
-        self.bind(self.n, self.batch)
-        self.run(relations, start=self._ran)
-        # a plan kept for its values keeps no relation-sized scratch (8 MB at 1,024 states)
-        self._relbuf = np.empty(0, np.intp)
-        return numbers
+        with self._lock:
+            i = self.ids.get(root)
+            if i is None or self._ran < len(self.steps) or self._written < len(self._consts):
+                ((_, i),) = self.add((root,), given)
+                self.bind(n, 1)
+                self.run(relations, start=self._ran)
+                # a plan kept for its values keeps no relation-sized scratch (8 MB at 1,024 states)
+                self._relbuf = np.empty(0, np.intp)
+            return self.relations[i] if type(root) in ACTIONS else self.views[i][:, 0]
 
 
 def plan(roots, algebra: FLAlgebra, given=lambda node: False) -> Plan:

@@ -32,7 +32,7 @@ from .algebra import FLAlgebra, ambient, is_commutative, is_integral, read_json
 from .errors import AtomBudgetExceeded
 from .parser import parse_formula
 from .syntax import (And, Box, Choice, Const, Formula, Plus, RDiv, Seq, Var,
-                     format_formula, iff)
+                     format_formula, iff, require_formula)
 
 DEFAULT_ATOM_BUDGET = 10 ** 7
 _BLOCK = 1024  # assignments per log_consequence block; small blocks keep peak memory low
@@ -167,6 +167,7 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
     """
     if atom_budget < 1:
         raise ValueError("atom budget must be positive")
+    require_formula(conclusion, *premises)
     # one assignment per one-state model; the atoms are given, never looked into
     plan = kernel.plan((conclusion, *premises), algebra, lambda node: isinstance(node, (Var, Box)))
     atoms = len(plan.inputs)

@@ -13,25 +13,21 @@ evaluate computes the value of a formula per state:
 
 with => the right division. Composite actions get their relation from the
 atoms by union / composition / transitive closure. All of it runs through
-`kernel`, a model being a batch of one, in plans that grow: a frame derives
-every action in one plan, seeded with each atom's read-only
-`XRelation.matrix` as it is, and publishes each relation asked of it as an
-int64 array in `relation_memo`, shared by its models; a model evaluates
-every formula in one plan, made on its first evaluation, whose boxes read
-their relations from the frame. Each subterm is compiled and computed once
-per model (actions once per frame), and its value stays in the plan's slot.
+`kernel`, a model being a batch of one, in plans that grow: a frame keeps
+one read-only `XRelation` per action, its atoms' own and every other made
+once by the frame's plan, and a model evaluates every formula in one plan
+filled from its valuation, whose boxes read their relations from the
+frame. Each subterm is computed once per model (actions once per frame).
 
 In the JSON form, keys are "aK" and "pK" with K in ASCII digits, one key per K.
 
-Evaluation is deterministic. A plan grows and runs under its model's (or
-frame's) lock, and the memos outside it are only ever written with the one
-value an entry can take, so concurrent evaluate calls agree.
+Evaluation is deterministic. A plan grows under its own lock, and a store
+keeps the first value put in an entry, so concurrent calls agree.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,7 +36,7 @@ from . import kernel
 from .algebra import FLAlgebra, algebra_to_json, ambient, element_indices, read_json
 from .errors import DimensionMismatch, UnknownAtom
 from .relations import XRelation
-from .syntax import ACTIONS, ActionExp, Atom, Formula, Var, action_atoms
+from .syntax import ACTIONS, ActionExp, Atom, Formula, action_atoms, require_formula
 
 MAX_STATES = 1024  # a model file's state cap: one int64 relation is then 8 MB
 
@@ -63,27 +59,22 @@ class Frame:
                 raise DimensionMismatch(f"relation for a{idx} lives over a different algebra")
             self.atomic[int(idx)] = rel
         self.state_names = tuple(state_names) if state_names is not None else None
-        self.relation_memo = {Atom(idx): rel.matrix[None] for idx, rel in self.atomic.items()}
-        self._plan = None   # the actions' plan, made when a derived relation is first asked for
-        self._lock = threading.Lock()
+        self._relations: dict = {Atom(idx): rel for idx, rel in self.atomic.items()}
+        self._plan = kernel.Plan(algebra)    # derives every other action, each once
 
     def __getitem__(self, action: ActionExp) -> np.ndarray:
-        """The int64 (1, n, n) relation of any action, derived once in the frame's plan."""
-        rel = self.relation_memo.get(action)
-        if rel is None:
-            with self._lock:
-                plan = self._plan
-                if plan is None:
-                    plan = self._plan = kernel.Plan(self.algebra)
-                    plan.bind(self.size, 1)
-                ((_, i),) = plan.extend((action,), self.relation_memo.__contains__,
-                                        self.relation_memo)
-                rel = self.relation_memo[action] = plan.relations[i]
-        return rel
+        """The int64 (1, n, n) relation of any action, as the frame's plan reads it."""
+        return self.relation(action).matrix[None]
 
     def relation(self, action: ActionExp) -> XRelation:
-        """Relation of any action, atoms included, as a new XRelation."""
-        return XRelation(self.algebra, self[action][0])
+        """Relation of any action, atoms included: one read-only XRelation per action."""
+        rel = self._relations.get(action)
+        if rel is None:
+            if type(action) not in ACTIONS:
+                raise TypeError(f"not an action: {action!r}")
+            matrix = self._plan.grow(action, self._relations.__contains__, self, self.size)
+            rel = self._relations.setdefault(action, XRelation(self.algebra, matrix[0]))
+        return rel
 
     def require_atoms(self, node) -> None:
         """UnknownAtom unless the frame maps every action atom in node."""
@@ -110,8 +101,7 @@ class Model:
             self.valuation[int(var)] = element_indices(row, frame.algebra.size, "valuation entry",
                                                        DimensionMismatch)
         self._values: dict[Formula, tuple[int, ...]] = {}
-        self._plan = None   # made on the first evaluation
-        self._lock = threading.Lock()
+        self._plan = kernel.Plan(frame.algebra, self.valuation)
 
     @property
     def algebra(self) -> FLAlgebra:
@@ -127,27 +117,13 @@ class Model:
         """Value of the formula at every state."""
         cached = self._values.get(formula)
         if cached is None:
+            require_formula(formula)
             if self.strict:
                 self.frame.require_atoms(formula)
-            with self._lock:
-                plan = self._plan
-                if plan is None:
-                    plan = self._plan = self._start_plan()
-                slot = plan.ids.get(formula)
-                if slot is None:
-                    # actions are given: the frame derives them when a box's step reads them
-                    ((_, slot),) = plan.extend((formula,), _is_action, self.frame)
-                cached = self._values[formula] = tuple(plan.views[slot][:, 0].tolist())
+            # actions are given: the frame derives them when a box's step reads them
+            row = self._plan.grow(formula, _is_action, self.frame, self.frame.size)
+            cached = self._values[formula] = tuple(row.tolist())
         return cached
-
-    def _start_plan(self) -> kernel.Plan:
-        """A plan of batch one holding the valuation's variables as inputs."""
-        plan = kernel.Plan(self.algebra)
-        numbers = plan.add([Var(p) for p in self.valuation], lambda node: True)
-        views = plan.bind(self.frame.size, 1)
-        for (_, slot), row in zip(numbers, self.valuation.values()):
-            views[slot][:, 0] = row
-        return plan
 
 
 def _is_action(node) -> bool:
@@ -156,7 +132,7 @@ def _is_action(node) -> bool:
 
 def evaluate(model: Model, formula: Formula, state: int) -> int:
     """Value of the formula at one state."""
-    if not (0 <= state < model.frame.size):
+    if isinstance(state, bool) or not (0 <= state < model.frame.size):
         raise DimensionMismatch(f"state {state} is outside 0..{model.frame.size - 1}")
     return model.values(formula)[state]
 

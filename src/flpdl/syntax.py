@@ -257,6 +257,13 @@ def children(node: Node) -> tuple[Node, ...]:
     return kids(node)
 
 
+def require_formula(*nodes) -> None:
+    """TypeError naming the first of the nodes that is no formula."""
+    for node in nodes:
+        if type(node) in ACTIONS or type(node) not in _KIDS:
+            raise TypeError(f"not a formula: {node!r}")
+
+
 def walk(root: Node) -> list[Node]:
     """Every node reachable from root, once, in first-visit pre-order.
 

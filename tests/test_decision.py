@@ -171,6 +171,15 @@ def test_search_under_nested_plus_enumerates_only_the_closure_it_needs(B, monkey
     assert 0 < len(taken) < 100
 
 
+def test_decide_bounded_refuses_an_action_before_searching(B, monkeypatch):
+    def no_plan(*args):
+        raise AssertionError("an action was compiled as a formula")
+
+    monkeypatch.setattr(kernel, "plan", no_plan)
+    with pytest.raises(TypeError, match="not a formula: Atom"):
+        decide_bounded(Atom(0), B, 2)
+
+
 def test_theoretical_bound_pins(B):
     assert theoretical_bound(parse_formula("p -> [a]p", B), B) == 8
     assert theoretical_bound(parse_formula("[a](p & p1) -> [a]p", B), B) == 64

@@ -109,12 +109,12 @@ def test_evaluation_never_lists_or_copies_its_memos():
     algebra, rows = cost_chain(3), [[0, 1], [2, 0]]
     f = Box(Plus(Atom(0)), Var(0))
     frame = Frame(algebra, 2, {0: XRelation.from_rows(algebra, rows)})
-    frame.relation_memo = _Unlisted(frame.relation_memo)
+    frame._relations = _Unlisted(frame._relations)
     model = Model(frame, {0: (1, 2)})
     assert model.values(f) == reference_values(model, f)
-    assert Plus(Atom(0)) in frame.relation_memo
-    # the atom's relation is the XRelation's own matrix, read where it lies
-    assert np.shares_memory(frame.relation_memo[Atom(0)], frame.atomic[0].matrix)
+    assert Plus(Atom(0)) in frame._relations
+    # the atom's relation is the XRelation the frame was given, its matrix read where it lies
+    assert frame._relations[Atom(0)] is frame.atomic[0]
     assert np.shares_memory(frame._plan.relations[frame._plan.ids[Atom(0)]],
                             frame.atomic[0].matrix)
 
@@ -154,11 +154,11 @@ def test_model_plan_computes_each_subterm_once_in_any_order(data):
         assert fresh.values(f) == reference_values(model, f)
     formulas_, boxed, _ = _subterms(phis)
     plan = model._plan
-    vars_ = {Var(p) for p in model.valuation}
-    assert set(plan.ids) == formulas_ | boxed | vars_
+    # a valuation variable that no formula reaches is not numbered
+    assert set(plan.ids) == formulas_ | boxed
     # a step per subterm that is not a variable or a constant, an input step per boxed action
-    leaves = sum(type(g) in (Var, Const) for g in formulas_ | vars_)
-    assert len(plan.steps) == len(formulas_ | vars_) - leaves + len(boxed)
+    leaves = sum(type(g) in (Var, Const) for g in formulas_)
+    assert len(plan.steps) == len(formulas_) - leaves + len(boxed)
     # the frame derives only what its atoms' seeded relations do not give
     frame = model.frame
     derived = [a for a in boxed if not (type(a) is Atom and a.index in frame.atomic)]
@@ -166,7 +166,7 @@ def test_model_plan_computes_each_subterm_once_in_any_order(data):
         assert set(frame._plan.ids) == _subterms([Box(a, Var(0)) for a in derived])[2]
         assert len(frame._plan.steps) == len(frame._plan.ids)
     else:
-        assert frame._plan is None
+        assert not frame._plan.ids
 
 
 def test_concurrent_values_on_one_model_agree():
@@ -221,6 +221,18 @@ def test_bad_constant_is_refused_every_time():
         with pytest.raises(DimensionMismatch, match="constant #7 is no element index"):
             model.values(And(Var(0), Const(7)))
     assert model.values(And(Var(0), Const(2))) == reference_values(model, And(Var(0), Const(2)))
+
+
+def test_subterms_numbered_before_a_refused_constant_are_computed_when_asked():
+    """A refused formula leaves the subterms numbered before its bad constant in the plan,
+    with no value yet: asking for one runs what the refused call did not."""
+    algebra = cost_chain(3)
+    model = Model(Frame(algebra, 2, {0: XRelation(algebra, [[0, 1], [2, 0]])}), {0: (1, 2)})
+    left = Box(Atom(0), Or(Var(0), Var(5)))
+    with pytest.raises(DimensionMismatch, match="constant #7 is no element index"):
+        model.values(And(left, Const(7)))
+    for f in (Var(5), left, Or(Var(0), Var(5))):
+        assert model.values(f) == reference_values(model, f)
 
 
 # a box over every kind of action, several variables, a constant and each connective

@@ -107,6 +107,16 @@ def test_log_consequence_budget(C3):
             log_consequence([], conclusion, C3, atom_budget=budget)
 
 
+def test_log_consequence_refuses_an_action_as_conclusion(B):
+    with pytest.raises(TypeError, match="not a formula: Atom"):
+        log_consequence([], Atom(0), B)
+
+
+def test_log_consequence_refuses_an_action_as_premise(B):
+    with pytest.raises(TypeError, match="not a formula: Atom"):
+        log_consequence([Var(1), Atom(0)], Var(0), B)
+
+
 def test_check_proof_refuses_a_budget_below_one_up_front(C3):
     # no line here is a log line, so only the up-front check can see the budget
     script = _script(C3, ("[a0]#one", ByAxiom("A-1")), ("[a0]p0", ByAxiom("A-2")))

@@ -1,6 +1,9 @@
 """Models, evaluation, validity, and the JSON model format."""
 
 import json
+import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -156,11 +159,65 @@ def test_constant_past_the_algebra_is_refused(C3):
         Model(Frame(C3, 2, {}), {}).values(Const(99))
 
 
-def test_atom_relation_is_a_new_relation_or_bottom(m, C3):
-    rel = m.frame.relation(Atom(0))
-    assert rel is not m.frame.atomic[0]
-    assert rel.values == m.frame.atomic[0].values
+def test_atom_relation_is_the_given_relation_or_bottom(m, C3):
+    assert m.frame.relation(Atom(0)) is m.frame.atomic[0]
     assert m.frame.relation(Atom(7)).values == ((C3.bottom,) * 3,) * 3
+
+
+_DERIVED = (Plus(Atom(0)), Seq(Atom(0), Atom(1)), Choice(Plus(Atom(1)), Atom(0)),
+            Seq(Plus(Seq(Atom(1), Atom(0))), Atom(7)))
+
+
+def test_frame_keeps_one_relation_per_action(m):
+    frame = m.frame
+    for idx, given in frame.atomic.items():
+        assert frame.relation(Atom(idx)) is given
+    fresh = Frame(frame.algebra, frame.size, frame.atomic)
+    for action in (Atom(0), Atom(7)) + _DERIVED:
+        rel = frame.relation(action)
+        assert frame.relation(action) is rel and derived_relation(frame, action) is rel
+        assert not rel.matrix.flags.writeable
+        assert frame[action].base is rel.matrix
+        assert rel.values == fresh.relation(action).values
+
+
+def test_threads_get_one_relation_object_per_derived_action(m):
+    want = {a: m.frame.relation(a).values for a in _DERIVED}
+    for _ in range(3):
+        frame = Frame(m.frame.algebra, m.frame.size, m.frame.atomic)
+        barrier = threading.Barrier(8)
+
+        def work(seed):
+            order = list(_DERIVED)
+            random.Random(seed).shuffle(order)
+            barrier.wait()
+            return {a: frame.relation(a) for a in order}
+
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(work, range(8)))
+        for a in _DERIVED:
+            assert len({id(got[a]) for got in results}) == 1
+            assert results[0][a].values == want[a]
+
+
+def test_model_values_refuses_an_action(m):
+    with pytest.raises(TypeError, match=r"not a formula: Atom\(index=0\)"):
+        m.values(Atom(0))
+
+
+def test_valid_in_model_refuses_an_action(m):
+    with pytest.raises(TypeError, match="not a formula"):
+        valid_in_model(m, Atom(0))
+
+
+def test_frame_relation_refuses_a_formula(m):
+    with pytest.raises(TypeError, match=r"not an action: Var\(index=0\)"):
+        m.frame.relation(Var(0))
+
+
+def test_evaluate_refuses_a_bool_state(m):
+    with pytest.raises(DimensionMismatch, match="state True is outside 0..2"):
+        evaluate(m, Var(0), True)
 
 
 def test_load_model_caps_the_state_count():
