@@ -15,12 +15,14 @@ and a valuation index below it, and each frame owns a run of
 blocks of at most _CHUNK consecutive candidates that hold whole frames,
 or one run inside one frame when the frame is wider or the budget ends in
 it, so all frames of a block run the same valuations. A block decodes its
-frames, drops every frame that some transposition of two states maps to a
-smaller frame index (n(n-1)/2 vectorized digit comparisons), and evaluates
-the rest as one frame-major block of a kernel plan compiled once per
-search: the valuations are decoded once, into the first frame's variable
-slots, and copied to the others, each box adds a frame's relation to its
-run by one broadcast, and every block runs in the plan's reused workspace.
+frames' digits as columns, drops every frame that some transposition of
+two states maps to a smaller frame index (one integer product per block,
+exact in int64 words of base-`size` digits below 2 ** 61, whose first
+nonzero word decides), and evaluates the rest as one frame-major block of
+a kernel plan compiled once per search: the valuations are decoded once,
+into the first frame's variable slots, and copied to the others, each box
+adds a frame's relation to its run by one broadcast, and every block runs
+in the plan's reused workspace.
 
 Pruning cannot change the reported countermodel. Suppose the first hit
 (F, v) had a transposition t with tF < F. Renaming the states by t gives
@@ -126,43 +128,40 @@ DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
 
 def _first_hit(holds: np.ndarray, values: np.ndarray) -> int | None:
     """Position of the first candidate whose (n, batch) values are not all above one, if any."""
-    ok = holds[values].all(axis=0)
+    ok = holds.take(values).all(axis=0)
     return None if ok.all() else int(np.argmin(ok))
 
 
-def _swaps(n: int, atoms: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per transposition tau of two states: the frame digits it changes, in
-    index order, and for each the digit of the frame that lands there.
+def _swaps(n: int, atoms: int, size: int) -> np.ndarray:
+    """(words, transpositions, cells) int64 weights: weights[w] @ digits is word w of
+    index(tau F) - index(F) per transposition tau of two states, F's digits a column.
 
-    Digit (a, s, t) of a frame is entry (s, t) of atom a's matrix; the
-    renamed frame holds entry (tau s, tau t) there. Without atoms the one
-    frame has no digits, and nothing can be smaller.
+    Digit (a, s, t) of F is entry (s, t) of atom a's matrix; tau F holds entry
+    (tau s, tau t) there. Word w weighs the g positions after the first w * g,
+    g the largest with size ** g <= 2 ** 61, so each word and partial sum lies
+    strictly between -2 ** 62 and 2 ** 62, and the first nonzero word is the
+    sign of the difference.
     """
-    out = []
-    if not atoms:
-        return out
-    for i, j in itertools.combinations(range(n), 2):
-        tau = np.arange(n)
-        tau[[i, j]] = j, i
-        image = (np.arange(atoms)[:, None, None] * n * n + tau[:, None] * n + tau).ravel()
-        cols = np.flatnonzero(image != np.arange(len(image)))
-        out.append((cols, image[cols]))
-    return out
+    cells, g = atoms * n * n, 1
+    while g < cells and size ** (g + 1) <= 2 ** 61:
+        g += 1
+    place = np.array([size ** (min(cells, p // g * g + g) - 1 - p) for p in range(cells)], np.int64)
+    # own[w, p]: position p's place value within word w, zero outside it
+    own = np.where(np.arange(cells) // g == np.arange(max(1, -(-cells // g)))[:, None], place, 0)
+    state, (a, s, t) = np.arange(n), np.indices((atoms, n, n)).reshape(3, -1)
+    tau = np.array([np.where(state == i, j, np.where(state == j, i, state))
+                    for i, j in itertools.combinations(range(n), 2)], np.intp).reshape(-1, n)
+    # tau F holds F's digit (a, tau s, tau t) at position (a, s, t), and tau is its own inverse
+    return own[:, a * n * n + tau[:, s] * n + tau[:, t]] - own[:, None]
 
 
-def _least_frames(digits: np.ndarray, swaps) -> np.ndarray:
-    """Mask of the frames that no transposition maps to a smaller frame index.
-
-    Frame indices read the digit rows most significant first, so comparing
-    indices is comparing rows lexicographically: the first digit a
-    transposition changes decides.
-    """
-    rows = np.arange(len(digits))
-    keep = np.ones(len(digits), dtype=bool)
-    for cols, image in swaps:
-        diff = digits[:, image] - digits[:, cols]
-        keep &= diff[rows, (diff != 0).argmax(axis=1)] >= 0
-    return keep
+def _least_frames(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Mask of the frames, (cells, count) digit rows, that no transposition maps to a smaller
+    frame index: one integer product, each difference's first nonzero word its sign."""
+    sign = weights @ rows
+    for later in sign[1:]:
+        np.copyto(sign[0], later, where=sign[0] == 0)
+    return (sign[0] >= 0).all(axis=0)
 
 
 def _materialize(algebra: FLAlgebra, n: int, rels: dict, vals: dict) -> Model:
@@ -270,7 +269,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
         cells = len(atoms) * n * n          # frame digits
         width = size ** (len(vars_) * n)    # valuations per frame
         total = size ** cells * width
-        swaps = _swaps(n, len(atoms))
+        weights = _swaps(n, len(atoms), size)
         start = 0
         while start < total:
             if checked >= budget:
@@ -288,13 +287,12 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                 count, per = min(room // width, total // width - first), width
             else:
                 count, per = 1, min(room, width - v0)
-            frame_digits = kernel.digits(np.arange(first, first + count, dtype=np.int64), size,
-                                         np.empty((cells, count), np.int64)).T
-            keep = np.flatnonzero(_least_frames(frame_digits, swaps))
+            rows = kernel.digits(np.arange(first, first + count, dtype=np.int64), size,
+                                 np.empty((cells, count), np.int64))
+            keep = np.flatnonzero(_least_frames(rows, weights))
             if len(keep):
-                kept = frame_digits[keep]
-                rels = {a: kept[:, i * n * n:(i + 1) * n * n].reshape(-1, n, n)
-                        for i, a in enumerate(atoms)}
+                kept = rows[:, keep].T.reshape(len(keep), len(atoms), n, n)   # one copy, viewed
+                rels = {a: kept[:, i] for i, a in enumerate(atoms)}
                 # every kept frame runs valuations v0 .. v0 + per - 1: their digits are
                 # decoded once, into the first frame's slots, and copied to the others
                 views = plan.bind(n, len(keep) * per)

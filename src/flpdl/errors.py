@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class FLPDLError(Exception):
-    """Base class for all library-specific errors."""
+    """Base class for all library-specific errors. `args` holds every constructor argument,
+    so pickling or `type(e)(*e.args)` rebuilds an error whole; `str` is formatted from them."""
 
 
 class InvalidAlgebra(FLPDLError):
@@ -14,8 +15,12 @@ class InvalidAlgebra(FLPDLError):
     """
 
     def __init__(self, message: str, witness: tuple | None = None):
-        super().__init__(message if witness is None else f"{message} (witness {witness})")
+        super().__init__(message, witness)
         self.witness = witness
+
+    def __str__(self) -> str:
+        message, witness = self.args
+        return message if witness is None else f"{message} (witness {witness})"
 
 
 class NotALattice(InvalidAlgebra):
@@ -38,8 +43,11 @@ class _Positioned(FLPDLError):
     """An error at a 0-based offset `position` in formula or action text."""
 
     def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+        super().__init__(message, position)
         self.position = position
+
+    def __str__(self) -> str:
+        return "{} (at position {})".format(*self.args)
 
 
 class FormulaSyntaxError(_Positioned):
@@ -72,6 +80,9 @@ class BudgetExceeded(FLPDLError):
     """
 
     def __init__(self, message: str, frontier: dict, models_evaluated: int):
-        super().__init__(message)
+        super().__init__(message, frontier, models_evaluated)
         self.frontier = frontier
         self.models_evaluated = models_evaluated
+
+    def __str__(self) -> str:
+        return self.args[0]

@@ -17,7 +17,9 @@ Formula slots are state-major, (n, batch), so each table read runs along
 rows as long as the batch, and hold the narrowest unsigned dtype that
 holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
 Every binary table read is one gather from a flattened table, made once
-per algebra. Actions stay int64 (frames, n, n) relations.
+per algebra, at flat indices a * size + b in the narrowest dtype that
+holds size ** 2 - 1 (uint8 up to 16 elements, uint16 up to 256), so no
+slot is cast to intp. Actions stay int64 (frames, n, n) relations.
 
 Every meet or join over states is one blocked contraction, `_contract`:
 a box meets imp[R(s, t), f(t)] over targets t, and `compose`, the `Seq`
@@ -28,10 +30,10 @@ Priestley 2002), so a meet or join of many terms is the AND of their
 masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
 entries is one add forming flat indices (left operands come times size),
 one gather of masks and one AND reduction. A box reads its relation as
-(target, source, frame) times size, into a buffer shared by boxes over
-one action in a row, adds it to a frame-major block (one frame, a frame
-per member, or F frames over F runs of members, each broadcast over its
-run), and reduces in scratch the plan keeps.
+(target, source, frame) times size, into an index-dtype buffer shared by
+boxes over one action in a row, adds it to a frame-major block (one
+frame, a frame per member, or F frames over F runs of members, each
+broadcast over its run), and reduces in scratch the plan keeps.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -188,15 +190,14 @@ _NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = table[a, b] from the flattened table, the flat index formed in `index`."""
-    np.copyto(index, a)
-    np.multiply(index, size, out=index)
+    """out = table[a, b] from the flattened table, the flat index formed in `index`'s dtype."""
+    np.multiply(a, size, out=index, dtype=index.dtype)
     np.add(index, b, out=index)
     return table.take(index, out=out, mode="clip")
 
 
 def _narrow(algebra: FLAlgebra) -> dict:
-    """The algebra's flattened tables in the slots' dtype, and its masks, made once.
+    """The algebra's flattened tables in the slots' dtype, its masks and flat-index dtype, made once.
 
     Mask bits follow a linear extension of the order (down-set size, then
     index), so the highest set bit of x's down-set mask is x's own; up-set
@@ -214,7 +215,8 @@ def _narrow(algebra: FLAlgebra) -> dict:
         size, arrs = algebra.size, algebra.arrays
         dtype = np.min_scalar_type(size - 1)
         tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
-        tables["size"] = np.array(size, dtype=np.intp)  # scales faster than an int
+        tables["index"] = np.min_scalar_type(size * size - 1)   # the narrowest holding a * size + b
+        tables["size"] = np.array(size, dtype=tables["index"])  # scales faster than an int
         order = np.lexsort((np.arange(size), arrs.leq.sum(axis=0)))   # position -> element
         bits = size if size <= 16 else 8
         words = -(-size // bits)
@@ -270,7 +272,7 @@ class Plan:
         self._ws = np.empty((0, 0), self.dtype)
         self._cells = self._written = self._ran = 0   # cells held, consts written, steps run
         self._bound = None      # the (n, batch) that `views` are cut for
-        self._relbuf = np.empty(0, np.intp)
+        self._relbuf = np.empty(0, self._tables["index"])
         self._fold = None   # the box blocks' index and mask scratch, made when first needed
         self.views: list[np.ndarray] = []
         self.relations: list[np.ndarray] = []
@@ -356,8 +358,8 @@ class Plan:
         rows = self._counts[0]
         if cells > self._cells:
             self._ws = np.empty((rows, cells), self.dtype)
-            masks = self._tables["box"][0]
-            self._buffers = np.empty(cells, np.intp), np.empty((len(masks) + 1, cells), masks[0].dtype)
+            index, masks = self._tables["index"], self._tables["box"][0]
+            self._buffers = np.empty(cells, index), np.empty((len(masks) + 1, cells), masks[0].dtype)
             self._cells, self._written, self._bound = cells, 0, None
         elif rows > len(self._ws):
             ws = np.empty((max(rows, 2 * len(self._ws)), self._cells), self.dtype)
@@ -367,15 +369,15 @@ class Plan:
             self._ws[slot] = value
         self._written = len(self._consts)
         if relation_cells > len(self._relbuf):
-            self._relbuf = np.empty(relation_cells, np.intp)
+            self._relbuf = np.empty(relation_cells, self._tables["index"])
 
     def _scaled(self, rel: np.ndarray) -> np.ndarray:
-        """The relation as (target, source, frame) entries times size, in the reused buffer."""
+        """The relation as (target, source, frame) entries times size, in the reused index buffer."""
         frames, n = rel.shape[:2]
         cells = frames * n * n
         self.reserve(0, cells)
         out = self._relbuf[:cells].reshape(n, n, frames)
-        np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out)
+        np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out, casting="unsafe")
         return out
 
     def _fold_buffers(self, targets: int):
@@ -384,7 +386,7 @@ class Plan:
             return self._index[None], None
         cells = targets * self.n * self.batch
         if self._fold is None or self._fold[1].size < cells:
-            self._fold = np.empty(cells, np.intp), np.empty(cells, self._tables["box"][0][0].dtype)
+            self._fold = np.empty(cells, self._index.dtype), np.empty(cells, self._acc.dtype)
         return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
 
     def run(self, relations, start: int = 0) -> list:
@@ -446,7 +448,7 @@ class Plan:
                 self.bind(n, 1)
                 self.run(relations, start=self._ran)
                 # a plan kept for its values keeps no relation-sized scratch (8 MB at 1,024 states)
-                self._relbuf = np.empty(0, np.intp)
+                self._relbuf = np.empty(0, self._relbuf.dtype)
             return self.relations[i] if type(root) in ACTIONS else self.views[i][:, 0]
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import godel_chain
 from flpdl import decision, kernel, syntax
 from flpdl.algebra import bool2, cost_chain
 from flpdl.algebra_search import find_non_commutative, find_non_integral
@@ -57,19 +58,31 @@ def slow_first_countermodel(formula, algebra, max_states, limit=None):
     return None, seen
 
 
+def swapped(n, atoms, i, j):
+    """Position p of the frame with states i and j swapped holds the digit at image[p]:
+    digits are (atom, row, column), most significant first."""
+    cells = list(itertools.product(range(atoms), range(n), range(n)))
+    tau = {i: j, j: i}
+    return [cells.index((a, tau.get(s, s), tau.get(t, t))) for a, s, t in cells]
+
+
+def least_frame(frame, n, atoms):
+    """Whether no swap of two states maps the frame with these digits to a smaller frame
+    index, comparing digit tuples, one frame at a time."""
+    return all(tuple(frame) <= tuple(frame[q] for q in swapped(n, atoms, i, j))
+               for i, j in itertools.combinations(range(n), 2))
+
+
 def evaluated_below(size, atoms, vars_, limit):
     """Candidates among the first `limit` in canonical order whose frame no swap of two
     states maps to a smaller frame index: the count decide_bounded reports as
     `models_evaluated`, read off the frame digits one frame at a time."""
     count = seen = 0
     for n in itertools.count(1):
-        cells = list(itertools.product(range(atoms), range(n), range(n)))
-        swaps = [{i: j, j: i} for i, j in itertools.combinations(range(n), 2)]
+        images = [swapped(n, atoms, i, j) for i, j in itertools.combinations(range(n), 2)]
         width = size ** (vars_ * n)
-        for frame in itertools.product(range(size), repeat=len(cells)):
-            digit = dict(zip(cells, frame))
-            least = all(frame <= tuple(digit[a, tau.get(s, s), tau.get(t, t)] for a, s, t in cells)
-                        for tau in swaps)
+        for frame in itertools.product(range(size), repeat=atoms * n * n):
+            least = all(frame <= tuple(frame[q] for q in image) for image in images)
             take = min(width, limit - seen)
             seen, count = seen + take, count + take * least
             if seen == limit:
@@ -528,3 +541,68 @@ def test_countermodels_are_refuted_under_every_renaming_of_states(algebra, text)
     out = decide_bounded(f, algebra, 3)
     assert isinstance(out, Countermodel)
     assert_orbit_refuted(out, f)
+
+
+# -- pruning as one integer product, over one word of digits or several ---------
+
+# (size, states, atoms, words): size ** g <= 2 ** 61 fixes g digits a word
+_WORDS = [(3, 3, 2, 1), (2, 4, 1, 1), (17, 3, 2, 2), (256, 2, 2, 2), (257, 3, 1, 2),
+          (2 ** 20, 2, 2, 3)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_least_frames_matches_the_digit_by_digit_reference(data):
+    size, n, atoms, words = data.draw(st.sampled_from(_WORDS), label="case")
+    cells, pairs = atoms * n * n, list(itertools.combinations(range(n), 2))
+    weights = decision._swaps(n, atoms, size)
+    assert weights.shape == (words, len(pairs), cells)
+    # digits at both ends of the range, so frame indices near the top of it too
+    digit = st.one_of(st.integers(0, size - 1), st.sampled_from([0, 1, size - 2, size - 1]))
+    frames = data.draw(st.lists(st.lists(digit, min_size=cells, max_size=cells),
+                                min_size=1, max_size=30), label="frames")
+    frames += [[0] * cells, [size - 1] * cells]
+    # ties: a frame that one swap fixes, then one digit changed, so that a later digit
+    # (for some cases a later word) decides
+    for frame in list(frames):
+        pair = data.draw(st.sampled_from(pairs), label="swap")
+        tied = list(frame)
+        for p, q in enumerate(swapped(n, atoms, *pair)):
+            if q > p:
+                tied[q] = tied[p]
+        frames.append(tied)
+        changed = list(tied)
+        changed[data.draw(st.integers(0, cells - 1), label="cell")] = data.draw(digit)
+        frames.append(changed)
+    rows = np.array(frames, dtype=np.int64).T
+    assert decision._least_frames(rows, weights).tolist() == [
+        least_frame(frame, n, atoms) for frame in frames]
+
+
+def test_search_prunes_with_weights_of_two_words():
+    # the Gödel chain of 256 with two atoms: 65,536 frames at one state, then 256 ** 8 =
+    # 2 ** 64 at two, weighed in two words; the budget ends 3,000 frames into them
+    algebra = godel_chain(256)
+    assert decision._swaps(2, 2, 256).shape[0] == 2
+    f = parse_formula("[a0;a1]#255 & [a1 u a0]#255", algebra)    # one is the top
+    budget = 256 ** 2 + 3000
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_bounded(f, algebra, 2, budget=budget)
+    assert exc.value.frontier == {"states": 2, "next_index": 3000, "models_checked": budget,
+                                  "max_states": 2}
+    assert exc.value.models_evaluated == evaluated_below(256, 2, 0, budget)
+
+
+def test_search_over_seventeen_elements_counts_every_surviving_frame():
+    # 17 elements: flat indices in uint16 beside uint8 slots. 289 candidates at one state,
+    # then frames of 289 valuations each, cut by the budget
+    algebra = godel_chain(17)
+    assert kernel._narrow(algebra)["index"] == np.uint16
+    f = parse_formula("[a0](p0 & #16) -> ([a0;a0]p0 | [a0]p0)", algebra)
+    budget = 10 ** 5
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_bounded(f, algebra, 2, budget=budget)
+    assert exc.value.frontier == {"states": 2, "next_index": budget - 289,
+                                  "models_checked": budget, "max_states": 2}
+    assert exc.value.models_evaluated == evaluated_below(17, 1, 1, budget)

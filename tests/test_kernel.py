@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import godel_chain
 from flpdl import kernel, oracles
 from flpdl.algebra import FLAlgebra, bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
@@ -362,20 +363,17 @@ def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
     for i in (0, per, 3 * per - 1):
         assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // per, i)
 
-def godel_chain(size):
-    """The Gödel chain 0 < 1 < ... < size-1: meet and fusion min, join max, a => c
-    top if a <= c and c otherwise, one the top."""
-    x, y = np.indices((size, size))
-    top = size - 1
-    imp = np.where(x <= y, top, y)
-    return FLAlgebra(size, np.minimum(x, y), np.maximum(x, y), np.minimum(x, y), imp, imp,
-                     x <= y, one=top, zero=0, bottom=0, top=top)
 
-
-@pytest.mark.parametrize("size, dtype", [(256, np.uint8), (300, np.uint16)])
-def test_wide_algebras_evaluate_in_wider_slots(size, dtype):
+@pytest.mark.parametrize("size, slot, index", [
+    (16, np.uint8, np.uint8), (17, np.uint8, np.uint16), (256, np.uint8, np.uint16),
+    (257, np.uint16, np.uint32), (300, np.uint16, np.uint32)])
+def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index):
+    """Both sides of each boundary: flat indices widen past 16 and 256 elements, slots
+    past 256. Model values and one frame-major block against the reference evaluator."""
     algebra = godel_chain(size)
-    assert kernel.plan((Var(0),), algebra).dtype == dtype
+    tables = kernel._narrow(algebra)
+    assert (kernel.plan((Var(0),), algebra).dtype, tables["index"], tables["size"].dtype) == (
+        slot, index, index)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -384,8 +382,18 @@ def test_wide_algebras_evaluate_in_wider_slots(size, dtype):
         f = data.draw(formulas(size))
         model = data.draw(models(algebra, n))
         assert model.values(f) == reference_values(model, f)
+        assert (model._plan._index.dtype, model._plan._relbuf.dtype) == (index, index)
 
     check()
+    # one frame-major block: 3 frames over 6 members, each frame broadcast over 2
+    n, rng = 3, np.random.default_rng(size)
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
+    rels, vals = _seeded_block(algebra, rng, n, 3, 6)
+    got = _run(plan, n, rels, vals)
+    assert [buf.dtype for buf in (plan._index, plan._relbuf, plan._fold[0])] == [index] * 3
+    for i in range(6):
+        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // 2, i), i
 
 
 _MASKED = {"bool2": bool2, "cost2": lambda: cost_chain(2), "cost3": lambda: cost_chain(3),
