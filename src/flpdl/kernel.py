@@ -29,11 +29,12 @@ of the down-sets and the up-set of a join that of the up-sets (Davey &
 Priestley 2002), so a meet or join of many terms is the AND of their
 masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
 entries is one add forming flat indices (left operands come times size),
-one gather of masks and one AND reduction. A box reads its relation as
-(target, source, frame) times size, into an index-dtype buffer shared by
-boxes over one action in a row, adds it to a frame-major block (one
-frame, a frame per member, or F frames over F runs of members, each
-broadcast over its run), and reduces in scratch the plan keeps.
+one gather of masks and one AND reduction, in scratch for one block that
+each call makes. A box scales its relation when it reads it, as
+(target, source, frame) times size in the index dtype, kept for boxes
+over one action in a row, and adds it to a frame-major block: one frame,
+a frame per member, or F frames over F runs of members, each broadcast
+over its run.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -77,24 +78,22 @@ def _unmask(acc: np.ndarray, decode, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract(tables, lefts, rights, out, scratch=None, acc=None) -> None:
+def _contract(tables, lefts, rights, out) -> None:
     """out = the meet or join over the first axis of the table entries at lefts[i] + rights[i].
 
     `tables` is (masks, decode): masks[w] is word w of each flat entry's
     down-set mask for a meet, up-set for a join, and decode[w][v], in out's
-    dtype, the element at v's highest set bit in word w. `acc` holds a row
-    per word and one for a later block, shaped as out; `scratch(k)` gives
-    index and mask buffers for k terms (masks None for one). Either None is
-    made here.
+    dtype, the element at v's highest set bit in word w. Flat indices are
+    formed in the dtype of lefts + rights, a block of terms of at most
+    _BLOCK entries at a time, in scratch made here for one block.
     """
     masks, decode = tables
     word = masks[0].dtype
     count, step = len(lefts), max(1, _BLOCK // max(1, out.size))   # no cells: one term a block
     k = min(step, count)
-    index, values = scratch(k) if scratch else (
-        np.empty((k, *out.shape), np.intp), np.empty((k, *out.shape), word) if k > 1 else None)
-    if acc is None:
-        acc = np.empty((len(masks) + 1, *out.shape), word)
+    index = np.empty((k, *out.shape), np.result_type(lefts, rights))
+    values = np.empty((k, *out.shape), word) if k > 1 else None
+    acc = np.empty((len(masks) + 1, *out.shape), word)   # a row per word, one for a later block
     for start in range(0, count, step):
         k, first = min(step, count - start), start == 0
         idx = index[:k]
@@ -272,8 +271,6 @@ class Plan:
         self._ws = np.empty((0, 0), self.dtype)
         self._cells = self._written = self._ran = 0   # cells held, consts written, steps run
         self._bound = None      # the (n, batch) that `views` are cut for
-        self._relbuf = np.empty(0, self._tables["index"])
-        self._fold = None   # the box blocks' index and mask scratch, made when first needed
         self.views: list[np.ndarray] = []
         self.relations: list[np.ndarray] = []
         self._lock = threading.Lock()   # held by `grow`
@@ -342,13 +339,12 @@ class Plan:
             cells = n * batch
             self._bound, self.n, self.batch = (n, batch), n, batch
             self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
-            index, acc = self._buffers
-            self._index, self._acc = index[:cells].reshape(n, batch), acc[:, :cells].reshape(-1, n, batch)
+            self._index = self._flat[:cells].reshape(n, batch)
         return self.views
 
-    def reserve(self, cells: int, relation_cells: int = 0) -> None:
-        """Grow the workspace to `cells` (n * batch) and the scaled relation buffer to
-        `relation_cells` (frames * n * n) entries, unless they already hold that many.
+    def reserve(self, cells: int) -> None:
+        """Grow the workspace and the flat-index buffer `_read` forms table indices in to
+        `cells` (n * batch), unless they already hold that many.
 
         A caller that knows its blocks' sizes reserves for the largest one
         first, so that binding and running the others allocates nothing.
@@ -358,8 +354,7 @@ class Plan:
         rows = self._counts[0]
         if cells > self._cells:
             self._ws = np.empty((rows, cells), self.dtype)
-            index, masks = self._tables["index"], self._tables["box"][0]
-            self._buffers = np.empty(cells, index), np.empty((len(masks) + 1, cells), masks[0].dtype)
+            self._flat = np.empty(cells, self._tables["index"])
             self._cells, self._written, self._bound = cells, 0, None
         elif rows > len(self._ws):
             ws = np.empty((max(rows, 2 * len(self._ws)), self._cells), self.dtype)
@@ -368,26 +363,12 @@ class Plan:
         for slot, value in self._consts[self._written:]:
             self._ws[slot] = value
         self._written = len(self._consts)
-        if relation_cells > len(self._relbuf):
-            self._relbuf = np.empty(relation_cells, self._tables["index"])
 
     def _scaled(self, rel: np.ndarray) -> np.ndarray:
-        """The relation as (target, source, frame) entries times size, in the reused index buffer."""
-        frames, n = rel.shape[:2]
-        cells = frames * n * n
-        self.reserve(0, cells)
-        out = self._relbuf[:cells].reshape(n, n, frames)
-        np.multiply(rel.transpose(2, 1, 0), self.algebra.size, out=out, casting="unsafe")
-        return out
-
-    def _fold_buffers(self, targets: int):
-        """(targets, n, batch) index and mask scratch for a box block, grown only when short."""
-        if targets == 1:
-            return self._index[None], None
-        cells = targets * self.n * self.batch
-        if self._fold is None or self._fold[1].size < cells:
-            self._fold = np.empty(cells, self._index.dtype), np.empty(cells, self._acc.dtype)
-        return [buf[:cells].reshape(targets, self.n, self.batch) for buf in self._fold]
+        """The relation times size, as a new (target, source, frame) array in the index dtype."""
+        tables = self._tables
+        return np.multiply(rel.transpose(2, 1, 0), tables["size"], dtype=tables["index"],
+                           casting="unsafe", order="C")
 
     def run(self, relations, start: int = 0) -> list:
         """Evaluate the bound block from step `start` on: the (n, batch) view or relation of each root.
@@ -401,25 +382,18 @@ class Plan:
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
         size, index, rels = tables["size"], self._index, self.relations
         rels.extend([None] * (self._counts[1] - len(rels)))
-        boxed = None    # the action whose relation the scaled buffer holds
+        boxed = None    # the action whose relation `rs` holds scaled
         for op, out, a, b in self.steps[start:] if start else self.steps:
             if type(op) is str:
                 _read(tables[op], size, views[a], views[b], index, views[out])
             elif op is Box:
                 if a != boxed:
                     rs, boxed = self._scaled(rels[a]), a
-                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)]
-                frames = rs.shape[2]
-                if 1 < frames < self.batch:     # each frame broadcast over its per members
-                    shape = (n, frames, self.batch // frames)
-                    _contract(tables["box"], rs[..., None], views[b].reshape(n, 1, *shape[1:]),
-                              views[out].reshape(shape),
-                              lambda k: [buf if buf is None else buf.reshape(k, *shape)
-                                         for buf in self._fold_buffers(k)],
-                              self._acc.reshape(-1, *shape))
-                else:
-                    _contract(tables["box"], rs, views[b][:, None], views[out],
-                              self._fold_buffers, self._acc)
+                # [A]f at s is the meet over targets t of imp[R(s, t), f(t)], each of the
+                # F frames broadcast over its run of batch / F members
+                shape = (n, rs.shape[2], self.batch // rs.shape[2])
+                _contract(tables["box"], rs[..., None], views[b].reshape(n, 1, *shape[1:]),
+                          views[out].reshape(shape))
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:
@@ -447,8 +421,6 @@ class Plan:
                 ((_, i),) = self.add((root,), given)
                 self.bind(n, 1)
                 self.run(relations, start=self._ran)
-                # a plan kept for its values keeps no relation-sized scratch (8 MB at 1,024 states)
-                self._relbuf = np.empty(0, self._relbuf.dtype)
             return self.relations[i] if type(root) in ACTIONS else self.views[i][:, 0]
 
 

@@ -182,9 +182,9 @@ def log_consequence(premises: Sequence[Formula], conclusion: Formula,
         kernel.digits(np.arange(start, start + block), algebra.size,
                       [views[slot][0] for slot in plan.inputs.values()])
         conclusion_values, *premise_values = plan.run({})
-        refuted = ~holds[conclusion_values[0]]
+        refuted = ~holds.take(conclusion_values[0])
         for values in premise_values:
-            refuted &= holds[values[0]]
+            refuted &= holds.take(values[0])
         if refuted.any():
             return False
     return True

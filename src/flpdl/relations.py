@@ -4,9 +4,11 @@ and transitive closure.
 
 A relation holds its matrix once, as a read-only (n, n) int64 `matrix`
 that every operation hands to `kernel` as a batch of one; `values` is
-derived from it. Relations compare by identity. All operations require
-an algebra, and both arguments to share it and their state count;
-DimensionMismatch otherwise.
+derived from it. A source that is already such an array, over memory
+no one can write, is held as it is; any other is copied. Relations
+compare by identity. All operations require an algebra, and both
+arguments to share it and their state count; DimensionMismatch
+otherwise.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .kernel import closure, compose, lookup
 
 @dataclass(frozen=True, eq=False)
 class XRelation:
-    """An n x n matrix of algebra elements, copied on construction and read-only.
+    """An n x n matrix of algebra elements, read-only: a writeable source is copied.
 
     DimensionMismatch unless the matrix is square, and, given an algebra,
     unless every entry is an element index 0..size-1.
@@ -35,7 +37,11 @@ class XRelation:
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=np.int64)
+        matrix, base = self.matrix, getattr(self.matrix, "base", None)
+        if not (type(matrix) is np.ndarray and matrix.dtype == np.int64
+                and not matrix.flags.writeable
+                and (base is None or type(base) is np.ndarray and not base.flags.writeable)):
+            matrix = np.array(matrix, dtype=np.int64)
         if matrix.shape == (0,):    # no rows: the relation on no states
             matrix = matrix.reshape(0, 0)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

@@ -73,6 +73,7 @@ class Frame:
             if type(action) not in ACTIONS:
                 raise TypeError(f"not an action: {action!r}")
             matrix = self._plan.grow(action, self._relations.__contains__, self, self.size)
+            matrix.flags.writeable = False      # so the relation holds the plan's array as it is
             rel = self._relations.setdefault(action, XRelation(self.algebra, matrix[0]))
         return rel
 

@@ -336,44 +336,80 @@ def test_blocked_box_fold_matches_reference_across_block_boundaries(algebra):
             patch.setattr(kernel, "_BLOCK", targets * n * batch)
             plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
             got = [_run(plan, n, case, vals).copy() for case in cases]
-            assert (plan._fold is None) == (targets == 1)
         assert [[tuple(g[:, i].tolist()) for i in range(batch)] for g in got] == want, targets
 
 
 @_FIVE
-def test_box_fold_scratch_is_reused_and_made_only_when_needed(algebra):
+def test_a_rerun_plan_and_one_target_box_blocks_match_the_reference(algebra):
     rng = np.random.default_rng(algebra.size + 2)
     n = 5
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
-    first = None
-    for _ in range(2):
+    for _ in range(2):      # the second model runs in the workspace the first one left
         rels, vals = _seeded_block(algebra, rng, n, 1, 1)
         got = _run(plan, n, rels, vals)
         assert tuple(got[:, 0].tolist()) == _reference(algebra, n, rels, vals, 0, 0)
-        first = first or plan._fold
-        # the second model's box blocks are folded in the first model's scratch
-        assert all(np.shares_memory(buf, old) for buf, old in zip(plan._fold, first))
     # a block of more than _BLOCK / 2 entries per target gives one target per box block
     per = kernel._BLOCK // n // 3 + 1
     wide = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     rels, vals = _seeded_block(algebra, rng, n, 3, 3 * per)
     got = _run(wide, n, rels, vals)
-    assert wide._fold is None
     for i in (0, per, 3 * per - 1):
+        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // per, i)
+
+
+def test_a_frame_major_block_runs_in_scratch_of_one_box_block():
+    """One run of 16,384 members on 4 states in 4 frames, over cost:3, so slots and flat
+    indices are bytes. Each box's contraction makes scratch for one block of _BLOCK
+    entries, one target here: its index, two accumulator rows and the gather's intp cast
+    of the index come to 11 slots. Scratch for all 4 targets at once would reach 18."""
+    algebra, n, batch = cost_chain(3), 4, 2 ** 14
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
+    rels, vals = _seeded_block(algebra, np.random.default_rng(4), n, 4, batch)
+    for _ in range(2):  # the second run, after the first made the tables and workspace
+        views = plan.bind(n, batch)
+        for p, v in vals.items():
+            views[plan.inputs[p]][...] = v
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = plan.run(rels)[0]
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+    assert peak <= 14 * views[0].nbytes, peak / views[0].nbytes
+    per = batch // 4
+    for i in (0, per, batch - 1):
         assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // per, i)
 
 
 @pytest.mark.parametrize("size, slot, index", [
     (16, np.uint8, np.uint8), (17, np.uint8, np.uint16), (256, np.uint8, np.uint16),
     (257, np.uint16, np.uint32), (300, np.uint16, np.uint32)])
-def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index):
+def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, monkeypatch):
     """Both sides of each boundary: flat indices widen past 16 and 256 elements, slots
-    past 256. Model values and one frame-major block against the reference evaluator."""
+    past 256. Model values and one frame-major block against the reference evaluator;
+    a box's contraction gathers its masks at flat indices of that dtype, `compose`'s at int64."""
     algebra = godel_chain(size)
     tables = kernel._narrow(algebra)
     assert (kernel.plan((Var(0),), algebra).dtype, tables["index"], tables["size"].dtype) == (
         slot, index, index)
+    formed = {"box": set(), "seq": set()}
+    contract = kernel._contract
+
+    def recording(masks_decode, lefts, rights, out):
+        masks, decode = masks_decode
+        seen = formed["box" if masks_decode is tables["box"] else "seq"]
+
+        class Gathered(np.ndarray):
+            def take(self, idx, *args, **kwargs):
+                seen.add(idx.dtype)
+                return np.asarray(self).take(idx, *args, **kwargs)
+
+        contract((tuple(m.view(Gathered) for m in masks), decode), lefts, rights, out)
+
+    monkeypatch.setattr(kernel, "_contract", recording)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -382,7 +418,7 @@ def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index):
         f = data.draw(formulas(size))
         model = data.draw(models(algebra, n))
         assert model.values(f) == reference_values(model, f)
-        assert (model._plan._index.dtype, model._plan._relbuf.dtype) == (index, index)
+        assert model._plan._index.dtype == index
 
     check()
     # one frame-major block: 3 frames over 6 members, each frame broadcast over 2
@@ -391,9 +427,10 @@ def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index):
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     rels, vals = _seeded_block(algebra, rng, n, 3, 6)
     got = _run(plan, n, rels, vals)
-    assert [buf.dtype for buf in (plan._index, plan._relbuf, plan._fold[0])] == [index] * 3
+    assert plan._index.dtype == index
     for i in range(6):
         assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // 2, i), i
+    assert formed == {"box": {np.dtype(index)}, "seq": {np.dtype(np.int64)}}
 
 
 _MASKED = {"bool2": bool2, "cost2": lambda: cost_chain(2), "cost3": lambda: cost_chain(3),

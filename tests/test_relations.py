@@ -280,6 +280,16 @@ def test_matrix_is_a_copy_of_the_source(C3):
     assert r.values == ((0, 1), (2, 0))
 
 
+def test_a_read_only_source_is_held_unless_its_memory_is_writeable(C3):
+    source = np.array([[0, 1], [2, 0]])
+    view = source.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(XRelation(C3, view).matrix, source)
+    source.flags.writeable = False
+    assert XRelation(C3, source).matrix is source
+    assert XRelation(C3, source[:, :]).matrix.base is source
+
+
 def test_star_of_a_transitive_relation_leaves_it_alone(C3):
     # the diagonal of r* is written into a new matrix, never into r's
     r = bottom_relation(C3, 3)

@@ -3,11 +3,13 @@
 import json
 import random
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from flpdl.algebra import algebra_to_json
+from flpdl.algebra import algebra_to_json, cost_chain
 from flpdl.errors import DimensionMismatch, UnknownAtom
 from flpdl.generators import random_formula, random_model
 from flpdl.parser import parse_formula
@@ -177,8 +179,31 @@ def test_frame_keeps_one_relation_per_action(m):
         rel = frame.relation(action)
         assert frame.relation(action) is rel and derived_relation(frame, action) is rel
         assert not rel.matrix.flags.writeable
-        assert frame[action].base is rel.matrix
+        assert np.shares_memory(frame[action], rel.matrix)
         assert rel.values == fresh.relation(action).values
+
+
+def test_a_derived_relation_is_held_once():
+    """The relation a frame derives holds its plan's array, made read-only, as its matrix:
+    a union over cost:8 at 512 states retains one n^2 int64 matrix, not two."""
+    algebra, n, rng = cost_chain(8), 512, np.random.default_rng(5)
+    frame = Frame(algebra, n, {a: XRelation(algebra, rng.integers(0, algebra.size, (n, n)))
+                               for a in (0, 1)})
+    action = Choice(Atom(0), Atom(1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rel = frame.relation(action)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1.5 * n * n * 8, retained / (n * n * 8)
+    assert frame.relation(action) is rel
+    assert not rel.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        rel.matrix[0, 0] = 0
+    join = algebra.arrays.join
+    assert (rel.matrix == join[frame.atomic[0].matrix, frame.atomic[1].matrix]).all()
 
 
 def test_threads_get_one_relation_object_per_derived_action(m):
