@@ -443,7 +443,10 @@ def read_json(source, what: str):
     if not os.path.exists(source):
         raise ValueError(f"no such {what} file: {source}")
     with open(source) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what} file {source} nests too deeply") from None
 
 
 def ambient(source, algebra: FLAlgebra | dict | str | None, what: str) -> FLAlgebra:

@@ -232,7 +232,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             states, members = np.unique(ns, return_counts=True)
             entries = states * states * members     # of one atom's draws, per group
             # sized for the block's largest group up front, so the workspace grows once per block
-            plan.reserve(int((states * members).max()))
+            plan.bind(1, int((states * members).max()))
             # While the groups' draws together take at most twice the largest group's, they
             # are all drawn and evaluated largest first, so that the smaller groups run in
             # memory the largest one used; otherwise each is evaluated as it is drawn.

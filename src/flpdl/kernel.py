@@ -3,23 +3,23 @@
 `plan` walks one or more formulas once and lists their distinct subterms
 in post-order, each formula with a slot number and each action with an
 index; a subterm for which the caller's `given` test holds is an input,
-never looked into, so whole boxes can be given as atoms. Other variables
-are zero and other atoms the bottom relation. The plan then evaluates
-one block of models after another in a workspace it keeps: `bind` sizes
-it for `batch` models on n states and hands back the slot views, the
-caller writes each given formula's values into its view, and `run` fills
-the rest. The workspace is allocated again only when a block has more
-cells (n * batch) than every block before it, or than `reserve` sized it
-for, so a search that runs many blocks through one plan evaluates them
-without allocating value arrays.
+never looked into, so whole boxes can be given as atoms. Other atoms are
+the bottom relation; a constant or other variable is a step that fills
+its slot with its value, zero for a variable without one. The plan then
+evaluates one block of models after another in a workspace it keeps:
+`bind` sizes it for `batch` models on n states and hands back the slot
+views, the caller writes each given formula's values into its view, and
+`run` fills the rest. The workspace is allocated again only when a block
+has more cells (n * batch) than every block before it, so a search that
+runs many blocks through one plan evaluates them without allocating.
 
 Formula slots are state-major, (n, batch), so each table read runs along
 rows as long as the batch, and hold the narrowest unsigned dtype that
 holds an element index: uint8 up to 256 elements, uint16 up to 65,536.
 Every binary table read is one gather from a flattened table, made once
-per algebra, at flat indices a * size + b in the narrowest dtype that
-holds size ** 2 - 1 (uint8 up to 16 elements, uint16 up to 256), so no
-slot is cast to intp. Actions stay int64 (frames, n, n) relations.
+per algebra, at flat indices a * size + b formed in the narrowest dtype
+that holds size ** 2 - 1 (uint8 up to 16 elements, uint16 up to 256), so
+no slot is cast to intp. Actions stay int64 (frames, n, n) relations.
 
 Every meet or join over states is one blocked contraction, `_contract`:
 a box meets imp[R(s, t), f(t)] over targets t, and `compose`, the `Seq`
@@ -30,11 +30,11 @@ Priestley 2002), so a meet or join of many terms is the AND of their
 masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
 entries is one add forming flat indices (left operands come times size),
 one gather of masks and one AND reduction, in scratch for one block that
-each call makes. A box scales its relation when it reads it, as
-(target, source, frame) times size in the index dtype, kept for boxes
-over one action in a row, and adds it to a frame-major block: one frame,
-a frame per member, or F frames over F runs of members, each broadcast
-over its run.
+each call makes. A box scales its relation when it reads it (`_scaled`,
+as `compose` does its left operand), as (target, source, frame) times
+size in the index dtype, kept for boxes over one action in a row, and
+adds it to a frame-major block: one frame, a frame per member, or F
+frames over F runs of members, each broadcast over its run.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -110,10 +110,10 @@ def _contract(tables, lefts, rights, out) -> None:
 
 def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per frame; r and q hold 1 or B frames."""
-    size, out = algebra.size, np.empty((max(len(r), len(q)), *r.shape[1:]), np.int64)
-    # r(s, x) times size as (x, frame, s, 1): a copy, so in the narrowest dtype that holds it
-    lefts = (r * size).astype(np.min_scalar_type(size * (size - 1))).transpose(2, 0, 1)[..., None]
-    _contract(_narrow(algebra)["seq"], lefts, q.transpose(1, 0, 2)[:, :, None], out)
+    tables, out = _narrow(algebra), np.empty((max(len(r), len(q)), *r.shape[1:]), np.int64)
+    # r(s, x) times size as (x, frame, s, 1), added to int64 q(x, t) as (x, frame, 1, t)
+    _contract(tables["seq"], _scaled(tables, r, (2, 0, 1))[..., None],
+              q.transpose(1, 0, 2)[:, :, None], out)
     return out
 
 
@@ -184,15 +184,21 @@ def digits(indices: np.ndarray, size: int, rows):
 
 
 _TABLES = {And: "meet", Or: "join", Fuse: "fuse", LDiv: "ldiv", RDiv: "imp"}
-_INPUT, _BOTTOM = object(), object()
+_INPUT, _BOTTOM, _FILL = object(), object(), object()
 _NARROW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _read(table: np.ndarray, size, a, b, index: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = table[a, b] from the flattened table, the flat index formed in `index`'s dtype."""
-    np.multiply(a, size, out=index, dtype=index.dtype)
+def _read(table: np.ndarray, size: np.ndarray, a, b, out: np.ndarray) -> np.ndarray:
+    """out = table[a, b] from the flattened table, the flat index formed in `size`'s dtype."""
+    index = np.multiply(a, size, dtype=size.dtype)
     np.add(index, b, out=index)
     return table.take(index, out=out, mode="clip")
+
+
+def _scaled(tables: dict, rel: np.ndarray, axes) -> np.ndarray:
+    """The relation times size, transposed to `axes`, as a new C-order array in the index dtype."""
+    return np.multiply(rel.transpose(axes), tables["size"], dtype=tables["index"],
+                       casting="unsafe", order="C")
 
 
 def _narrow(algebra: FLAlgebra) -> dict:
@@ -247,14 +253,15 @@ def _narrow(algebra: FLAlgebra) -> dict:
 
 
 class Plan:
-    """Formulas and actions compiled into steps over numbered slots, and the workspace they run in.
+    """Formulas and actions compiled into steps over numbered slots, and the values they compute.
 
     `add` numbers the subterms of more roots, so a plan can grow: `ids` maps
     each subterm to its formula slot or action index, `inputs` each given
     formula to its slot, and `steps` lists how the others are computed, in
-    post-order. `roots` holds (is action, slot or index) per root given to
-    `plan`. After `run`, `relations` holds the relation of every action. A
-    variable not given takes its `valuation` row (batch one), else zero.
+    post-order; a constant or other variable fills its slot with its value,
+    a variable's `valuation` row (batch one) or zero. `roots` holds (is
+    action, slot or index) per root given to `plan`, and after `run`
+    `relations` the relation of every action.
     """
 
     def __init__(self, algebra: FLAlgebra, valuation=None):
@@ -264,14 +271,11 @@ class Plan:
         self._counts = [0, 0]                   # formula slots, actions
         self.inputs: dict = {}
         self.steps: list = []
-        self._consts: list = []
         self.roots: list = []
         self._tables = _narrow(algebra)
         self.dtype = self._tables["meet"].dtype
         self._ws = np.empty((0, 0), self.dtype)
-        self._cells = self._written = self._ran = 0   # cells held, consts written, steps run
-        self._bound = None      # the (n, batch) that `views` are cut for
-        self.views: list[np.ndarray] = []
+        self._ran = 0                           # steps run
         self.relations: list[np.ndarray] = []
         self._lock = threading.Lock()   # held by `grow`
 
@@ -323,52 +327,31 @@ class Plan:
             elif kind is Atom:
                 steps.append((_BOTTOM, i, None, None))
             else:
-                self._consts.append((i, self.valuation.get(node.index, self.algebra.zero)
-                                     if kind is Var else node.index))
+                value = (self.valuation.get(node.index, self.algebra.zero) if kind is Var
+                         else node.index)
+                steps.append((_FILL, i, np.asarray(value, self.dtype).reshape(-1, 1), None))
         # each root left its number on `done`, in order
         return [(type(r) in ACTIONS, i) for r, i in zip(roots, done)]
 
-    def bind(self, n: int, batch: int) -> list[np.ndarray]:
-        """The (n, batch) view of every slot for the next block, in the reused workspace.
+    def bind(self, n: int, batch: int) -> np.ndarray:
+        """`views`, the workspace as (slots, n, batch) for the next block: the one sizing call.
 
-        The caller writes each given formula's values into
-        `views[inputs[formula]]` before `run`; the other slots are the plan's.
+        A block of more cells than the workspace holds makes it again, so a
+        caller that knows its blocks' sizes binds the largest one first.
+        Slots `add` numbered since are made room for, the rows at least
+        doubling, every row computed kept. The caller writes each given
+        formula's values into `views[inputs[formula]]` before `run`.
         """
-        self.reserve(n * batch)
-        if self._bound != (n, batch):
-            cells = n * batch
-            self._bound, self.n, self.batch = (n, batch), n, batch
-            self.views = list(self._ws[:, :cells].reshape(-1, n, batch))
-            self._index = self._flat[:cells].reshape(n, batch)
-        return self.views
-
-    def reserve(self, cells: int) -> None:
-        """Grow the workspace and the flat-index buffer `_read` forms table indices in to
-        `cells` (n * batch), unless they already hold that many.
-
-        A caller that knows its blocks' sizes reserves for the largest one
-        first, so that binding and running the others allocates nothing.
-        Slots that `add` numbered since are made room for too: the rows at
-        least double, keeping every row computed so far.
-        """
-        rows = self._counts[0]
-        if cells > self._cells:
+        cells, rows = n * batch, self._counts[0]
+        if cells > self._ws.shape[1]:
             self._ws = np.empty((rows, cells), self.dtype)
-            self._flat = np.empty(cells, self._tables["index"])
-            self._cells, self._written, self._bound = cells, 0, None
         elif rows > len(self._ws):
-            ws = np.empty((max(rows, 2 * len(self._ws)), self._cells), self.dtype)
+            ws = np.empty((max(rows, 2 * len(self._ws)), self._ws.shape[1]), self.dtype)
             ws[:len(self._ws)] = self._ws
-            self._ws, self._bound = ws, None
-        for slot, value in self._consts[self._written:]:
-            self._ws[slot] = value
-        self._written = len(self._consts)
-
-    def _scaled(self, rel: np.ndarray) -> np.ndarray:
-        """The relation times size, as a new (target, source, frame) array in the index dtype."""
-        tables = self._tables
-        return np.multiply(rel.transpose(2, 1, 0), tables["size"], dtype=tables["index"],
-                           casting="unsafe", order="C")
+            self._ws = ws
+        self.n, self.batch = n, batch
+        self.views = self._ws[:, :cells].reshape(-1, n, batch)
+        return self.views
 
     def run(self, relations, start: int = 0) -> list:
         """Evaluate the bound block from step `start` on: the (n, batch) view or relation of each root.
@@ -376,24 +359,26 @@ class Plan:
         `relations[action]` is each given action's int64 (frames, n, n)
         relation. The block is frame-major: each action holds 1 frame, shared
         by the whole batch, or the same F frames, batch being F * per and
-        member i in frame i // per (per is 1 for a frame per member). Views
-        stay the plan's, overwritten by the next block.
+        member i in frame i // per (per is 1 for a frame per member). Fill
+        steps run on every block; views stay the plan's, overwritten by the next.
         """
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
-        size, index, rels = tables["size"], self._index, self.relations
+        size, rels = tables["size"], self.relations
         rels.extend([None] * (self._counts[1] - len(rels)))
         boxed = None    # the action whose relation `rs` holds scaled
         for op, out, a, b in self.steps[start:] if start else self.steps:
             if type(op) is str:
-                _read(tables[op], size, views[a], views[b], index, views[out])
+                _read(tables[op], size, views[a], views[b], views[out])
             elif op is Box:
                 if a != boxed:
-                    rs, boxed = self._scaled(rels[a]), a
+                    rs, boxed = _scaled(tables, rels[a], (2, 1, 0)), a
                 # [A]f at s is the meet over targets t of imp[R(s, t), f(t)], each of the
                 # F frames broadcast over its run of batch / F members
                 shape = (n, rs.shape[2], self.batch // rs.shape[2])
                 _contract(tables["box"], rs[..., None], views[b].reshape(n, 1, *shape[1:]),
                           views[out].reshape(shape))
+            elif op is _FILL:
+                views[out] = a
             elif op is _INPUT:
                 rels[out] = relations[a]
             elif op is _BOTTOM:
@@ -417,7 +402,7 @@ class Plan:
         """
         with self._lock:
             i = self.ids.get(root)
-            if i is None or self._ran < len(self.steps) or self._written < len(self._consts):
+            if i is None or self._ran < len(self.steps):
                 ((_, i),) = self.add((root,), given)
                 self.bind(n, 1)
                 self.run(relations, start=self._ran)

@@ -399,6 +399,24 @@ def test_eval_nesting_at_cap_and_past_it(capsys, model_file):
         "eval", "--model", model_file, "--formula", "!" * 3000 + "p0"]))
 
 
+def test_json_nested_past_the_decoder_is_an_input_error(capsys, tmp_path):
+    """A JSON file nested deeper than the decoder follows, at the top or inside a field,
+    ends in one error line and exit 2 for every command that reads one."""
+    top, field = tmp_path / "top.json", tmp_path / "field.json"
+    top.write_text("[" * 100000)
+    field.write_text('{"algebra": "builtin:cost:3", "states": 1, "relations": ' + "[" * 100000)
+    for path in (str(top), str(field)):
+        for argv in (["eval", "--model", path, "--formula", "p0"],
+                     ["valid", "--model", path, "--formula", "p0"],
+                     ["filter", "--model", path, "--seed-formula", "p0"],
+                     ["algebra-check", "--algebra", path],
+                     ["prove-check", path],
+                     ["decide", "--algebra", path, "--max-states", "1", "--formula", "p0"]):
+            code, out, err = run(capsys, argv)
+            assert_input_error(code, out, err)
+            assert "nests too deeply" in err, argv
+
+
 @pytest.mark.parametrize("formula, message", [
     ("p0 & #x", "#x names no element of the ambient algebra"),
     ("p0 & #9", "#9 is no element of a 2-element algebra"),

@@ -157,9 +157,9 @@ def test_model_plan_computes_each_subterm_once_in_any_order(data):
     plan = model._plan
     # a valuation variable that no formula reaches is not numbered
     assert set(plan.ids) == formulas_ | boxed
-    # a step per subterm that is not a variable or a constant, an input step per boxed action
-    leaves = sum(type(g) in (Var, Const) for g in formulas_)
-    assert len(plan.steps) == len(formulas_) - leaves + len(boxed)
+    # a step per subterm, a variable's or a constant's filling its slot, an input step per
+    # boxed action
+    assert len(plan.steps) == len(formulas_) + len(boxed)
     # the frame derives only what its atoms' seeded relations do not give
     frame = model.frame
     derived = [a for a in boxed if not (type(a) is Atom and a.index in frame.atomic)]
@@ -280,6 +280,32 @@ def test_plan_reuses_its_workspace_across_blocks(algebra):
     assert np.shares_memory(roots[1], roots[0]) and np.shares_memory(roots[2], roots[0])
 
 
+@_FIVE
+def test_fill_steps_refill_a_workspace_made_again(algebra):
+    """A constant and a variable without a value fill their slots on every block, also in a
+    workspace just made for a larger block; and a model plan whose rows at least double
+    between two `Model.values` calls keeps its valuation rows and constants."""
+    const = algebra.size - 1
+    plan = kernel.plan((Const(const), Var(0), Or(Var(0), Const(const))), algebra)
+    junk = np.iinfo(plan.dtype).max     # what a new workspace may hold before `run`
+    first = plan.bind(2, 3)
+    for n, batch in ((2, 3), (3, 4), (2, 3)):
+        views = plan.bind(n, batch)
+        views[...] = junk
+        got = plan.run({})
+        assert [set(root.ravel().tolist()) for root in got] == [
+            {const}, {algebra.zero}, {algebra.arrays.join[algebra.zero, const]}], (n, batch)
+    assert not np.shares_memory(views, first)
+    model = Model(Frame(algebra, 2, {}), {0: [const, algebra.zero]})
+    assert model.values(Var(0)) == (const, algebra.zero)
+    rows = len(model._plan._ws)
+    f = And(Fuse(Var(0), Const(const)), Or(Var(1), LDiv(Const(0), Var(0))))
+    assert model.values(f) == reference_values(model, f)
+    assert len(model._plan._ws) >= 2 * rows
+    assert model.values(Var(0)) == (const, algebra.zero)
+    assert model.values(Var(1)) == (algebra.zero, algebra.zero)
+
+
 
 def _seeded_block(algebra, rng, n, frames, batch):
     """Random atom relations per frame and variable rows per batch member, as decide_bounded seeds them."""
@@ -390,26 +416,33 @@ def test_a_frame_major_block_runs_in_scratch_of_one_box_block():
 def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, monkeypatch):
     """Both sides of each boundary: flat indices widen past 16 and 256 elements, slots
     past 256. Model values and one frame-major block against the reference evaluator;
-    a box's contraction gathers its masks at flat indices of that dtype, `compose`'s at int64."""
+    each binary table read and a box's contraction gather at flat indices of that dtype,
+    `compose`'s contraction at int64."""
     algebra = godel_chain(size)
     tables = kernel._narrow(algebra)
     assert (kernel.plan((Var(0),), algebra).dtype, tables["index"], tables["size"].dtype) == (
         slot, index, index)
-    formed = {"box": set(), "seq": set()}
+    formed = {"box": set(), "seq": set(), "read": set()}
     contract = kernel._contract
 
-    def recording(masks_decode, lefts, rights, out):
-        masks, decode = masks_decode
-        seen = formed["box" if masks_decode is tables["box"] else "seq"]
-
+    def gathered(table, seen):
+        """The table as an array whose `take` records the dtype of each index it gathers at."""
         class Gathered(np.ndarray):
             def take(self, idx, *args, **kwargs):
                 seen.add(idx.dtype)
                 return np.asarray(self).take(idx, *args, **kwargs)
 
-        contract((tuple(m.view(Gathered) for m in masks), decode), lefts, rights, out)
+        return table.view(Gathered)
+
+    def recording(masks_decode, lefts, rights, out):
+        masks, decode = masks_decode
+        seen = formed["box" if masks_decode is tables["box"] else "seq"]
+        contract((tuple(gathered(m, seen) for m in masks), decode), lefts, rights, out)
 
     monkeypatch.setattr(kernel, "_contract", recording)
+    # the flattened tables `_read` gathers from, which every plan over the algebra reads
+    for name in set(kernel._TABLES.values()):
+        monkeypatch.setitem(tables, name, gathered(tables[name], formed["read"]))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -418,19 +451,20 @@ def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, mon
         f = data.draw(formulas(size))
         model = data.draw(models(algebra, n))
         assert model.values(f) == reference_values(model, f)
-        assert model._plan._index.dtype == index
 
     check()
+    assert formed["read"] == {np.dtype(index)}
+    formed["read"].clear()
     # one frame-major block: 3 frames over 6 members, each frame broadcast over 2
     n, rng = 3, np.random.default_rng(size)
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     rels, vals = _seeded_block(algebra, rng, n, 3, 6)
     got = _run(plan, n, rels, vals)
-    assert plan._index.dtype == index
     for i in range(6):
         assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // 2, i), i
-    assert formed == {"box": {np.dtype(index)}, "seq": {np.dtype(np.int64)}}
+    assert formed == {"box": {np.dtype(index)}, "seq": {np.dtype(np.int64)},
+                      "read": {np.dtype(index)}}
 
 
 _MASKED = {"bool2": bool2, "cost2": lambda: cost_chain(2), "cost3": lambda: cost_chain(3),
