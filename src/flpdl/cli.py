@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import json
 import sys
+import warnings
 
 from .algebra import (check_algebra_properties, is_commutative, is_integral,
                       load_algebra)
@@ -291,18 +292,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except (AtomBudgetExceeded, BudgetExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_BUDGET
-    except (FLPDLError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INPUT
-    except Exception as exc:
-        message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return _EXIT_INTERNAL
+    with warnings.catch_warnings():
+        # a library warning is one line, not Python's file:line and source excerpt
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.fn(args)
+        except (AtomBudgetExceeded, BudgetExceeded) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_BUDGET
+        except (FLPDLError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return _EXIT_INPUT
+        except Exception as exc:
+            message = " ".join(str(exc).split())
+            print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+            return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

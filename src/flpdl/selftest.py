@@ -61,7 +61,7 @@ def builtin_algebras() -> dict[str, FLAlgebra]:
 
 def _result(index: int, name: str, started: float, limit: float,
             ok: bool, detail: str) -> CriterionResult:
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if elapsed >= limit:
         ok = False
         detail += f"; over the {limit:.0f}s limit"
@@ -70,7 +70,7 @@ def _result(index: int, name: str, started: float, limit: float,
 
 def criterion_1() -> CriterionResult:
     """Builtins validate; perturbed fusion tables are caught."""
-    started = time.time()
+    started = time.perf_counter()
     problems = []
     for name, alg in builtin_algebras().items():
         report = check_algebra_properties(alg)
@@ -104,7 +104,7 @@ def criterion_1() -> CriterionResult:
 
 def criterion_2() -> CriterionResult:
     """Fixpoint closure matches brute-force least extension and walk joins."""
-    started = time.time()
+    started = time.perf_counter()
     A = cost_chain(3)
     cap = 2
     mismatches = 0
@@ -136,7 +136,7 @@ def criterion_2() -> CriterionResult:
 
 def criterion_3() -> CriterionResult:
     """Two-valued evaluation matches an independent classical checker."""
-    started = time.time()
+    started = time.perf_counter()
     A = bool2()
     rng = random.Random(0)
     mismatches = 0
@@ -161,7 +161,7 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """The four box distribution schemes have state-wise equal sides."""
-    started = time.time()
+    started = time.perf_counter()
     mismatches = 0
     total = 0
     for name, A in builtin_algebras().items():
@@ -188,7 +188,7 @@ def criterion_4() -> CriterionResult:
 
 def criterion_5() -> CriterionResult:
     """Filtration preserves closure values; class count within bound."""
-    started = time.time()
+    started = time.perf_counter()
     bad = 0
     total = 0
     for name, A in builtin_algebras().items():
@@ -219,13 +219,13 @@ def criterion_5() -> CriterionResult:
 
 def criterion_6() -> CriterionResult:
     """Bounded search: pinned countermodel, exhaustion, axiom instances clean."""
-    started = time.time()
+    started = time.perf_counter()
     A2, A3 = bool2(), cost_chain(3)
     problems = []
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = decide_bounded(parse_formula("p0 -> [a0]p0", A2), A2, 2)
-    t_first = time.time() - t0
+    t_first = time.perf_counter() - t0
     if not (isinstance(out, Countermodel)
             and out.model.frame.size == 2
             and out.model.frame.atomic[0].values == ((0, 0), (1, 0))
@@ -280,7 +280,7 @@ def _proof_corpus(kind: str):
 
 def criterion_7() -> CriterionResult:
     """Proof corpus: good scripts accepted and sound, corrupted ones pinned."""
-    started = time.time()
+    started = time.perf_counter()
     A2, A3 = bool2(), cost_chain(3)
     problems = []
     goods = 0
@@ -316,7 +316,7 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Searched boundary algebras reproduce their stored witnesses."""
-    started = time.time()
+    started = time.perf_counter()
     problems = []
 
     raw = json.loads(resources.files("flpdl").joinpath(

@@ -5,6 +5,8 @@ its one-line report, and fails if the criterion failed or overran its
 time limit. `fl-pdl selftest` runs the same suite from the shell.
 """
 
+import itertools
+
 from flpdl import selftest
 
 
@@ -17,6 +19,15 @@ def _check(criterion):
 
 def test_criterion_1_algebra_validation():
     _check(selftest.criterion_1)
+
+
+def test_criteria_time_themselves_with_a_monotonic_clock(monkeypatch):
+    # a wall clock that steps 1,000 s at every reading neither fails a criterion
+    # nor shows in its time
+    wall = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(selftest.time, "time", lambda: next(wall))
+    result = _check(selftest.criterion_1)
+    assert result.seconds < 5.0
 
 
 def test_criterion_2_closure_minimality():

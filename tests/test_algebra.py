@@ -10,7 +10,7 @@ from flpdl.algebra import (MAX_SIZE, FLAlgebra, algebra_to_json, bool2,
                            build_algebra, check_algebra_properties, cost_chain,
                            is_commutative, is_integral, load_algebra, product,
                            resolve_builtin)
-from flpdl.algebra_search import find_non_commutative, find_non_integral
+from flpdl.algebra_search import find_non_commutative, find_non_integral, iter_algebras
 from flpdl.errors import InvalidAlgebra, NotALattice, NotAMonoid, NotResiduated
 from flpdl.parser import parse_formula
 from flpdl.syntax import Const
@@ -263,10 +263,49 @@ def test_search_past_the_catalog_or_without_a_match():
         find_non_integral(max_size=5)
 
 
-def test_search_is_deterministic():
-    a1 = find_non_integral(max_size=3)
-    a2 = find_non_integral(max_size=3)
-    assert a1.same_tables(a2)
+# the first 16 hex digits of the sha256 of repr((size, one, meet_table, fusion_table)),
+# per catalog algebra in canonical order: sizes 1, 2, 3 (three) and 4 (24), the 4-chain's
+# 15 before the diamond's 9
+_CATALOG = (
+    "59a5f34d600509af", "89cb5e6a084ef8ee", "d238df64dbc84ab1", "a096dccbad5f751a",
+    "4699fc42c639c3fc", "f951f23e0db14f5a", "34f3853741ccacec", "774e7b944ecabaf2",
+    "a93ca467c2f9c470", "003a4fc33d696e10", "a8b8d3baabbbb079", "3a4012f502e9b905",
+    "3f98799c8a62077c", "26c0a9cce4dc5716", "07e28586687a8c4a", "5a492b2072e7d7ab",
+    "83df9a2cb3026de5", "6c610361d8b28ce6", "d9267463da58dff2", "1dfa4ab4e075c99b",
+    "a62254627bc1b33b", "43a9fda87cb28fb1", "cc698a911ed7c283", "c90df69af08e5bf5",
+    "328aaa9372f696d5", "f15558ca219a0764", "00de50b94874ca0b", "fe0a11e695a49748",
+    "f57afda09c81f5ce",
+)
+
+
+def _catalog_digest(alg):
+    key = repr((alg.size, alg.one, alg.meet_table, alg.fusion_table))
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
+
+
+def test_algebra_catalog_is_pinned():
+    catalog = list(iter_algebras())
+    assert tuple(map(_catalog_digest, catalog)) == _CATALOG
+    assert [sum(a.size == n for a in catalog) for n in (1, 2, 3, 4)] == [1, 1, 3, 24]
+    odd = [(not is_integral(a), not is_commutative(a)) for a in catalog]
+    assert [sum(column) for column in zip(*odd)] == [16, 4]
+    assert sum(both for both in map(all, odd)) == 2
+    assert all(check_algebra_properties(a).all_passed for a in catalog)
+
+
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4])
+def test_searches_are_the_first_catalog_match(max_size):
+    catalog = list(iter_algebras(max_size))
+    assert tuple(map(_catalog_digest, catalog)) == _CATALOG[:len(catalog)]
+    for find, feature, lacks in ((find_non_integral, "non-integral", is_integral),
+                                 (find_non_commutative, "non-commutative", is_commutative)):
+        matches = [a for a in catalog if not lacks(a)]
+        if matches:
+            assert find(max_size).same_tables(matches[0])
+        else:
+            with pytest.raises(LookupError, match=f"^no {feature} FL-algebra with at most "
+                                                  f"{max_size} elements$"):
+                find(max_size)
 
 
 def _unvalidated_tables(count, seed):

@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flpdl
+from flpdl.algebra import algebra_to_json
+from flpdl.algebra_search import find_non_integral
 from flpdl.cli import main
 from flpdl.parser import MAX_NESTING
 from flpdl.proofs import load_proof
@@ -90,6 +92,21 @@ def test_eval_all_states_and_single(capsys, model_file):
         "eval", "--model", model_file, "--formula", "[a0]p0", "--state", "2"])
     assert code == 0
     assert json.loads(out)["value"] == 2
+
+
+def test_library_warning_is_one_stderr_line(capsys, tmp_path):
+    # a starred box over a non-integral algebra warns in the parser; the CLI prints the
+    # message alone, not Python's file:line prefix and source excerpt
+    doc = {"algebra": algebra_to_json(find_non_integral()), "states": 2,
+           "relations": {"a0": [[0, 1], [0, 0]]}, "valuation": {"p0": [2, 1]}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["eval", "--model", str(path), "--formula", "[a0*]p0"])
+    assert code == 0
+    assert json.loads(out)["formula"] == "[a0+]p0 & p0"
+    assert err.splitlines() == ["warning: starred boxes decompose as [A+]f & f, which reads "
+                                "as reflexive-transitive closure only over integral algebras",
+                                "values: 1 1"]
 
 
 def test_algebra_check_valid(capsys):
