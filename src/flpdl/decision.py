@@ -191,8 +191,9 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     frontier records how far the scan got, and whose `models_evaluated`
     says how many of those candidates the kernel evaluated. Sampling mode
     instead draws `budget` random candidates (state count uniform on
-    1..max_states, entries uniform) and cannot prove validity; it takes
-    max_states up to `semantics.MAX_STATES`, the cap on a model file.
+    1..max_states, entries uniform) from a non-negative `seed` and cannot
+    prove validity; it takes max_states up to `semantics.MAX_STATES`, the
+    cap on a model file.
     """
     require_formula(formula)
     if max_states < 1:
@@ -202,6 +203,8 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     if mode == "sample" and max_states > MAX_STATES:
         raise ValueError(f"sample mode draws models of at most {MAX_STATES} states, "
                          f"not {max_states}")
+    if mode == "sample" and seed < 0:
+        raise ValueError(f"seed must be non-negative, not {seed}")
     if budget is None:
         budget = default_budget()
     if budget < 1:

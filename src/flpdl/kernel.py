@@ -27,14 +27,23 @@ step, joins r(s, x) * q(x, t) over middle states x. In any finite
 lattice, distributive or not, the down-set of a meet is the intersection
 of the down-sets and the up-set of a join that of the up-sets (Davey &
 Priestley 2002), so a meet or join of many terms is the AND of their
-masks (`_narrow`), decoded once by a gather. A block of at most _BLOCK
-entries is one add forming flat indices (left operands come times size),
-one gather of masks and one AND reduction, in scratch for one block that
-each call makes. A box scales its relation when it reads it (`_scaled`,
-as `compose` does its left operand), as (target, source, frame) times
-size in the index dtype, kept for boxes over one action in a row, and
-adds it to a frame-major block: one frame, a frame per member, or F
-frames over F runs of members, each broadcast over its run.
+masks (`_narrow`), decoded once by a gather. A term's code is r * size +
+f, and a contraction of more than _BLOCK entries reads c states per
+gather: `_codes` sums each group's c codes, the j-th times (size ** 2)
+** j, and `_table` makes once per algebra and width the table whose
+entry at such a sum ANDs the c masks. c is the widest group whose table
+holds at most _TABLE entries, n spread evenly over the fewest groups; a
+short last group reads the pair (bottom, 0), which changes no meet
+(imp[bottom, x] is top) or join (bottom * x is bottom), and the table of
+a single group holds the element itself: one add and one gather. A
+smaller contraction, as every box of a model of batch one, reads one
+state per gather, at the relation times size plus the body's slot. A
+block of at most _BLOCK entries is one add forming codes, one gather of
+masks and one AND reduction, in scratch for one block that each call
+makes. A box codes its relation as (target, source, frame), kept for
+boxes over one action in a row, and adds it to a frame-major block: one
+frame, a frame per member, or F frames over F runs of members, each
+broadcast over its run; `compose` adds its codes frame innermost.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -62,6 +71,7 @@ from .syntax import (ACTIONS, And, Atom, Box, Choice, Const, Fuse, LDiv, Or, Plu
 
 
 _BLOCK = 2 ** 14  # entries per gather of a meet or join over states, and at least one state
+_TABLE = 2 ** 12  # entries of a grouped contraction table at most, so that it stays in cache
 
 
 def lookup(table: np.ndarray, a, b) -> np.ndarray:
@@ -81,19 +91,23 @@ def _unmask(acc: np.ndarray, decode, out: np.ndarray) -> np.ndarray:
 def _contract(tables, lefts, rights, out) -> None:
     """out = the meet or join over the first axis of the table entries at lefts[i] + rights[i].
 
-    `tables` is (masks, decode): masks[w] is word w of each flat entry's
-    down-set mask for a meet, up-set for a join, and decode[w][v], in out's
-    dtype, the element at v's highest set bit in word w. Flat indices are
-    formed in the dtype of lefts + rights, a block of terms of at most
-    _BLOCK entries at a time, in scratch made here for one block.
+    `tables` is (masks, decode): masks[w] is word w of each code's mask, the
+    AND of the down-set masks of the terms the code groups for a meet, of
+    their up-set masks for a join, and decode[w][v], in out's dtype, the
+    element at v's highest set bit in word w. A table made for one group
+    holds that element itself in masks[0], with no decode, so a contraction
+    of one group is one add and one gather. Codes are formed in the dtype of
+    lefts + rights, a block of groups of at most _BLOCK entries at a time,
+    in scratch made here for one block.
     """
     masks, decode = tables
     word = masks[0].dtype
-    count, step = len(lefts), max(1, _BLOCK // max(1, out.size))   # no cells: one term a block
+    count, step = len(lefts), max(1, _BLOCK // max(1, out.size))   # no cells: one group a block
     k = min(step, count)
     index = np.empty((k, *out.shape), np.result_type(lefts, rights))
     values = np.empty((k, *out.shape), word) if k > 1 else None
-    acc = np.empty((len(masks) + 1, *out.shape), word)   # a row per word, one for a later block
+    # a row per word, one for a later block; a table of elements is gathered into out itself
+    acc = np.empty((len(masks) + 1, *out.shape), word) if len(decode) else out[None]
     for start in range(0, count, step):
         k, first = min(step, count - start), start == 0
         idx = index[:k]
@@ -105,16 +119,25 @@ def _contract(tables, lefts, rights, out) -> None:
                 np.bitwise_and.reduce(terms, axis=0, out=into)
             if not first:
                 np.bitwise_and(acc[w], into, out=acc[w])
-    _unmask(acc, decode, out)
+    if len(decode):
+        _unmask(acc, decode, out)
 
 
 def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per frame; r and q hold 1 or B frames."""
-    tables, out = _narrow(algebra), np.empty((max(len(r), len(q)), *r.shape[1:]), np.int64)
-    # r(s, x) times size as (x, frame, s, 1), added to int64 q(x, t) as (x, frame, 1, t)
-    _contract(tables["seq"], _scaled(tables, r, (2, 0, 1))[..., None],
-              q.transpose(1, 0, 2)[:, :, None], out)
-    return out
+    """(r;q)(s,t) = join over x of r(s,x) * q(x,t), per frame; r and q hold 1 or B frames.
+
+    The codes of r(s, x), as (x, s, 1, frame), and of q(x, t), as (x, 1, t,
+    frame), are grouped over the middle states x and added frame innermost;
+    the result is a (frames, n, n) view of an (n, n, frames) array.
+    """
+    tables = _narrow(algebra)
+    frames, n = max(len(r), len(q)), r.shape[1]
+    out = np.empty((n, n, frames), np.int64)
+    width = _width(tables, n, n * out.size)
+    lefts = _codes(tables, r.transpose(2, 1, 0), width, True)[:, :, None]
+    rights = _codes(tables, q.transpose(1, 2, 0), width, False)[:, None]
+    _contract(_table(tables, "seq", width, len(lefts) == 1), lefts, rights, out)
+    return out.transpose(2, 0, 1)
 
 
 def join_classes(algebra: FLAlgebra, matrices: np.ndarray, class_of) -> np.ndarray:
@@ -175,11 +198,17 @@ def closure(algebra: FLAlgebra, r: np.ndarray) -> np.ndarray:
 def digits(indices: np.ndarray, size: int, rows):
     """Write the base-`size` digits of int64 `indices` into `rows`, most significant first.
 
-    Row i gets digit i of every index, cast to the row's dtype; `indices`
-    is used up as the scratch quotient. Returns `rows`.
+    Row i gets digit i of every index, cast to the row's dtype. Each digit
+    is the index less size times its quotient, the quotient taken by
+    `np.floor_divide` by the scalar size, which has a fast path that int64
+    `np.divmod` lacks; `indices` is used up as scratch. Returns `rows`.
     """
+    quotient, scaled = np.empty_like(indices), np.empty_like(indices)
     for row in reversed(rows):
-        np.divmod(indices, size, out=(indices, row), casting="unsafe")
+        np.floor_divide(indices, size, out=quotient)
+        np.multiply(quotient, size, out=scaled)
+        np.subtract(indices, scaled, out=row, dtype=np.int64, casting="unsafe")
+        indices, quotient = quotient, indices
     return rows
 
 
@@ -195,10 +224,64 @@ def _read(table: np.ndarray, size: np.ndarray, a, b, out: np.ndarray) -> np.ndar
     return table.take(index, out=out, mode="clip")
 
 
-def _scaled(tables: dict, rel: np.ndarray, axes) -> np.ndarray:
-    """The relation times size, transposed to `axes`, as a new C-order array in the index dtype."""
-    return np.multiply(rel.transpose(axes), tables["size"], dtype=tables["index"],
-                       casting="unsafe", order="C")
+def _width(tables: dict, n: int, entries: int) -> int:
+    """States per group of a contraction over n states, `entries` entries in all: one within
+    one _BLOCK, else n split as evenly as it goes into the fewest groups of at most `widest`."""
+    if entries <= _BLOCK:
+        return 1
+    groups = -(-n // tables["widest"])
+    return -(-n // groups)
+
+
+def _codes(tables: dict, x: np.ndarray, width: int, relation: bool) -> np.ndarray:
+    """The group codes of x along its first axis, the contraction's, `width` states a group.
+
+    A term's code is r * size + f, r a relation's entry and f a body's: x
+    holds r (`relation`) or f, and the other call the other side. Group g
+    reads the sum over j of its j-th term's code times (size ** 2) ** j, in
+    the narrowest dtype holding every such sum, the last group's missing
+    states reading the neutral pair (bottom, 0). At width 1 a relation's
+    codes are r * size, made in one call as a C-order array, and a body's
+    are x itself.
+    """
+    if width == 1:
+        return np.multiply(x, tables["size"], dtype=tables["index"], casting="unsafe",
+                           order="C") if relation else x
+    size = int(tables["size"])
+    groups = -(-len(x) // width)
+    if groups * width > len(x):
+        pad = np.full((groups * width - len(x), *x.shape[1:]),
+                      tables["bottom"] if relation else 0, x.dtype)
+        x = np.concatenate((x, pad))
+    x = x.reshape(groups, width, *x.shape[1:])
+    dtype, scale = np.min_scalar_type(size ** (2 * width) - 1), size if relation else 1
+    codes = np.multiply(x[:, 0], scale, dtype=dtype, casting="unsafe", order="C")
+    for j in range(1, width):
+        np.add(codes, np.multiply(x[:, j], scale * size ** (2 * j), dtype=dtype,
+                                  casting="unsafe"), out=codes)
+    return codes
+
+
+def _table(tables: dict, op: str, width: int, single: bool):
+    """`_contract`'s table for `op`, "box" or "seq", over groups of `width` terms, made once.
+
+    Entry k holds, word by word, the AND of the masks at each of k's `width`
+    base size ** 2 digits, kept in the algebra's tables under (op, width,
+    single). A table for a `single` group holds the element that AND
+    decodes to instead, as (elements,) with no decode.
+    """
+    key = op, width, single
+    made = tables.get(key)
+    if made is None:
+        masks, decode = tables[op]
+        grouped = masks
+        for _ in range(1, width):   # the next digit up indexes the rows of the outer AND
+            grouped = tuple((m[:, None] & g).ravel() for m, g in zip(masks, grouped))
+        if single:
+            elements = np.empty(len(grouped[0]), decode[0].dtype)
+            grouped, decode = (_unmask(np.array(grouped), decode, elements),), ()
+        made = tables[key] = grouped, decode
+    return made
 
 
 def _narrow(algebra: FLAlgebra) -> dict:
@@ -207,9 +290,11 @@ def _narrow(algebra: FLAlgebra) -> dict:
     Mask bits follow a linear extension of the order (down-set size, then
     index), so the highest set bit of x's down-set mask is x's own; up-set
     masks number the bits the other way. A mask is one word up to 16
-    elements, else bytes. "box" and "seq" hold `_contract`'s tables, masks
-    and decode as tuples of words: imp's down-set masks with a decode into a
-    slot, fuse's up-set masks with an int64 decode; "up" holds each element's
+    elements, else bytes. "box" and "seq" hold `_contract`'s tables for one
+    state a group, masks and decode as tuples of words: imp's down-set masks
+    with a decode into a slot, fuse's up-set masks with an int64 decode;
+    `_table` adds those for wider groups, and "widest" is the widest group
+    whose table holds at most _TABLE entries. "up" holds each element's
     up-set mask and that decode as (words, size) and (words, 2 ** bits)
     arrays. "plus" holds `closure`'s: the star of x at x * size, fuse, fuse
     by its right operand (entry b * size + a is a * b), and join times size
@@ -222,6 +307,12 @@ def _narrow(algebra: FLAlgebra) -> dict:
         tables = {name: getattr(arrs, name).astype(dtype).ravel() for name in set(_TABLES.values())}
         tables["index"] = np.min_scalar_type(size * size - 1)   # the narrowest holding a * size + b
         tables["size"] = np.array(size, dtype=tables["index"])  # scales faster than an int
+        tables["bottom"] = algebra.bottom
+        # the widest group whose tables hold at most _TABLE entries, (size ** 2) ** width; the
+        # one-element algebra's hold one entry at any width, and it groups as two elements do
+        tables["widest"] = 1
+        while max(4, size * size) ** (tables["widest"] + 1) <= _TABLE:
+            tables["widest"] += 1
         order = np.lexsort((np.arange(size), arrs.leq.sum(axis=0)))   # position -> element
         bits = size if size <= 16 else 8
         words = -(-size // bits)
@@ -365,17 +456,20 @@ class Plan:
         algebra, n, views, tables = self.algebra, self.n, self.views, self._tables
         size, rels = tables["size"], self.relations
         rels.extend([None] * (self._counts[1] - len(rels)))
-        boxed = None    # the action whose relation `rs` holds scaled
+        boxed = None    # the action whose relation codes `rs` holds, with their table
         for op, out, a, b in self.steps[start:] if start else self.steps:
             if type(op) is str:
                 _read(tables[op], size, views[a], views[b], views[out])
             elif op is Box:
                 if a != boxed:
-                    rs, boxed = _scaled(tables, rels[a], (2, 1, 0)), a
+                    width = _width(tables, n, n * n * self.batch)
+                    rs, boxed = _codes(tables, rels[a].transpose(2, 1, 0), width, True), a
+                    table = _table(tables, "box", width, len(rs) == 1)
                 # [A]f at s is the meet over targets t of imp[R(s, t), f(t)], each of the
                 # F frames broadcast over its run of batch / F members
                 shape = (n, rs.shape[2], self.batch // rs.shape[2])
-                _contract(tables["box"], rs[..., None], views[b].reshape(n, 1, *shape[1:]),
+                _contract(table, rs[..., None],
+                          _codes(tables, views[b].reshape(n, 1, *shape[1:]), width, False),
                           views[out].reshape(shape))
             elif op is _FILL:
                 views[out] = a

@@ -496,6 +496,14 @@ def test_decide_sample_past_the_state_cap_is_input_error(capsys):
     assert time.perf_counter() - started < 5
 
 
+def test_decide_sample_negative_seed_is_input_error(capsys):
+    """The seed is refused up front, by name, before numpy's generator sees it."""
+    code, out, err = run(capsys, ["decide", "--algebra", "builtin:bool2", "--max-states", "2",
+                                  "--formula", "p0", "--mode", "sample", "--seed", "-1"])
+    assert_input_error(code, out, err)
+    assert err == "error: seed must be non-negative, not -1\n"
+
+
 def test_decide_valid_by_exhaustion(capsys):
     code, out, _ = run(capsys, [
         "decide", "--algebra", "builtin:bool2", "--max-states", "2",

@@ -412,6 +412,24 @@ def test_budget_cut_frontier_counts_pruned_frames(C3):
     assert exc.value.models_evaluated < exc.value.frontier["models_checked"]
 
 
+@pytest.mark.parametrize("algebra, src, next_index, evaluated", [
+    (bool2(), "[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", 998968, 324360),
+    (bool2(), "[a0 ; a1]p0 <-> [a0][a1]p0", 998968, 324360),
+    (cost_chain(3), "[a0](p0 & p1) <-> ([a0]p0 & [a0]p1)", 993412, 686530),
+    (cost_chain(3), "[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", 940924, 382833),
+    (cost_chain(3), "[a0 ; a1]p0 <-> [a0][a1]p0", 940924, 382833)],
+    ids=["bool2-choice", "bool2-seq", "cost3-and", "cost3-choice", "cost3-seq"])
+def test_budget_cut_axiom_instances_are_pinned(algebra, src, next_index, evaluated):
+    """The selftest's five axiom instances that run out of 10 ** 6 candidates at 3 states,
+    each through grouped box (and compose) tables: where the scan stops and how many of
+    its candidates the kernel evaluated."""
+    with pytest.raises(BudgetExceeded) as exc:
+        decide_bounded(parse_formula(src, algebra), algebra, 3, budget=10 ** 6)
+    assert exc.value.frontier == {"states": 3, "next_index": next_index,
+                                  "models_checked": 10 ** 6, "max_states": 3}
+    assert exc.value.models_evaluated == evaluated
+
+
 @pytest.mark.parametrize("chunk", [-1, 0, 1, "3w+1"], ids=["w-1", "w", "w+1", "3w+1"])
 def test_budget_cuts_frames_at_every_block_boundary(B, monkeypatch, chunk):
     # at two states: 16 frames of 16 valuations each. Blocks of one run of 15, of one frame,

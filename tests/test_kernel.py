@@ -239,9 +239,14 @@ def test_subterms_numbered_before_a_refused_constant_are_computed_when_asked():
         assert model.values(f) == reference_values(model, f)
 
 
-# a box over every kind of action, several variables, a constant and each connective
-_REUSED = And(Box(Choice(Seq(Atom(0), Atom(1)), Plus(Atom(0))), RDiv(Var(0), Var(1))),
-              Or(Fuse(Box(Atom(1), Var(0)), Const(1)), LDiv(Var(1), Box(Atom(0), Var(0)))))
+def _reused(constant=1):
+    """A box over every kind of action, several variables, a constant and each connective."""
+    return And(Box(Choice(Seq(Atom(0), Atom(1)), Plus(Atom(0))), RDiv(Var(0), Var(1))),
+               Or(Fuse(Box(Atom(1), Var(0)), Const(constant)),
+                  LDiv(Var(1), Box(Atom(0), Var(0)))))
+
+
+_REUSED = _reused()
 
 
 _FIVE = pytest.mark.parametrize(
@@ -325,10 +330,10 @@ def _run(plan, n, rels, vals):
     return plan.run(rels)[0]
 
 
-def _reference(algebra, n, rels, vals, frame, member):
+def _reference(algebra, n, rels, vals, frame, member, formula=_REUSED):
     model = Model(Frame(algebra, n, {a.index: XRelation(algebra, r[frame]) for a, r in rels.items()}),
                   {p.index: v[:, member].tolist() for p, v in vals.items()})
-    return reference_values(model, _REUSED)
+    return reference_values(model, formula)
 
 
 def _member_relations(rels, i, batch):
@@ -389,9 +394,10 @@ def test_a_rerun_plan_and_one_target_box_blocks_match_the_reference(algebra):
 
 def test_a_frame_major_block_runs_in_scratch_of_one_box_block():
     """One run of 16,384 members on 4 states in 4 frames, over cost:3, so slots and flat
-    indices are bytes. Each box's contraction makes scratch for one block of _BLOCK
-    entries, one target here: its index, two accumulator rows and the gather's intp cast
-    of the index come to 11 slots. Scratch for all 4 targets at once would reach 18."""
+    indices are bytes. Each box groups its 4 targets in 2 groups of 2 and makes scratch
+    for one block of _BLOCK entries, one group here: its codes, two accumulator rows and
+    the gather's intp cast of the codes come to 11 slots, the body's codes, a byte per
+    group and member, to half a slot more. Scratch for both groups at once would pass 20."""
     algebra, n, batch = cost_chain(3), 4, 2 ** 14
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
@@ -413,39 +419,54 @@ def test_a_frame_major_block_runs_in_scratch_of_one_box_block():
         assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // per, i)
 
 
-@pytest.mark.parametrize("size, slot, index", [
-    (16, np.uint8, np.uint8), (17, np.uint8, np.uint16), (256, np.uint8, np.uint16),
-    (257, np.uint16, np.uint32), (300, np.uint16, np.uint32)])
-def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, monkeypatch):
+@pytest.mark.parametrize("size, slot, index, grouped", [
+    (2, np.uint8, np.uint8, (3, np.uint8)), (3, np.uint8, np.uint8, (3, np.uint16)),
+    (8, np.uint8, np.uint8, (2, np.uint16)), (9, np.uint8, np.uint8, (1, np.uint8)),
+    (16, np.uint8, np.uint8, (1, np.uint8)), (17, np.uint8, np.uint16, (1, np.uint16)),
+    (256, np.uint8, np.uint16, (1, np.uint16)), (257, np.uint16, np.uint32, (1, np.uint32)),
+    (300, np.uint16, np.uint32, (1, np.uint32))],
+    ids=lambda case: case.__name__ if isinstance(case, type) else
+    f"w{case[0]}-{case[1].__name__}" if isinstance(case, tuple) else str(case))
+def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, grouped,
+                                                          monkeypatch):
     """Both sides of each boundary: flat indices widen past 16 and 256 elements, slots
-    past 256. Model values and one frame-major block against the reference evaluator;
-    each binary table read and a box's contraction gather at flat indices of that dtype,
-    `compose`'s contraction at int64."""
+    past 256, and a group's codes, below (size ** 2) ** width, past 256 of them. Model
+    values and one frame-major block, as is and with every contraction grouped, against
+    the reference evaluator. Each binary table read gathers at flat indices of the index
+    dtype; a box's contraction of one state a group does too and `compose`'s at int64;
+    grouped over 3 states, 3 states a group at 2 and 3 elements, 2 at 8 and 1 from 9 up,
+    both gather at the group codes' dtype, `compose`'s at int64 where a group is one state."""
     algebra = godel_chain(size)
     tables = kernel._narrow(algebra)
     assert (kernel.plan((Var(0),), algebra).dtype, tables["index"], tables["size"].dtype) == (
         slot, index, index)
-    formed = {"box": set(), "seq": set(), "read": set()}
-    contract = kernel._contract
+    formed, made_for = set(), {}    # (what gathered, index dtype); table -> (op, width)
+    table, contract = kernel._table, kernel._contract
 
-    def gathered(table, seen):
-        """The table as an array whose `take` records the dtype of each index it gathers at."""
+    def gathered(array, key):
+        """The array as one whose `take` records the dtype of each index it gathers at."""
         class Gathered(np.ndarray):
             def take(self, idx, *args, **kwargs):
-                seen.add(idx.dtype)
+                formed.add((key, idx.dtype))
                 return np.asarray(self).take(idx, *args, **kwargs)
 
-        return table.view(Gathered)
+        return array.view(Gathered)
 
-    def recording(masks_decode, lefts, rights, out):
-        masks, decode = masks_decode
-        seen = formed["box" if masks_decode is tables["box"] else "seq"]
-        contract((tuple(gathered(m, seen) for m in masks), decode), lefts, rights, out)
+    def spied(tables_, op, width, single):
+        made = table(tables_, op, width, single)
+        made_for[id(made)] = op, width
+        return made
 
+    def recording(made, lefts, rights, out):
+        masks, decode = made
+        key = made_for[id(made)]
+        contract((tuple(gathered(m, key) for m in masks), decode), lefts, rights, out)
+
+    monkeypatch.setattr(kernel, "_table", spied)
     monkeypatch.setattr(kernel, "_contract", recording)
     # the flattened tables `_read` gathers from, which every plan over the algebra reads
     for name in set(kernel._TABLES.values()):
-        monkeypatch.setitem(tables, name, gathered(tables[name], formed["read"]))
+        monkeypatch.setitem(tables, name, gathered(tables[name], "read"))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -456,18 +477,140 @@ def test_slots_and_flat_indices_take_the_narrowest_dtypes(size, slot, index, mon
         assert model.values(f) == reference_values(model, f)
 
     check()
-    assert formed["read"] == {np.dtype(index)}
-    formed["read"].clear()
+    assert ("read", np.dtype(index)) in formed
+    assert formed <= {("read", np.dtype(index)), (("box", 1), np.dtype(index)),
+                      (("seq", 1), np.dtype(np.int64))}
     # one frame-major block: 3 frames over 6 members, each frame broadcast over 2
     n, rng = 3, np.random.default_rng(size)
     atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
     plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
     rels, vals = _seeded_block(algebra, rng, n, 3, 6)
-    got = _run(plan, n, rels, vals)
-    for i in range(6):
-        assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // 2, i), i
-    assert formed == {"box": {np.dtype(index)}, "seq": {np.dtype(np.int64)},
-                      "read": {np.dtype(index)}}
+    width, codes = grouped
+    for block, box, seq in ((kernel._BLOCK, ("box", 1, index), ("seq", 1, np.int64)),
+                            (1, ("box", width, codes),
+                             ("seq", width, codes if width > 1 else np.int64))):
+        formed.clear()
+        monkeypatch.setattr(kernel, "_BLOCK", block)   # 1: every contraction is grouped
+        got = _run(plan, n, rels, vals)
+        for i in range(6):
+            assert tuple(got[:, i].tolist()) == _reference(algebra, n, rels, vals, i // 2, i), i
+        assert formed == {("read", np.dtype(index)), (box[:2], np.dtype(box[2])),
+                          (seq[:2], np.dtype(seq[2]))}
+
+
+def _asked(monkeypatch) -> list:
+    """Every (op, width, single) that a contraction asks `_table` for, in order, from now on."""
+    asked, table = [], kernel._table
+
+    def spied(tables, op, width, single):
+        asked.append((op, width, single))
+        return table(tables, op, width, single)
+
+    monkeypatch.setattr(kernel, "_table", spied)
+    return asked
+
+
+_CATALOG = [*iter_algebras(), cost_chain(16), cost_chain(17)]
+
+
+@pytest.mark.parametrize("algebra", _CATALOG,
+                         ids=[f"catalog{i}" for i in range(len(_CATALOG) - 2)] + ["cost16",
+                                                                                  "cost17"])
+def test_grouped_boxes_and_composes_match_the_reference(algebra, monkeypatch):
+    """Every contraction grouped, at most 2 states a group, on every catalog algebra, the
+    one-element one included, and on the cost chains either side of the 16/17-element
+    multiword masks, whose bottom is no element 0: one state (a table of elements), one
+    group of 2 (elements again) and 2 groups, the last padded with the bottom, in a block
+    of 3 frames over 6 members against the reference evaluator."""
+    monkeypatch.setattr(kernel, "_BLOCK", 1)
+    monkeypatch.setitem(kernel._narrow(algebra), "widest", 2)
+    asked = _asked(monkeypatch)
+    rng = np.random.default_rng(algebra.size + 5)
+    atoms, vars_ = (Atom(0), Atom(1)), (Var(0), Var(1))
+    formula = _reused(min(1, algebra.size - 1))
+    for n in (1, 2, 3):
+        plan = kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
+        rels, vals = _seeded_block(algebra, rng, n, 3, 6)
+        got = _run(plan, n, rels, vals)
+        for i in range(6):
+            want = _reference(algebra, n, rels, vals, i // 2, i, formula)
+            assert tuple(got[:, i].tolist()) == want, (n, i)
+    assert set(asked) == {(op, width, single) for op in ("box", "seq")
+                          for width, single in ((1, True), (2, True), (2, False))}
+
+
+@pytest.mark.parametrize("algebra", [cost_chain(3), find_non_commutative()],
+                         ids=["cost3", "non-commutative"])
+def test_boxes_and_composes_group_every_state_count(algebra, monkeypatch):
+    """n from 1 to 2c + 1, c the algebra's widest group (3 at 3 and 4 elements): grouped,
+    every contraction asks for width ceil(n / ceil(n / c)), never above n, and one group's
+    table of elements exactly when n fits one group. One frame for the batch, a frame per
+    member and 3 frames over runs of 2, against the reference evaluator, in blocks of one
+    group and, past 2 states, of two."""
+    widest = kernel._narrow(algebra)["widest"]
+    assert widest == 3
+    asked = _asked(monkeypatch)
+    rng = np.random.default_rng(algebra.size + 6)
+    atoms, vars_, batch = (Atom(0), Atom(1)), (Var(0), Var(1)), 6
+    for n in range(1, 2 * widest + 2):
+        rels, vals = _seeded_block(algebra, rng, n, batch, batch)
+        cases = [{a: r[:1] for a, r in rels.items()}, rels, {a: r[:3] for a, r in rels.items()}]
+        want = [[_reference(algebra, n, _member_relations(case, i, batch), vals, 0, i)
+                 for i in range(batch)] for case in cases]
+        groups = -(-n // widest)
+        width = -(-n // groups)
+        assert width <= n
+        for block in (1, 2 * n * batch):     # the box's out holds n * batch entries
+            asked.clear()
+            monkeypatch.setattr(kernel, "_BLOCK", block)
+            plan = kernel.plan((_REUSED,), algebra, set(atoms + vars_).__contains__)
+            got = [_run(plan, n, case, vals).copy() for case in cases]
+            assert [[tuple(g[:, i].tolist()) for i in range(batch)] for g in got] == want, (
+                n, block)
+            if block == 1:
+                assert set(asked) == {("box", width, groups == 1), ("seq", width, groups == 1)}
+
+
+def test_grouped_compose_keeps_the_operand_order(monkeypatch):
+    """On a non-commutative algebra (r;q)(s,t) joins r(s,x) * q(x,t), never q(x,t) * r(s,x):
+    one group, two groups of 2, two of 3 with the last padded, and ungrouped, against a
+    fold of the algebra's tables that the swapped product would not match."""
+    algebra = find_non_commutative()
+    fuse, join = algebra.arrays.fuse, algebra.arrays.join
+    rng = np.random.default_rng(11)
+    asked = _asked(monkeypatch)
+
+    def folded(products):
+        return functools.reduce(lambda x, y: join[x, y], products)
+
+    for n in (3, 4, 5):
+        r, q = rng.integers(0, algebra.size, (2, 64, n, n))
+        want = folded([fuse[r[:, :, x, None], q[:, None, x, :]] for x in range(n)])
+        swapped = folded([fuse[q[:, None, x, :], r[:, :, x, None]] for x in range(n)])
+        assert (want != swapped).any()
+        for block in (1, kernel._BLOCK):
+            monkeypatch.setattr(kernel, "_BLOCK", block)
+            assert (kernel.compose(algebra, r, q) == want).all(), (n, block)
+    assert asked == [("seq", 3, True), ("seq", 1, False), ("seq", 2, False), ("seq", 1, False),
+                     ("seq", 3, False), ("seq", 1, False)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 70000])
+def test_digits_match_divmod(size):
+    """Twelve digits of indices up to 2 ** 62, into int64 rows and into rows of the
+    narrowest dtype holding a digit, against repeated np.divmod."""
+    count = 12
+    for start in (0, size - 1, size ** 3 + 7, 2 ** 40 + 3, 2 ** 62 - 50, 2 ** 62):
+        indices = np.arange(start, start + 50, dtype=np.int64)
+        rest, want = indices.copy(), []
+        for _ in range(count):
+            rest, digit = np.divmod(rest, size)
+            want.insert(0, digit)
+        wide = kernel.digits(indices.copy(), size, np.empty((count, 50), np.int64))
+        narrow = kernel.digits(indices.copy(), size,
+                               [np.empty(50, np.min_scalar_type(size - 1)) for _ in range(count)])
+        assert (wide == want).all(), start
+        assert all((row == digit).all() for row, digit in zip(narrow, want)), start
 
 
 _MASKED = {"bool2": bool2, "cost2": lambda: cost_chain(2), "cost3": lambda: cost_chain(3),
