@@ -4,10 +4,10 @@ The package is organised bottom-up: `algebra` builds and validates the
 truth-value algebras, `syntax`/`parser` define formulas and programs,
 `kernel` evaluates them over batches of models, `relations` and
 `semantics` serve single relations and models from it, `filtration`
-compresses models through formula closures, `decision` searches for
-countermodels, `proofs` checks Hilbert-style proof scripts, `oracles`
-holds the independent cross-checks, and `selftest` re-runs the whole
-verification suite. `cli.main` exposes everything as the fl-pdl command.
+compresses models through formula closures, `decision` decides validity
+and searches for countermodels, `proofs` checks Hilbert-style proof
+scripts, `oracles` holds the independent cross-checks, and `selftest`
+re-runs the whole verification suite. `cli.main` exposes everything as the fl-pdl command.
 """
 
 from .algebra import (FLAlgebra, PropertyCheck, PropertyReport,
@@ -15,8 +15,8 @@ from .algebra import (FLAlgebra, PropertyCheck, PropertyReport,
                       check_algebra_properties, cost_chain, is_commutative,
                       is_integral, load_algebra, product, resolve_builtin)
 from .algebra_search import find_non_commutative, find_non_integral
-from .decision import (Countermodel, NoCountermodelUpTo, ValidByExhaustion,
-                       decide_bounded, default_budget, theoretical_bound)
+from .decision import (Countermodel, ExactVerdict, NoCountermodelUpTo, ValidByExhaustion,
+                       decide_bounded, decide_exact, default_budget, theoretical_bound)
 from .errors import (AtomBudgetExceeded, BudgetExceeded, DimensionMismatch,
                      FLPDLError, FormulaSyntaxError, InvalidAlgebra,
                      NotClosed, UnknownAtom, UnknownConstant)
@@ -45,8 +45,8 @@ __all__ = [
     "is_commutative", "is_integral", "load_algebra", "product",
     "resolve_builtin",
     "find_non_commutative", "find_non_integral",
-    "Countermodel", "NoCountermodelUpTo", "ValidByExhaustion",
-    "decide_bounded", "default_budget", "theoretical_bound",
+    "Countermodel", "ExactVerdict", "NoCountermodelUpTo", "ValidByExhaustion",
+    "decide_bounded", "decide_exact", "default_budget", "theoretical_bound",
     "AtomBudgetExceeded", "BudgetExceeded", "DimensionMismatch",
     "FLPDLError", "FormulaSyntaxError", "InvalidAlgebra", "NotClosed",
     "UnknownAtom", "UnknownConstant",

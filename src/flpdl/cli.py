@@ -18,8 +18,8 @@ import warnings
 
 from .algebra import (check_algebra_properties, is_commutative, is_integral,
                       load_algebra)
-from .decision import (Countermodel, ValidByExhaustion, decide_bounded,
-                       default_budget, theoretical_bound)
+from .decision import (CLOSURE_CAP, Countermodel, ValidByExhaustion, closure_size,
+                       decide_bounded, default_budget)
 from .errors import (AtomBudgetExceeded, BudgetExceeded, FLPDLError,
                      InvalidAlgebra)
 from .filtration import filtrate, phi_partition
@@ -184,8 +184,11 @@ def _cmd_decide(args) -> int:
         _emit(args, payload,
               f"valid: every model up to the bound of {outcome.bound} states checked")
         return _EXIT_OK
+    # |algebra| ** |closure|, the closure counted only up to CLOSURE_CAP formulas
+    count = closure_size(formula)
     with _all_digits():
-        bound = str(theoretical_bound(formula, algebra))
+        bound = (str(algebra.size ** count) if count <= CLOSURE_CAP
+                 else f"at least {algebra.size} ** {count}")
     payload = {"outcome": "no-countermodel", "max_states": outcome.max_states,
                "models_checked": outcome.models_checked,
                "models_evaluated": outcome.models_evaluated,

@@ -1,4 +1,15 @@
-"""Bounded countermodel search by exhaustive enumeration or sampling.
+"""Validity by type elimination, and countermodel search by enumeration or sampling.
+
+`decide_exact` decides validity over the closure's value types (Pratt
+1979; Harel, Kozen & Tiuryn 2000, ch. 6) within a budget of work.
+`decide_bounded` asks it first, under the search's own budget: when it
+proves the formula valid, no candidate can be a hit, so an exhaustive scan
+still walks its blocks, decoding and pruning frames, but evaluates
+nothing, and sampling returns the report its draws would give without
+drawing. When the formula is invalid, or the attempt gives up at the
+budget, the scan below runs as it would without it. Either way every
+outcome, count and frontier is the same: what a scan counts depends on
+candidate positions and pruning, never on values.
 
 Candidate models over the atoms and variables a formula mentions are laid
 out in one canonical order: state count ascending; within a state count,
@@ -35,7 +46,8 @@ Counts stay in canonical index positions: the budget, `models_checked` and
 the BudgetExceeded frontier count every candidate position passed,
 pruned ones included, so they equal those of a scan of every candidate;
 `models_evaluated` counts the candidates among them whose frames
-survived pruning. Every hit is re-verified by the reference evaluator in
+survived pruning, whether the kernel ran them or the exact verdict
+settled them. Every hit is re-verified by the reference evaluator in
 `oracles`, which shares no code with the kernel, before being returned.
 
 Exhausting every frame up to the class-count bound |algebra| ** |closure|
@@ -61,10 +73,11 @@ from .errors import BudgetExceeded
 from .oracles import reference_values
 from .relations import XRelation
 from .semantics import MAX_STATES, Frame, Model
-from .syntax import (Atom, Formula, Var, action_atoms, closure_of, iter_closure, require_formula,
-                     variables)
+from .syntax import (And, Atom, Box, Choice, Formula, Fuse, LDiv, Or, Plus, RDiv, Seq, Var,
+                     action_atoms, iter_closure, require_formula, variables)
 
 DEFAULT_BUDGET = 10 ** 6
+CLOSURE_CAP = 10 ** 4   # closure formulas a reported bound counts at most
 _CHUNK = 1 << 14
 
 
@@ -82,13 +95,21 @@ def default_budget(fallback: int = DEFAULT_BUDGET) -> int:
     return fallback
 
 
+def closure_size(formula: Formula, cap: int | None = CLOSURE_CAP) -> int:
+    """The number of the formula's closure formulas, made one at a time by `iter_closure`
+    and counted no further than cap + 1: a count past `cap` is a lower bound."""
+    made = iter_closure([formula])
+    return sum(1 for _ in (made if cap is None else itertools.islice(made, cap + 1)))
+
+
 def theoretical_bound(formula: Formula, algebra: FLAlgebra) -> int:
     """State-count bound sufficient for exhaustive validity checking.
 
     Equals |algebra| ** |closure of the formula|; arbitrary precision, so
-    it is often far beyond anything enumerable.
+    it is often far beyond anything enumerable. Counts the whole closure:
+    `closure_size` caps the count.
     """
-    return algebra.size ** len(closure_of([formula]))
+    return algebra.size ** closure_size(formula, None)
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,208 @@ class ValidByExhaustion:
 
 
 DecisionOutcome = Countermodel | NoCountermodelUpTo | ValidByExhaustion
+
+
+# -- exact validity by type elimination ------------------------------------------
+
+@dataclass(frozen=True)
+class ExactVerdict:
+    """Validity decided over the closure's types, with the types that survived.
+
+    `types[j]` holds the value of `closure[j]` at each surviving type. Those
+    types, weighted as `decide_exact` says, form a model in which every
+    type takes its own values (the truth lemma), so the type model of an
+    invalid verdict is a countermodel. `rounds` counts the elimination
+    rounds, the last of which dropped nothing.
+    """
+
+    valid: bool
+    closure: tuple[Formula, ...]
+    types: np.ndarray
+    rounds: int
+
+
+def _is_base(f: Formula) -> bool:
+    """A base coordinate: a variable, or a box over an atom or a `+`."""
+    return type(f) is Var or (type(f) is Box and type(f.action) in (Atom, Plus))
+
+
+def _unfolded(closure: list) -> dict:
+    """Each closure formula rewritten so that every box sits over an atom or a `+`:
+    [A u B]h as [A]h & [B]h, [A;B]h as [A][B]h, whose parts the closure holds."""
+    done: dict = {}
+    for root in closure:
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            kind, action = type(f), getattr(f, "action", None)
+            if f in done:
+                stack.pop()
+                continue
+            if kind in (And, Or, Fuse, LDiv, RDiv):
+                parts = (f.left, f.right)
+            elif type(action) is Choice:
+                parts = (Box(action.left, f.body), Box(action.right, f.body))
+            elif type(action) is Seq:
+                parts = (Box(action.left, Box(action.right, f.body)),)
+            else:
+                parts = ()
+            todo = [p for p in parts if p not in done]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            rewritten = [done[p] for p in parts]
+            done[f] = (f if not parts else rewritten[0] if len(parts) == 1
+                       else (And if kind is Box else kind)(*rewritten))
+    return done
+
+
+def _meet_over(tables: dict, op: str, lefts: np.ndarray, rights: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """out = the meet over the first axis of op's table at (lefts[i], rights[i]), lefts on the
+    relation side: one `kernel._contract`, grouped as the plan's boxes are."""
+    width = kernel._width(tables, len(lefts), len(lefts) * out.size)
+    codes = kernel._codes(tables, lefts, width, True)
+    kernel._contract(kernel._table(tables, op, width, len(codes) == 1), codes,
+                     kernel._codes(tables, rights, width, False), out)
+    return out
+
+
+def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None) -> ExactVerdict:
+    """Decide validity exactly, by type elimination over the closure (Pratt 1979).
+
+    A type gives a value to each base coordinate of the closure: each
+    variable, each box over an atom and each box over a `+`. Every other
+    closure formula is derived from those through one kernel plan of
+    one-state members, a box over u or ; unfolded to its parts. Types that
+    break the local law [A+]h = [A]h & [A][A+]h are dropped first. Then
+    each round computes every base box from the claimed body values on
+    the surviving types and drops each type whose claim differs, until a
+    round drops nothing; the formula is valid iff one is below its value at
+    every survivor.
+
+    The weight of atom a from type t to u is the greatest r with
+    t([a]h) <= u(h) / r for each box [a]h of the closure, the meet of
+    ldiv[t([a]h), u(h)]: it reads only t's claim vector and u's body
+    vector. So [a]v at t is the meet, over the distinct pairs of a body
+    vector and a value of v among the survivors, of imp[weight, value]: a
+    table of (distinct claim vectors) x (distinct pairs), gathered by
+    claim id, its rows met by `kernel._contract`; no type x type weight is
+    made. A u B meets, A;B nests, and [A+]v is the limit of
+    X <- [A](v & X) from [A]v, a decreasing chain.
+
+    The budget counts closure formulas made, type cells (types times plan
+    slots) and table entries built; past it BudgetExceeded is raised with
+    a {"types", "round"} frontier, round 0 before the first elimination
+    round, and before the types are made once the closure asks for more
+    cells than the budget has left.
+    """
+    require_formula(formula)
+    if budget is None:
+        budget = default_budget()
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    size, tables = algebra.size, kernel._narrow(algebra)
+    spent, frontier = 0, {"types": 1, "round": 0}
+
+    def charge(units: int, ahead: int = 0) -> None:
+        """Spend `units`; past the budget, `ahead` units still to come included, give up."""
+        nonlocal spent
+        spent += units
+        if spent + ahead > budget:
+            raise BudgetExceeded("budget exhausted before the types settled",
+                                 frontier=dict(frontier), models_evaluated=0)
+
+    closure, base = [], []
+    for f in iter_closure([formula]):
+        closure.append(f)
+        if _is_base(f):
+            base.append(f)
+            frontier["types"] *= size
+        charge(1, frontier["types"] * len(base))
+    unfolded = _unfolded(closure)
+    plan = kernel.plan([unfolded[f] for f in closure], algebra, set(base).__contains__)
+    count = frontier["types"]
+    charge(count * len(plan.ids))
+    views = plan.bind(1, count)
+    kernel.digits(np.arange(count, dtype=np.int64), size,
+                  [views[plan.inputs[f]][0] for f in base])
+    plan.run({})
+    values, slot = views[:, 0], {f: plan.ids[unfolded[f]] for f in closure}
+
+    def meet(a, b):
+        return kernel._read(tables["meet"], tables["size"], a, b, np.empty_like(a))
+
+    keep = np.ones(count, bool)
+    boxes, claims = [f for f in base if type(f) is Box], {}
+    for f in boxes:
+        step = f.action if type(f.action) is Atom else f.action.body
+        if step is f.action:
+            claim, body = claims.setdefault(step, ([], []))
+            claim.append(slot[f])
+            body.append(slot[f.body])
+        else:
+            keep &= values[slot[f]] == meet(values[slot[Box(step, f.body)]],
+                                            values[slot[Box(step, f)]])
+    alive = np.flatnonzero(keep)
+
+    def atom_box(atom, v):
+        weight, claim_id, body_id = weights[atom]
+        pairs = np.unique(body_id * size + v)
+        charge(len(weight) * len(pairs))
+        out = np.empty(len(weight), v.dtype)
+        _meet_over(tables, "box", weight[:, pairs // size].T, (pairs % size)[:, None], out)
+        return out[claim_id]
+
+    def box(action, v):
+        """[action]v on the surviving types, by a walk of the action on a stack."""
+        ops, done = [(Box, action, v)], []
+        while ops:
+            op, *args = ops.pop()
+            if op is Box:
+                action, v = args
+                kind = type(action)
+                if kind is Atom:
+                    done.append(atom_box(action, v))
+                elif kind is Choice:
+                    ops += [(And,), (Box, action.right, v), (Box, action.left, v)]
+                elif kind is Seq:
+                    ops += [(Seq, action.left), (Box, action.right, v)]
+                else:
+                    ops += [(Plus, action.body, v, None), (Box, action.body, v)]
+            elif op is And:
+                done.append(meet(done.pop(), done.pop()))
+            elif op is Seq:
+                ops.append((Box, args[0], done.pop()))
+            else:   # X, the last iterate, on `done`: stop where it repeats
+                step, v, last = args
+                x = done.pop()
+                if last is not None and np.array_equal(x, last):
+                    done.append(x)
+                else:
+                    ops += [(Plus, step, v, x), (Box, step, meet(v, x))]
+        return done[0]
+
+    while True:
+        frontier.update(types=len(alive), round=frontier["round"] + 1)
+        x = values[:, alive]
+        weights = {}
+        for atom, (claim, body) in claims.items():
+            claim_rows, claim_id = np.unique(x[claim], axis=1, return_inverse=True)
+            body_rows, body_id = np.unique(x[body], axis=1, return_inverse=True)
+            charge(claim_rows.size * body_rows.shape[1])
+            weight = np.empty((claim_rows.shape[1], body_rows.shape[1]), x.dtype)
+            _meet_over(tables, "weight", claim_rows[:, :, None], body_rows[:, None], weight)
+            weights[atom] = weight, claim_id.reshape(-1), body_id.reshape(-1)
+        agree = np.ones(len(alive), bool)
+        for f in boxes:
+            agree &= box(f.action, x[slot[f.body]]) == x[slot[f]]
+        if agree.all():
+            break
+        alive = alive[agree]
+    valid = bool(algebra.arrays.leq[algebra.one].take(x[slot[formula]]).all())
+    return ExactVerdict(valid, tuple(closure), x[[slot[f] for f in closure]], frontier["round"])
 
 
 # -- candidate blocks through the kernel ---------------------------------------
@@ -189,7 +412,8 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     else. The budget counts candidate positions in the canonical order,
     pruned frames included; running out of it raises BudgetExceeded whose
     frontier records how far the scan got, and whose `models_evaluated`
-    says how many of those candidates the kernel evaluated. Sampling mode
+    says how many of those candidates survived pruning. The same budget
+    bounds the exact attempt made first (see the module notes). Sampling mode
     instead draws `budget` random candidates (state count uniform on
     1..max_states, entries uniform) from a non-negative `seed` and cannot
     prove validity; it takes max_states up to `semantics.MAX_STATES`, the
@@ -210,11 +434,18 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     if budget < 1:
         raise ValueError("budget must be positive")
 
+    try:
+        settled = decide_exact(formula, algebra, budget).valid
+    except BudgetExceeded:
+        settled = False     # given up: the scan runs as it would without the attempt
+    if mode == "sample" and settled:
+        return NoCountermodelUpTo(max_states, budget, budget, exhaustive=False)
+
     atoms = tuple(Atom(a) for a in action_atoms(formula))
     vars_ = tuple(Var(p) for p in variables(formula))
     size = algebra.size
     holds = algebra.arrays.leq[algebra.one]
-    plan = kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
+    plan = None if settled else kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
     checked = 0
 
     if mode == "sample":
@@ -293,7 +524,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
             rows = kernel.digits(np.arange(first, first + count, dtype=np.int64), size,
                                  np.empty((cells, count), np.int64))
             keep = np.flatnonzero(_least_frames(rows, weights))
-            if len(keep):
+            if len(keep) and not settled:
                 kept = rows[:, keep].T.reshape(len(keep), len(atoms), n, n)   # one copy, viewed
                 rels = {a: kept[:, i] for i, a in enumerate(atoms)}
                 # every kept frame runs valuations v0 .. v0 + per - 1: their digits are
@@ -312,7 +543,7 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                     model = _materialize(algebra, n, {a: r[frame] for a, r in rels.items()},
                                          {p: views[plan.inputs[p]][:, pos] for p in vars_})
                     return _verify_hit(model, formula, checked, evaluated)
-                evaluated += len(keep) * per
+            evaluated += len(keep) * per     # run above, or settled by the exact verdict
             checked += count * per
             start += count * per
 

@@ -293,12 +293,13 @@ def _narrow(algebra: FLAlgebra) -> dict:
     elements, else bytes. "box" and "seq" hold `_contract`'s tables for one
     state a group, masks and decode as tuples of words: imp's down-set masks
     with a decode into a slot, fuse's up-set masks with an int64 decode;
-    `_table` adds those for wider groups, and "widest" is the widest group
-    whose table holds at most _TABLE entries. "up" holds each element's
-    up-set mask and that decode as (words, size) and (words, 2 ** bits)
-    arrays. "plus" holds `closure`'s: the star of x at x * size, fuse, fuse
-    by its right operand (entry b * size + a is a * b), and join times size
-    and as is.
+    "weight" holds ldiv's down-set masks with the slot decode, for the
+    weights of `decision`'s type model; `_table` adds those for wider
+    groups, and "widest" is the widest group whose table holds at most
+    _TABLE entries. "up" holds each element's up-set mask and that decode
+    as (words, size) and (words, 2 ** bits) arrays. "plus" holds
+    `closure`'s: the star of x at x * size, fuse, fuse by its right operand
+    (entry b * size + a is a * b), and join times size and as is.
     """
     tables = _NARROW.get(algebra)
     if tables is None:
@@ -326,6 +327,7 @@ def _narrow(algebra: FLAlgebra) -> dict:
                           by_bit[np.clip(high, 0, size - 1)]))
         (down, meet), (up, join) = masks
         tables["box"] = tuple(down[:, arrs.imp.ravel()]), tuple(meet.astype(dtype))
+        tables["weight"] = tuple(down[:, arrs.ldiv.ravel()]), tables["box"][1]
         tables["seq"] = tuple(up[:, arrs.fuse.ravel()]), tuple(join)
         tables["up"] = up, join
         # x* = one u x u x^2 u ...: the partial joins climb at most size - 1 times

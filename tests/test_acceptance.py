@@ -48,8 +48,9 @@ def test_criterion_5_filtration_theorem():
 
 def test_criterion_6_decision_procedure():
     result = _check(selftest.criterion_6)
-    # the instances cut short by the budget are counted and named, not passed
-    assert "7 axiom instances countermodel-free at 3 states, 5 skipped over the budget: " in result.detail
+    # every instance is decided exactly; the 3-state searches cut by the budget are named
+    assert ("12 axiom instances valid exactly, 0 skipped; "
+            "at 3 states 7 countermodel-free, 5 cut by the budget: ") in result.detail
     assert result.detail.count(" over builtin:") == 5
 
 

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import os
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -15,6 +17,7 @@ import flpdl
 from flpdl.algebra import algebra_to_json
 from flpdl.algebra_search import find_non_integral
 from flpdl.cli import main
+from flpdl.decision import CLOSURE_CAP
 from flpdl.parser import MAX_NESTING
 from flpdl.proofs import load_proof
 from flpdl.semantics import MAX_STATES, load_model
@@ -557,6 +560,30 @@ def test_bounds_past_the_int_to_text_digit_cap_print_in_full(capsys, tmp_path, m
     code, out, err = run(capsys, ["eval", "--model", model_file, "--formula", "p" + "1" * 5000])
     assert_input_error(code, out, err)
     assert sys.get_int_max_str_digits() == cap
+
+
+def test_decide_under_nested_plus_counts_the_closure_only_to_the_cap():
+    """[a0 + 26 x '+']#one has 2 ** 27 closure formulas, far past 1 GiB of address space; the
+    exact attempt gives up at the budget of 10, the search of one state finds no countermodel
+    (exit 0), and the bound counts the closure to CLOSURE_CAP, a stated lower bound past it."""
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(flpdl.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "flpdl.cli", "decide", "--formula",
+                           "[a0" + "+" * 26 + "]#one", "--algebra", "builtin:bool2",
+                           "--max-states", "1", "--budget", "10"],
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {
+        "outcome": "no-countermodel", "max_states": 1, "models_checked": 2,
+        "models_evaluated": 2, "exhaustive": True,
+        "theoretical_bound": f"at least 2 ** {CLOSURE_CAP + 1}"}
 
 
 def test_decide_sample_deterministic(capsys):

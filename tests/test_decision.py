@@ -3,6 +3,7 @@
 import collections
 import functools
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,9 +16,10 @@ from flpdl import decision, kernel, syntax
 from flpdl.algebra import bool2, cost_chain, is_commutative, is_integral
 from flpdl.algebra_search import find_non_commutative, find_non_integral, iter_algebras
 from flpdl.decision import (Countermodel, NoCountermodelUpTo,
-                            ValidByExhaustion, decide_bounded, default_budget,
-                            theoretical_bound)
+                            ValidByExhaustion, decide_bounded, decide_exact,
+                            default_budget, theoretical_bound)
 from flpdl.errors import BudgetExceeded
+from flpdl.generators import random_formula
 from flpdl.oracles import reference_values
 from flpdl.parser import parse_formula
 from flpdl.relations import XRelation
@@ -57,6 +59,15 @@ def slow_first_countermodel(formula, algebra, max_states, limit=None):
                     if not algebra.leq(algebra.one, value):
                         return m, state, value, seen
     return None, seen
+
+
+def give_up(monkeypatch):
+    """Make every exact attempt give up at once, so that decide_bounded scans as it would
+    without one."""
+    def gave_up(formula, algebra, budget=None):
+        raise BudgetExceeded("forced", frontier={"types": 0, "round": 0}, models_evaluated=0)
+
+    monkeypatch.setattr(decision, "decide_exact", gave_up)
 
 
 def swapped(n, atoms, i, j):
@@ -305,6 +316,7 @@ def test_sampled_outcomes_are_pinned(key, text, max_states, seed, want):
 
 def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
     """One block's state-count groups all evaluate in the buffers of the first one run."""
+    give_up(monkeypatch)    # the formula is valid: settled, it would draw nothing
     roots = []
     run = kernel.Plan.run
 
@@ -321,7 +333,7 @@ def test_sample_groups_share_the_first_groups_workspace(C3, monkeypatch):
     assert all(np.shares_memory(root, roots[0]) for root in roots[1:])
 
 
-def test_sample_block_holds_one_group_at_a_time(C3):
+def test_sample_block_holds_one_group_at_a_time(C3, monkeypatch):
     """At 64 states a block draws and evaluates each state-count group before the next.
 
     Held together, one block's relation draws would come to about 19 times
@@ -336,6 +348,7 @@ def test_sample_block_holds_one_group_at_a_time(C3):
     bound = 12 * largest
     assert 2 * int((states * states * members).sum()) * 8 > bound  # both atoms, every group
     f = parse_formula("[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", C3)
+    give_up(monkeypatch)    # the formula is valid: settled, it would draw nothing
     tracemalloc.start()
     try:
         out = decide_bounded(f, C3, max_states, budget=budget, mode="sample", seed=seed)
@@ -625,6 +638,76 @@ def test_search_over_seventeen_elements_counts_every_surviving_frame():
     assert exc.value.models_evaluated == evaluated_below(17, 1, 1, budget)
 
 
+# -- the exact verdict first: outcomes as without it ---------------------------
+
+AXIOMS = ("[a0]#one", "[a0](p0 & p1) <-> ([a0]p0 & [a0]p1)", "[a0](#1 -> p0) <-> (#1 -> [a0]p0)",
+          "[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", "[a0 ; a1]p0 <-> [a0][a1]p0",
+          "[a0+]p0 <-> [a0](p0 & [a0+]p0)")
+
+
+def outcome(formula, algebra, max_states, **kwargs):
+    """decide_bounded's outcome, or its BudgetExceeded, in plain values: the countermodel as
+    its relation matrices and valuation rows."""
+    try:
+        out = decide_bounded(formula, algebra, max_states, **kwargs)
+    except BudgetExceeded as exc:
+        return "budget", exc.frontier, exc.models_evaluated
+    if isinstance(out, Countermodel):
+        m = out.model
+        return (out.models_checked, out.models_evaluated, out.witness_state, out.value,
+                {a: r.values for a, r in m.frame.atomic.items()}, m.valuation)
+    return out
+
+
+def assert_same_without_the_attempt(monkeypatch, cases):
+    """Each case's outcome with the exact attempt equals its outcome with the attempt
+    giving up; returns, per case, whether the attempt settled it as valid."""
+    settled = []
+    for formula, algebra, max_states, kwargs in cases:
+        with monkeypatch.context() as m:
+            give_up(m)
+            scanned = outcome(formula, algebra, max_states, **kwargs)
+        assert outcome(formula, algebra, max_states, **kwargs) == scanned, (formula, kwargs)
+        try:
+            settled.append(decision.decide_exact(formula, algebra, kwargs["budget"]).valid)
+        except BudgetExceeded:
+            settled.append(False)
+    return settled
+
+
+def test_axiom_instances_scan_alike_settled_or_not(B, C3, monkeypatch):
+    """Budgets cut at one state, mid-block and mid-frame at two and three states, and at
+    the 10 ** 6 of the selftest; settled instances count every candidate as the scan does."""
+    budgets = (7, 777, 12345, 98765, 10 ** 6)
+    cases = [(parse_formula(src, A), A, 3, {"budget": budget})
+             for A in (B, C3) for src in AXIOMS for budget in budgets]
+    settled = assert_same_without_the_attempt(monkeypatch, cases)
+    # 7 units run out before the closure is made; from 12,345 on every instance settles
+    per_budget = [settled[i::len(budgets)] for i in range(len(budgets))]
+    assert not any(per_budget[0]) and all(map(all, per_budget[2:]))
+
+
+def test_random_formulas_scan_alike_settled_or_not(monkeypatch):
+    rng = random.Random(33)
+    algebras = list(iter_algebras())
+    cases = []
+    for i in range(120):
+        A = algebras[i % len(algebras)]
+        formula = random_formula(rng, A, rng.randrange(1, 4))
+        cases.append((formula, A, 2, {"budget": rng.choice([50, 3000, 2 * 10 ** 4])}))
+    assert sum(assert_same_without_the_attempt(monkeypatch, cases)) > 10
+
+
+def test_sampling_reports_alike_settled_or_not(B, C3, monkeypatch):
+    rng = random.Random(34)
+    cases = [(parse_formula(src, A), A, 4, {"budget": 1500, "mode": "sample", "seed": seed})
+             for A in (B, C3) for src in AXIOMS + ("p0 -> [a0]p0", "[a0+]p0 -> [a0]p0")
+             for seed in (rng.randrange(10 ** 6),)]
+    cases += [(random_formula(rng, A, 2), A, 3, {"budget": 500, "mode": "sample", "seed": i})
+              for i, A in enumerate([B, C3] * 10)]
+    assert sum(assert_same_without_the_attempt(monkeypatch, cases)) >= 2 * len(AXIOMS)
+
+
 # -- the axiom atlas: each scheme's generic instance over every catalog algebra ---
 
 _SCHEMES = {
@@ -638,10 +721,11 @@ _SCHEMES = {
 
 @functools.cache
 def _atlas():
-    """Per catalog algebra, a verdict per cell: each scheme's generic instance
-    (fresh atoms and variables; validity is closed under uniform substitution),
-    A-const once per constant, searched at <= 2 states within 2 * 10**5 candidates.
-    A countermodel is checked by the reference evaluator before it counts."""
+    """Per catalog algebra, per cell, (verdict, search): each scheme's generic instance (fresh
+    atoms and variables; validity is closed under uniform substitution), A-const once per
+    constant. The search runs at <= 2 states within 2 * 10**5 candidates, and a countermodel
+    is checked by the reference evaluator before it counts; `decide_exact` decides every cell.
+    The verdict is "refuted" where both refute, "valid" where neither does."""
     rows = []
     for algebra in iter_algebras():
         cells = dict(_SCHEMES, **{f"A-const #{c}": f"[a0](#{c} -> p0) <-> (#{c} -> [a0]p0)"
@@ -649,26 +733,28 @@ def _atlas():
         row = {}
         for cell, src in cells.items():
             formula = parse_formula(src, algebra)
+            valid = decide_exact(formula, algebra).valid
             try:
                 out = decide_bounded(formula, algebra, 2, budget=2 * 10 ** 5)
             except BudgetExceeded:
-                row[cell] = "over the budget"
-                continue
+                out = None
             if isinstance(out, Countermodel):
                 value = reference_values(out.model, formula)[out.witness_state]
                 assert value == out.value and not algebra.arrays.leq[algebra.one, value]
-                row[cell] = "refuted"
-            elif isinstance(out, ValidByExhaustion):
-                row[cell] = "valid"
+                verdict = "valid, yet refuted" if valid else "refuted"
             else:
-                row[cell] = "no countermodel at <= 2 states"
+                verdict = "valid" if valid else "invalid, yet not refuted"
+            search = ("over the budget" if out is None else "countermodel"
+                      if isinstance(out, Countermodel) else "exhausted"
+                      if isinstance(out, ValidByExhaustion) else "no countermodel at <= 2 states")
+            row[cell] = verdict, search
         rows.append((algebra, row))
     return rows
 
 
-def _cells(verdict):
+def _cells(verdict, column=0):
     return {(i, cell.split(" #")[0]) for i, (_, row) in enumerate(_atlas())
-            for cell, v in row.items() if v == verdict}
+            for cell, v in row.items() if v[column] == verdict}
 
 
 def test_atlas_refutes_a1_on_exactly_the_non_integral_and_aconst_the_non_commutative():
@@ -680,17 +766,18 @@ def test_atlas_refutes_a1_on_exactly_the_non_integral_and_aconst_the_non_commuta
 
 
 def test_atlas_cells_without_a_refutation():
-    # the one-element algebra is decided by exhaustion; every other cell neither refuted
-    # nor over the budget reads only as searched, until an exact procedure decides it
-    verdicts = collections.Counter(v for _, row in _atlas() for v in row.values())
-    assert verdicts == {"refuted": 24, "over the budget": 48, "valid": 6,
+    # every cell the search does not refute is valid exactly, and every exact refutation is
+    # one the search finds; the one-element algebra's cells are also valid by exhaustion
+    verdicts = collections.Counter(v for _, row in _atlas() for v, _ in row.values())
+    assert verdicts == {"refuted": 24, "valid": 229}
+    searches = collections.Counter(s for _, row in _atlas() for _, s in row.values())
+    assert searches == {"countermodel": 24, "over the budget": 48, "exhausted": 6,
                         "no countermodel at <= 2 states": 175}
-    assert _cells("valid") == {(0, scheme) for scheme in [*_SCHEMES, "A-const"]}
+    assert _cells("exhausted", 1) == {(0, scheme) for scheme in [*_SCHEMES, "A-const"]}
 
 
-def test_atlas_cells_over_the_budget_are_skipped():
+def test_atlas_cells_over_the_budget_are_valid_exactly():
     four = {i for i, (a, _) in enumerate(_atlas()) if a.size == 4}
-    over = _cells("over the budget")
+    over = _cells("over the budget", 1)
     assert over == {(i, s) for i in four for s in ("A-choice", "A-seq")}
-    pytest.skip(f"{len(over)} cells over the 2 * 10**5 budget at <= 2 states: "
-                f"A-choice and A-seq on all {len(four)} four-element algebras")
+    assert over <= _cells("valid")
