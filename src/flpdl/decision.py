@@ -2,14 +2,19 @@
 
 `decide_exact` decides validity over the closure's value types (Pratt
 1979; Harel, Kozen & Tiuryn 2000, ch. 6) within a budget of work.
-`decide_bounded` asks it first, under the search's own budget: when it
-proves the formula valid, no candidate can be a hit, so an exhaustive scan
-still walks its blocks, decoding and pruning frames, but evaluates
-nothing, and sampling returns the report its draws would give without
-drawing. When the formula is invalid, or the attempt gives up at the
-budget, the scan below runs as it would without it. Either way every
-outcome, count and frontier is the same: what a scan counts depends on
-candidate positions and pruning, never on values.
+`decide_bounded` asks it under the search's own budget, capped at _EXACT
+units so that its memory does not grow with the budget: an exhaustive
+scan asks when it reaches two states without a hit, so the 1-state
+layer, where refutations are cheapest to find, never waits for it, and
+sampling asks before it draws, so that a valid formula draws nothing and
+a refutable one pays the attempt on top of its draws. When it proves the
+formula valid, no candidate can be a hit, so the scan still walks its
+blocks, decoding and pruning frames, but evaluates nothing, and sampling
+returns the report its draws would give without drawing. When the
+formula is invalid, or the attempt gives up, the scan runs on as it
+would without it. Either way every outcome, count and frontier is the
+same: what a scan counts depends on candidate positions and pruning,
+never on values.
 
 Candidate models over the atoms and variables a formula mentions are laid
 out in one canonical order: state count ascending; within a state count,
@@ -79,6 +84,7 @@ from .syntax import (And, Atom, Box, Choice, Formula, Fuse, LDiv, Or, Plus, RDiv
 DEFAULT_BUDGET = 10 ** 6
 CLOSURE_CAP = 10 ** 4   # closure formulas a reported bound counts at most
 _CHUNK = 1 << 14
+_EXACT = 1 << 22      # units of work decide_bounded's exact attempt spends at most
 
 
 def default_budget(fallback: int = DEFAULT_BUDGET) -> int:
@@ -200,15 +206,20 @@ def _unfolded(closure: list) -> dict:
     return done
 
 
-def _meet_over(tables: dict, op: str, lefts: np.ndarray, rights: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """out = the meet over the first axis of op's table at (lefts[i], rights[i]), lefts on the
-    relation side: one `kernel._contract`, grouped as the plan's boxes are."""
-    width = kernel._width(tables, len(lefts), len(lefts) * out.size)
-    codes = kernel._codes(tables, lefts, width, True)
-    kernel._contract(kernel._table(tables, op, width, len(codes) == 1), codes,
-                     kernel._codes(tables, rights, width, False), out)
-    return out
+def _distinct(rows: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of rows, in lexicographic order, and each column's number among
+    them, as np.unique(rows, axis=1) gives them: each column read as one int64 key, base
+    `size` digits most significant first, re-numbered densely whenever another digit could
+    pass 2 ** 62, so every sort is of integers."""
+    key, span = np.zeros(rows.shape[1], np.int64), 1
+    for row in rows:
+        if span * size > 2 ** 62:
+            values, key = np.unique(key, return_inverse=True)
+            span = len(values)
+        key = key * size + row
+        span *= size
+    _, first, number = np.unique(key, return_index=True, return_inverse=True)
+    return rows[:, first], number
 
 
 def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None) -> ExactVerdict:
@@ -230,7 +241,7 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
     vector. So [a]v at t is the meet, over the distinct pairs of a body
     vector and a value of v among the survivors, of imp[weight, value]: a
     table of (distinct claim vectors) x (distinct pairs), gathered by
-    claim id, its rows met by `kernel._contract`; no type x type weight is
+    claim id, its rows met by `kernel.contract`; no type x type weight is
     made. A u B meets, A;B nests, and [A+]v is the limit of
     X <- [A](v & X) from [A]v, a decreasing chain.
 
@@ -245,7 +256,7 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
         budget = default_budget()
     if budget < 1:
         raise ValueError("budget must be positive")
-    size, tables = algebra.size, kernel._narrow(algebra)
+    size = algebra.size
     spent, frontier = 0, {"types": 1, "round": 0}
 
     def charge(units: int, ahead: int = 0) -> None:
@@ -273,9 +284,6 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
     plan.run({})
     values, slot = views[:, 0], {f: plan.ids[unfolded[f]] for f in closure}
 
-    def meet(a, b):
-        return kernel._read(tables["meet"], tables["size"], a, b, np.empty_like(a))
-
     keep = np.ones(count, bool)
     boxes, claims = [f for f in base if type(f) is Box], {}
     for f in boxes:
@@ -285,8 +293,8 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
             claim.append(slot[f])
             body.append(slot[f.body])
         else:
-            keep &= values[slot[f]] == meet(values[slot[Box(step, f.body)]],
-                                            values[slot[Box(step, f)]])
+            keep &= values[slot[f]] == kernel.meet(
+                algebra, values[slot[Box(step, f.body)]], values[slot[Box(step, f)]])
     alive = np.flatnonzero(keep)
 
     def atom_box(atom, v):
@@ -294,8 +302,8 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
         pairs = np.unique(body_id * size + v)
         charge(len(weight) * len(pairs))
         out = np.empty(len(weight), v.dtype)
-        _meet_over(tables, "box", weight[:, pairs // size].T, (pairs % size)[:, None], out)
-        return out[claim_id]
+        return kernel.contract(algebra, "box", weight[:, pairs // size].T,
+                               (pairs % size)[:, None], out)[claim_id]
 
     def box(action, v):
         """[action]v on the surviving types, by a walk of the action on a stack."""
@@ -314,7 +322,7 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
                 else:
                     ops += [(Plus, action.body, v, None), (Box, action.body, v)]
             elif op is And:
-                done.append(meet(done.pop(), done.pop()))
+                done.append(kernel.meet(algebra, done.pop(), done.pop()))
             elif op is Seq:
                 ops.append((Box, args[0], done.pop()))
             else:   # X, the last iterate, on `done`: stop where it repeats
@@ -323,7 +331,7 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
                 if last is not None and np.array_equal(x, last):
                     done.append(x)
                 else:
-                    ops += [(Plus, step, v, x), (Box, step, meet(v, x))]
+                    ops += [(Plus, step, v, x), (Box, step, kernel.meet(algebra, v, x))]
         return done[0]
 
     while True:
@@ -331,12 +339,12 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
         x = values[:, alive]
         weights = {}
         for atom, (claim, body) in claims.items():
-            claim_rows, claim_id = np.unique(x[claim], axis=1, return_inverse=True)
-            body_rows, body_id = np.unique(x[body], axis=1, return_inverse=True)
+            claim_rows, claim_id = _distinct(x[claim], size)
+            body_rows, body_id = _distinct(x[body], size)
             charge(claim_rows.size * body_rows.shape[1])
             weight = np.empty((claim_rows.shape[1], body_rows.shape[1]), x.dtype)
-            _meet_over(tables, "weight", claim_rows[:, :, None], body_rows[:, None], weight)
-            weights[atom] = weight, claim_id.reshape(-1), body_id.reshape(-1)
+            kernel.contract(algebra, "weight", claim_rows[:, :, None], body_rows[:, None], weight)
+            weights[atom] = weight, claim_id, body_id
         agree = np.ones(len(alive), bool)
         for f in boxes:
             agree &= box(f.action, x[slot[f.body]]) == x[slot[f]]
@@ -402,6 +410,15 @@ def _verify_hit(model: Model, formula: Formula, checked: int, evaluated: int) ->
     raise AssertionError("batch scan reported a countermodel the reference evaluator rejects")
 
 
+def _proved_valid(formula: Formula, algebra: FLAlgebra, budget: int) -> bool:
+    """Whether `decide_exact` proves the formula valid within min(budget, _EXACT) units of
+    work; an attempt that gives up reads False."""
+    try:
+        return decide_exact(formula, algebra, min(budget, _EXACT)).valid
+    except BudgetExceeded:
+        return False
+
+
 def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
                    budget: int | None = None, mode: str = "exhaustive",
                    seed: int = 0) -> DecisionOutcome:
@@ -412,12 +429,12 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
     else. The budget counts candidate positions in the canonical order,
     pruned frames included; running out of it raises BudgetExceeded whose
     frontier records how far the scan got, and whose `models_evaluated`
-    says how many of those candidates survived pruning. The same budget
-    bounds the exact attempt made first (see the module notes). Sampling mode
-    instead draws `budget` random candidates (state count uniform on
-    1..max_states, entries uniform) from a non-negative `seed` and cannot
-    prove validity; it takes max_states up to `semantics.MAX_STATES`, the
-    cap on a model file.
+    says how many of those candidates survived pruning. The same budget,
+    capped at _EXACT, bounds the exact attempt (see the module notes).
+    Sampling mode instead draws `budget` random candidates (state count
+    uniform on 1..max_states, entries uniform) from a non-negative `seed`
+    and cannot prove validity; it takes max_states up to
+    `semantics.MAX_STATES`, the cap on a model file.
     """
     require_formula(formula)
     if max_states < 1:
@@ -433,73 +450,94 @@ def decide_bounded(formula: Formula, algebra: FLAlgebra, max_states: int,
         budget = default_budget()
     if budget < 1:
         raise ValueError("budget must be positive")
-
-    try:
-        settled = decide_exact(formula, algebra, budget).valid
-    except BudgetExceeded:
-        settled = False     # given up: the scan runs as it would without the attempt
-    if mode == "sample" and settled:
+    if mode == "exhaustive":
+        return _enumerate(formula, algebra, max_states, budget,
+                          lambda: _proved_valid(formula, algebra, budget))
+    if _proved_valid(formula, algebra, budget):
         return NoCountermodelUpTo(max_states, budget, budget, exhaustive=False)
+    return _sample(formula, algebra, max_states, budget, seed)
 
+
+def _plan(formula: Formula, algebra: FLAlgebra) -> tuple:
+    """The formula's atoms and variables, and its plan with those given."""
     atoms = tuple(Atom(a) for a in action_atoms(formula))
     vars_ = tuple(Var(p) for p in variables(formula))
-    size = algebra.size
-    holds = algebra.arrays.leq[algebra.one]
-    plan = None if settled else kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
-    checked = 0
+    return atoms, vars_, kernel.plan((formula,), algebra, set(atoms + vars_).__contains__)
 
-    if mode == "sample":
-        rng = np.random.default_rng(seed)
 
-        def drawn(ns, states):
-            """A block's state-count groups with their draws, drawn in ascending state count."""
-            for n in states.tolist():
-                sel = np.where(ns == n)[0]
-                g = len(sel)
-                yield (sel, n,
-                       {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64) for a in atoms},
-                       {p: rng.integers(0, size, size=(g, n), dtype=np.int64) for p in vars_})
+def _sample(formula: Formula, algebra: FLAlgebra, max_states: int, budget: int,
+            seed: int) -> Countermodel | NoCountermodelUpTo:
+    """`budget` candidates drawn from `seed`, each evaluated, the first hit in draw order
+    reported."""
+    atoms, vars_, plan = _plan(formula, algebra)
+    size, holds, checked = algebra.size, algebra.arrays.leq[algebra.one], 0
+    rng = np.random.default_rng(seed)
 
-        while checked < budget:
-            block = min(_CHUNK, budget - checked)
-            ns = rng.integers(1, max_states + 1, size=block)
-            states, members = np.unique(ns, return_counts=True)
-            entries = states * states * members     # of one atom's draws, per group
-            # sized for the block's largest group up front, so the workspace grows once per block
-            plan.bind(1, int((states * members).max()))
-            # While the groups' draws together take at most twice the largest group's, they
-            # are all drawn and evaluated largest first, so that the smaller groups run in
-            # memory the largest one used; otherwise each is evaluated as it is drawn.
-            groups = drawn(ns, states)
-            if entries.sum() <= 2 * entries.max():
-                groups = reversed(list(groups))
-            best = None
-            for sel, n, rels, vals in groups:
-                views = plan.bind(n, len(sel))
-                for p, v in vals.items():
-                    views[plan.inputs[p]][...] = v.T
-                pos = _first_hit(holds, plan.run(rels)[0])
-                if pos is not None:
-                    stream = int(sel[pos])
-                    if best is None or stream < best[0]:
-                        best = (stream, n, rels, vals, pos)
-            if best is not None:
-                stream, n, rels, vals, pos = best
-                checked += stream + 1
-                model = _materialize(algebra, n, {a: r[pos] for a, r in rels.items()},
-                                     {p: v[pos] for p, v in vals.items()})
-                return _verify_hit(model, formula, checked, checked)
-            checked += block
-        return NoCountermodelUpTo(max_states, checked, checked, exhaustive=False)
+    def drawn(ns, states):
+        """A block's state-count groups with their draws, drawn in ascending state count."""
+        for n in states.tolist():
+            sel = np.where(ns == n)[0]
+            g = len(sel)
+            yield (sel, n,
+                   {a: rng.integers(0, size, size=(g, n, n), dtype=np.int64) for a in atoms},
+                   {p: rng.integers(0, size, size=(g, n), dtype=np.int64) for p in vars_})
 
+    while checked < budget:
+        block = min(_CHUNK, budget - checked)
+        ns = rng.integers(1, max_states + 1, size=block)
+        states, members = np.unique(ns, return_counts=True)
+        entries = states * states * members     # of one atom's draws, per group
+        # sized for the block's largest group up front, so the workspace grows once per block
+        plan.bind(1, int((states * members).max()))
+        # While the groups' draws together take at most twice the largest group's, they
+        # are all drawn and evaluated largest first, so that the smaller groups run in
+        # memory the largest one used; otherwise each is evaluated as it is drawn.
+        groups = drawn(ns, states)
+        if entries.sum() <= 2 * entries.max():
+            groups = reversed(list(groups))
+        best = None
+        for sel, n, rels, vals in groups:
+            views = plan.bind(n, len(sel))
+            for p, v in vals.items():
+                views[plan.inputs[p]][...] = v.T
+            pos = _first_hit(holds, plan.run(rels)[0])
+            if pos is not None:
+                stream = int(sel[pos])
+                if best is None or stream < best[0]:
+                    best = (stream, n, rels, vals, pos)
+        if best is not None:
+            stream, n, rels, vals, pos = best
+            checked += stream + 1
+            model = _materialize(algebra, n, {a: r[pos] for a, r in rels.items()},
+                                 {p: v[pos] for p, v in vals.items()})
+            return _verify_hit(model, formula, checked, checked)
+        checked += block
+    return NoCountermodelUpTo(max_states, checked, checked, exhaustive=False)
+
+
+def _enumerate(formula: Formula, algebra: FLAlgebra, max_states: int, budget: int,
+               proved_valid) -> DecisionOutcome:
+    """The exhaustive scan in canonical order, block by block.
+
+    `proved_valid()` is asked once, when the scan reaches two states with
+    no hit: where it holds, no candidate can be a hit, and every block
+    after is decoded and pruned for its counts but not evaluated. So the
+    1-state layer, where refutations are cheapest to find, never waits for
+    the exact attempt. A caller that passes `lambda: False` evaluates every
+    surviving candidate.
+    """
+    atoms, vars_, plan = _plan(formula, algebra)
+    size, holds = algebra.size, algebra.arrays.leq[algebra.one]
     # past the bound the filtration lemma leaves nothing to search; only whether it passes
     # max_states matters, so the closure is counted no further than that
-    bound, evaluated = 1, 0
+    bound, checked, evaluated, settled = 1, 0, 0, False
     for _ in iter_closure([formula]):
         bound *= size
         if bound > max_states:
             break
     for n in range(1, min(max_states, bound) + 1):
+        if n == 2 and checked < budget:
+            settled = proved_valid()
         cells = len(atoms) * n * n          # frame digits
         width = size ** (len(vars_) * n)    # valuations per frame
         total = size ** cells * width

@@ -43,7 +43,8 @@ masks and one AND reduction, in scratch for one block that each call
 makes. A box codes its relation as (target, source, frame), kept for
 boxes over one action in a row, and adds it to a frame-major block: one
 frame, a frame per member, or F frames over F runs of members, each
-broadcast over its run; `compose` adds its codes frame innermost.
+broadcast over its run; `compose` adds its codes frame innermost, through
+`contract`, the one entry point that groups and codes both sides itself.
 
 `closure`, the `Plus` step, folds nothing: it makes up to n Kleene pivots
 over the whole batch, each joining one term into every entry, and stops
@@ -130,14 +131,32 @@ def compose(algebra: FLAlgebra, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     frame), are grouped over the middle states x and added frame innermost;
     the result is a (frames, n, n) view of an (n, n, frames) array.
     """
-    tables = _narrow(algebra)
     frames, n = max(len(r), len(q)), r.shape[1]
     out = np.empty((n, n, frames), np.int64)
-    width = _width(tables, n, n * out.size)
-    lefts = _codes(tables, r.transpose(2, 1, 0), width, True)[:, :, None]
-    rights = _codes(tables, q.transpose(1, 2, 0), width, False)[:, None]
-    _contract(_table(tables, "seq", width, len(lefts) == 1), lefts, rights, out)
+    contract(algebra, "seq", r.transpose(2, 1, 0)[:, :, None], q.transpose(1, 2, 0)[:, None], out)
     return out.transpose(2, 0, 1)
+
+
+def contract(algebra: FLAlgebra, op: str, lefts: np.ndarray, rights: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """out = the meet ("box", "weight") or join ("seq") over the first axis of op's table at
+    (lefts[i], rights[i]), broadcast, lefts on the relation side: `_width` states a group,
+    as a plan's boxes are, by one `_contract`.
+
+    "box" meets imp[r, f], "weight" meets ldiv[r, f] and "seq" joins r * f.
+    """
+    tables = _narrow(algebra)
+    width = _width(tables, len(lefts), len(lefts) * out.size)
+    codes = _codes(tables, lefts, width, True)
+    _contract(_table(tables, op, width, len(codes) == 1), codes,
+              _codes(tables, rights, width, False), out)
+    return out
+
+
+def meet(algebra: FLAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a & b, entry by entry, for arrays of element indices in the plan slots' dtype."""
+    tables = _narrow(algebra)
+    return _read(tables["meet"], tables["size"], a, b, np.empty_like(a))
 
 
 def join_classes(algebra: FLAlgebra, matrices: np.ndarray, class_of) -> np.ndarray:

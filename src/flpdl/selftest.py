@@ -20,8 +20,8 @@ from .algebra import (FLAlgebra, bool2, build_algebra, check_algebra_properties,
                       cost_chain, is_commutative, is_integral, load_algebra,
                       product)
 from .algebra_search import find_non_commutative, find_non_integral
-from .decision import (Countermodel, ValidByExhaustion, decide_bounded, decide_exact,
-                       theoretical_bound)
+from .decision import (Countermodel, ValidByExhaustion, _enumerate, decide_bounded,
+                       decide_exact, theoretical_bound)
 from .errors import BudgetExceeded, InvalidAlgebra
 from .filtration import filtrate, phi_partition
 from .generators import random_action, random_formula, random_model
@@ -250,7 +250,8 @@ def criterion_6() -> CriterionResult:
         "[a0 ; a1]p0 <-> [a0][a1]p0",
         "[a0+]p0 <-> [a0](p0 & [a0+]p0)",
     )
-    # each instance decided exactly, then searched at 3 states as the cross-check
+    # each instance decided exactly, then searched at 3 states as the cross-check: the scan
+    # alone, which evaluates every surviving candidate whatever the exact verdict says
     valid, cut = 0, []
     for A in (A2, A3):
         for src in instances:
@@ -260,7 +261,7 @@ def criterion_6() -> CriterionResult:
             except BudgetExceeded:
                 problems.append(f"{src} over {A.uri} not decided within the budget")
             try:
-                out = decide_bounded(f, A, 3, budget=10 ** 6)
+                out = _enumerate(f, A, 3, 10 ** 6, lambda: False)
             except BudgetExceeded:
                 cut.append(f"{src} over {A.uri}")
                 continue

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from flpdl import decision
 from flpdl.algebra import FLAlgebra, bool2, cost_chain, load_algebra, product
+from flpdl.errors import BudgetExceeded
 
 # every property draws the same examples on every run (derandomize also
 # turns off the example database), and no example fails for being slow
@@ -20,6 +22,21 @@ def godel_chain(size):
     imp = np.where(x <= y, top, y)
     return FLAlgebra(size, np.minimum(x, y), np.maximum(x, y), np.minimum(x, y), imp, imp,
                      x <= y, one=top, zero=0, bottom=0, top=top)
+
+
+def give_up(monkeypatch):
+    """Make every exact attempt give up at once, so that decide_bounded evaluates every
+    surviving candidate, as it would without one."""
+    def gave_up(formula, algebra, budget=None):
+        raise BudgetExceeded("forced", frontier={"types": 0, "round": 0}, models_evaluated=0)
+
+    monkeypatch.setattr(decision, "decide_exact", gave_up)
+
+
+@pytest.fixture()
+def scan_only(monkeypatch):
+    """decide_bounded with every exact attempt given up: see `give_up`."""
+    give_up(monkeypatch)
 
 
 @pytest.fixture(scope="session")

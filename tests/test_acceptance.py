@@ -7,7 +7,7 @@ time limit. `fl-pdl selftest` runs the same suite from the shell.
 
 import itertools
 
-from flpdl import selftest
+from flpdl import kernel, selftest
 
 
 def _check(criterion):
@@ -46,8 +46,17 @@ def test_criterion_5_filtration_theorem():
     _check(selftest.criterion_5)
 
 
-def test_criterion_6_decision_procedure():
+def test_criterion_6_decision_procedure(monkeypatch):
+    states, run = set(), kernel.Plan.run
+
+    def recording(self, *args, **kwargs):
+        states.add(self.n)
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.Plan, "run", recording)
     result = _check(selftest.criterion_6)
+    # the cross-check evaluates 3-state models although every instance is valid exactly
+    assert 3 in states
     # every instance is decided exactly; the 3-state searches cut by the budget are named
     assert ("12 axiom instances valid exactly, 0 skipped; "
             "at 3 states 7 countermodel-free, 5 cut by the budget: ") in result.detail

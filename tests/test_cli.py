@@ -562,10 +562,8 @@ def test_bounds_past_the_int_to_text_digit_cap_print_in_full(capsys, tmp_path, m
     assert sys.get_int_max_str_digits() == cap
 
 
-def test_decide_under_nested_plus_counts_the_closure_only_to_the_cap():
-    """[a0 + 26 x '+']#one has 2 ** 27 closure formulas, far past 1 GiB of address space; the
-    exact attempt gives up at the budget of 10, the search of one state finds no countermodel
-    (exit 0), and the bound counts the closure to CLOSURE_CAP, a stated lower bound past it."""
+def _decide_in_a_gibibyte(*argv: str) -> subprocess.CompletedProcess:
+    """`fl-pdl decide` with argv, in a child process whose address space is capped at 1 GiB."""
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
@@ -574,16 +572,42 @@ def test_decide_under_nested_plus_counts_the_closure_only_to_the_cap():
 
     src = str(Path(flpdl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "flpdl.cli", "decide", "--formula",
-                           "[a0" + "+" * 26 + "]#one", "--algebra", "builtin:bool2",
-                           "--max-states", "1", "--budget", "10"],
+    return subprocess.run([sys.executable, "-m", "flpdl.cli", "decide", *argv],
                           env=env, capture_output=True, text=True, timeout=120,
                           preexec_fn=cap_address_space)
+
+
+def test_decide_under_nested_plus_counts_the_closure_only_to_the_cap():
+    """[a0 + 26 x '+']#one has 2 ** 27 closure formulas, far past 1 GiB of address space.
+    At one state the search finds no countermodel (exit 0) and the bound counts the closure
+    to CLOSURE_CAP, a stated lower bound past it; at two, the exact attempt asked on reaching
+    them gives up at the budget of 10, and so does the scan (exit 3)."""
+    argv = ("--formula", "[a0" + "+" * 26 + "]#one", "--algebra", "builtin:bool2",
+            "--budget", "10", "--max-states")
+    done = _decide_in_a_gibibyte(*argv, "1")
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout) == {
         "outcome": "no-countermodel", "max_states": 1, "models_checked": 2,
         "models_evaluated": 2, "exhaustive": True,
         "theoretical_bound": f"at least 2 ** {CLOSURE_CAP + 1}"}
+    done = _decide_in_a_gibibyte(*argv, "2")
+    assert done.returncode == 3, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {
+        "outcome": "budget-exceeded", "models_evaluated": 9,
+        "frontier": {"states": 2, "next_index": 8, "models_checked": 10, "max_states": 2}}
+
+
+def test_decide_at_a_large_budget_caps_the_exact_attempt():
+    """p0 -> [a0]^23 p0 has 24 base coordinates: its 2 ** 24 types would take about 1 GiB
+    at a budget of 10 ** 9, but the exact attempt spends at most decision._EXACT units and
+    gives up, and the scan finds the countermodel at two states (exit 1)."""
+    done = _decide_in_a_gibibyte("--formula", "p0 -> " + "[a0]" * 23 + "p0",
+                                 "--algebra", "builtin:bool2", "--max-states", "2",
+                                 "--budget", str(10 ** 9))
+    assert done.returncode == 1, done.stderr[-2000:]
+    out = json.loads(done.stdout)
+    assert (out["outcome"], out["models_checked"], out["witness_state"]) == (
+        "countermodel", 18, 1)
 
 
 def test_decide_sample_deterministic(capsys):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import godel_chain
+from conftest import give_up, godel_chain
 from flpdl import decision, kernel, syntax
 from flpdl.algebra import bool2, cost_chain, is_commutative, is_integral
 from flpdl.algebra_search import find_non_commutative, find_non_integral, iter_algebras
@@ -61,15 +61,6 @@ def slow_first_countermodel(formula, algebra, max_states, limit=None):
     return None, seen
 
 
-def give_up(monkeypatch):
-    """Make every exact attempt give up at once, so that decide_bounded scans as it would
-    without one."""
-    def gave_up(formula, algebra, budget=None):
-        raise BudgetExceeded("forced", frontier={"types": 0, "round": 0}, models_evaluated=0)
-
-    monkeypatch.setattr(decision, "decide_exact", gave_up)
-
-
 def swapped(n, atoms, i, j):
     """Position p of the frame with states i and j swapped holds the digit at image[p]:
     digits are (atom, row, column), most significant first."""
@@ -114,7 +105,7 @@ def test_pinned_first_countermodel(B):
     assert evaluate(out.model, f, out.witness_state) == 0
 
 
-def test_matches_reference_enumeration_order(B):
+def test_matches_reference_enumeration_order(B, scan_only):
     f = parse_formula("p -> [a]p", B)
     m, state, value, seen = slow_first_countermodel(f, B, 2)
     out = decide_bounded(f, B, 2)
@@ -131,7 +122,7 @@ def test_matches_reference_enumeration_order(B):
     ("<a0>p0 -> [a0]p0", "builtin:bool2", 2),
     ("!(!p1 & <a0>(p1 & p0) & <a0>(p1 & !p0))", "builtin:bool2", 3),
 ])
-def test_agrees_with_reference_on_varied_formulas(builtins, text, uri, max_states):
+def test_agrees_with_reference_on_varied_formulas(builtins, text, uri, max_states, scan_only):
     algebra = builtins[uri]
     f = parse_formula(text, algebra)
     ref = slow_first_countermodel(f, algebra, max_states)
@@ -158,7 +149,7 @@ def test_valid_by_exhaustion_for_designated_constant(B):
     assert below.max_states == 1 and below.exhaustive
 
 
-def test_exhaustive_search_stops_at_the_class_count_bound(B):
+def test_exhaustive_search_stops_at_the_class_count_bound(B, scan_only):
     """Every frame up to the bound (4) proves validity; max_states past it adds nothing."""
     f = parse_formula("[a0]#one", B)
     want = ValidByExhaustion(bound=4, models_checked=66066, models_evaluated=3973)
@@ -210,7 +201,7 @@ def test_theoretical_bound_pins(B):
     assert theoretical_bound(parse_formula("[a](p & p1) -> [a]p", B), B) == 64
 
 
-def test_candidate_count_pins(B, C3):
+def test_candidate_count_pins(B, C3, scan_only):
     out = decide_bounded(parse_formula("[a](p & p1) -> [a]p", B), B, 2)
     assert isinstance(out, NoCountermodelUpTo)
     assert out.models_checked == 264  # 2^3 + 2^8
@@ -236,7 +227,7 @@ def test_budget_counts_before_the_hit_do_not_raise(B):
         decide_bounded(f, B, 2, budget=13)
 
 
-def test_budget_frontier_mid_space(C3):
+def test_budget_frontier_mid_space(C3, scan_only):
     f = parse_formula("[a0](p0 & p1) <-> ([a0]p0 & [a0]p1)", C3)
     with pytest.raises(BudgetExceeded) as exc:
         decide_bounded(f, C3, 3, budget=1000)
@@ -256,7 +247,7 @@ def test_sample_mode_is_deterministic(B):
     assert a.models_checked == b.models_checked
 
 
-def test_sample_mode_caps_at_budget(C3):
+def test_sample_mode_caps_at_budget(C3, scan_only):
     f = parse_formula("p0 -> p0", C3)
     out = decide_bounded(f, C3, 3, budget=500, mode="sample", seed=1)
     assert isinstance(out, NoCountermodelUpTo)
@@ -302,7 +293,7 @@ SAMPLED = [
 
 @pytest.mark.parametrize("key, text, max_states, seed, want", SAMPLED,
                          ids=["bool2-box", "bool2-seq", "cost3-box", "cost3-choice"])
-def test_sampled_outcomes_are_pinned(key, text, max_states, seed, want):
+def test_sampled_outcomes_are_pinned(key, text, max_states, seed, want, scan_only):
     algebra = {"bool2": bool2(), "cost:3": cost_chain(3)}[key]
     out = decide_bounded(parse_formula(text, algebra), algebra, max_states, budget=20000,
                          mode="sample", seed=seed)
@@ -538,7 +529,9 @@ def test_pruned_search_matches_reference_enumeration(data):
     limit = 1500
     ref = slow_first_countermodel(f, algebra, max_states, limit)
     try:
-        out = decide_bounded(f, algebra, max_states, budget=limit)
+        with pytest.MonkeyPatch.context() as patch:
+            give_up(patch)
+            out = decide_bounded(f, algebra, max_states, budget=limit)
     except BudgetExceeded as exc:
         assert ref == (None, limit)
         assert exc.frontier["models_checked"] == limit
@@ -723,7 +716,8 @@ _SCHEMES = {
 def _atlas():
     """Per catalog algebra, per cell, (verdict, search): each scheme's generic instance (fresh
     atoms and variables; validity is closed under uniform substitution), A-const once per
-    constant. The search runs at <= 2 states within 2 * 10**5 candidates, and a countermodel
+    constant. The search runs at <= 2 states within 2 * 10**5 candidates, with every
+    exact attempt given up so that it evaluates them, and a countermodel
     is checked by the reference evaluator before it counts; `decide_exact` decides every cell.
     The verdict is "refuted" where both refute, "valid" where neither does."""
     rows = []
@@ -735,7 +729,9 @@ def _atlas():
             formula = parse_formula(src, algebra)
             valid = decide_exact(formula, algebra).valid
             try:
-                out = decide_bounded(formula, algebra, 2, budget=2 * 10 ** 5)
+                with pytest.MonkeyPatch.context() as patch:
+                    give_up(patch)     # the search evaluates, whatever the verdict
+                    out = decide_bounded(formula, algebra, 2, budget=2 * 10 ** 5)
             except BudgetExceeded:
                 out = None
             if isinstance(out, Countermodel):

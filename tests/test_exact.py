@@ -15,8 +15,8 @@ import pytest
 
 from flpdl.algebra import bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
-from flpdl.decision import (Countermodel, ExactVerdict, ValidByExhaustion, decide_bounded,
-                            decide_exact)
+from flpdl.decision import (Countermodel, ExactVerdict, ValidByExhaustion, _distinct,
+                            decide_bounded, decide_exact)
 from flpdl.errors import BudgetExceeded
 from flpdl.generators import random_formula, random_model
 from flpdl.oracles import reference_values
@@ -212,9 +212,9 @@ def test_truth_lemma_on_every_small_type_model():
         assert_truth_lemma(verdict, algebra)
 
 
-def test_bounded_countermodels_agree():
-    """Every countermodel the bounded search finds within two states is matched by an
-    invalid verdict, and every exhaustion by a valid one."""
+def test_bounded_countermodels_agree(scan_only):
+    """Every countermodel the bounded search finds within two states, every exact attempt
+    given up, is matched by an invalid verdict, and every exhaustion by a valid one."""
     refuted = 0
     for algebra, formula, verdict in random_set():
         try:
@@ -292,6 +292,20 @@ def test_deep_formula_is_decided_without_recursion():
         action = Choice(action, Atom(0))
     assert not decide_exact(RDiv(premise, Box(Atom(0), Var(0))), algebra).valid
     assert decide_exact(RDiv(Box(action, Var(0)), Box(action, Var(0))), algebra).valid
+
+
+@pytest.mark.parametrize("size, rows", [(2, 16), (3, 50), (17, 40), (256, 9), (3, 1), (3, 0)])
+def test_distinct_columns_match_numpy_unique(size, rows):
+    """Past 2 ** 62 (50 digits of 3, 40 of 17, 9 of 256) the keys are re-numbered; either
+    way the columns, their order and each column's number are np.unique's along axis 1."""
+    rng = np.random.default_rng(size * 100 + rows)
+    x = rng.integers(0, size, (rows, 3000)).astype(np.min_scalar_type(size - 1))
+    x[:, 1500:] = x[:, rng.integers(0, 1500, 1500)]     # every column repeats
+    x[:, :300] = x[:, :1]                               # one of them 300 times
+    columns, number = np.unique(x, axis=1, return_inverse=True)
+    got_columns, got_number = _distinct(x, size)
+    assert np.array_equal(got_columns, columns)
+    assert np.array_equal(got_number, number.reshape(-1))
 
 
 def test_argument_validation():
