@@ -299,7 +299,11 @@ def decide_exact(formula: Formula, algebra: FLAlgebra, budget: int | None = None
 
     def atom_box(atom, v):
         weight, claim_id, body_id = weights[atom]
-        pairs = np.unique(body_id * size + v)
+        # the distinct (body vector, value) pairs, ascending, as a mask over every pair: a plain
+        # np.unique would import numpy.ma, tens of ms, in every fresh process that decides
+        seen = np.zeros(weight.shape[1] * size, bool)
+        seen[body_id * size + v] = True
+        pairs = np.flatnonzero(seen)
         charge(len(weight) * len(pairs))
         out = np.empty(len(weight), v.dtype)
         return kernel.contract(algebra, "box", weight[:, pairs // size].T,

@@ -8,11 +8,16 @@ decides small cases over relations, through numpy and the algebra's tables.
 
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flpdl
 from flpdl.algebra import bool2, cost_chain, product
 from flpdl.algebra_search import find_non_commutative, find_non_integral
 from flpdl.decision import (Countermodel, ExactVerdict, ValidByExhaustion, _distinct,
@@ -280,6 +285,29 @@ def test_budget_frontier_names_the_types_and_the_round():
     assert [r for r in rounds if r != "decided"] == sorted(r for r in rounds if r != "decided")
     assert rounds.index("decided") == len(rounds) - rounds[::-1].count("decided")
     assert set(rounds) == {0, 1, 2, "decided"}
+
+
+def test_a_fresh_process_decides_without_importing_masked_arrays():
+    """numpy.ma, which a plain np.unique imports on first use, costs tens of ms in each
+    fresh process, as every `fl-pdl decide` is; exact attempts, valid and refuted, and
+    settled sampling import nothing past flpdl's own imports."""
+    script = """if True:
+        import sys
+        from flpdl.algebra import bool2, cost_chain
+        from flpdl.decision import decide_bounded
+        from flpdl.parser import parse_formula
+        before = set(sys.modules)
+        for A, src, mode in ((bool2(), "p0 -> [a0]p0", "exhaustive"),
+                             (cost_chain(3), "[a0+]p0 <-> [a0](p0 & [a0+]p0)", "exhaustive"),
+                             (cost_chain(3), "[a0 u a1]p0 <-> ([a0]p0 & [a1]p0)", "sample")):
+            decide_bounded(parse_formula(src, A), A, 2, budget=3000, mode=mode)
+        print(sorted(set(sys.modules) - before))
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(flpdl.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.strip() == "[]"
 
 
 def test_deep_formula_is_decided_without_recursion():
