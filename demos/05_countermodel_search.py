@@ -5,6 +5,13 @@ canonical order (vectorized in blocks, each hit re-checked by the plain
 evaluator) and reports one of three outcomes: a countermodel, exhaustion
 of the space, or validity outright when the bound covers the filtration
 class count.
+
+Before it searches past one state (or draws, in sample mode) it settles
+valid formulas exactly: decide_exact's type elimination proves them
+valid, and the scan then counts the remaining candidates without
+evaluating any, with every outcome and count the same as a full scan.
+theoretical_bound counts the closure only up to CLOSURE_CAP formulas and
+raises BudgetExceeded past it.
 """
 
 from flpdl import (BudgetExceeded, Countermodel, NoCountermodelUpTo,

@@ -18,8 +18,8 @@ import warnings
 
 from .algebra import (check_algebra_properties, is_commutative, is_integral,
                       load_algebra)
-from .decision import (CLOSURE_CAP, Countermodel, ValidByExhaustion, closure_size,
-                       decide_bounded, default_budget)
+from .decision import (Countermodel, ValidByExhaustion, decide_bounded, default_budget,
+                       theoretical_bound)
 from .errors import (AtomBudgetExceeded, BudgetExceeded, FLPDLError,
                      InvalidAlgebra)
 from .filtration import filtrate, phi_partition
@@ -122,6 +122,7 @@ def _cmd_filter(args) -> int:
     model = load_model(args.model, args.algebra)
     algebra = model.algebra
     seed = parse_formula(args.seed_formula, algebra)
+    bound = theoretical_bound(seed, algebra)    # past CLOSURE_CAP it raises, no closure made
     phis = closure_of([seed])
     part = phi_partition(model, phis)
     small = filtrate(model, phis, part)
@@ -129,7 +130,7 @@ def _cmd_filter(args) -> int:
         "closure_size": len(phis),
         "closure": [format_formula(f) for f in phis],
         "classes": part.class_count,
-        "bound": algebra.size ** len(phis),
+        "bound": bound,
         "class_of": list(part.class_of),
         "model": model_to_json(small),
     }
@@ -184,11 +185,11 @@ def _cmd_decide(args) -> int:
         _emit(args, payload,
               f"valid: every model up to the bound of {outcome.bound} states checked")
         return _EXIT_OK
-    # |algebra| ** |closure|, the closure counted only up to CLOSURE_CAP formulas
-    count = closure_size(formula)
     with _all_digits():
-        bound = (str(algebra.size ** count) if count <= CLOSURE_CAP
-                 else f"at least {algebra.size} ** {count}")
+        try:
+            bound = str(theoretical_bound(formula, algebra))
+        except BudgetExceeded as exc:   # the closure passed CLOSURE_CAP: a stated lower bound
+            bound = f"at least {algebra.size} ** {exc.frontier['closure']}"
     payload = {"outcome": "no-countermodel", "max_states": outcome.max_states,
                "models_checked": outcome.models_checked,
                "models_evaluated": outcome.models_evaluated,

@@ -82,7 +82,7 @@ from .syntax import (And, Atom, Box, Choice, Formula, Fuse, LDiv, Or, Plus, RDiv
                      action_atoms, iter_closure, require_formula, variables)
 
 DEFAULT_BUDGET = 10 ** 6
-CLOSURE_CAP = 10 ** 4   # closure formulas a reported bound counts at most
+CLOSURE_CAP = 10 ** 4   # closure formulas theoretical_bound counts at most
 _CHUNK = 1 << 14
 _EXACT = 1 << 22      # units of work decide_bounded's exact attempt spends at most
 
@@ -101,21 +101,24 @@ def default_budget(fallback: int = DEFAULT_BUDGET) -> int:
     return fallback
 
 
-def closure_size(formula: Formula, cap: int | None = CLOSURE_CAP) -> int:
+def closure_size(formula: Formula, cap: int) -> int:
     """The number of the formula's closure formulas, made one at a time by `iter_closure`
     and counted no further than cap + 1: a count past `cap` is a lower bound."""
-    made = iter_closure([formula])
-    return sum(1 for _ in (made if cap is None else itertools.islice(made, cap + 1)))
+    return sum(1 for _ in itertools.islice(iter_closure([formula]), cap + 1))
 
 
 def theoretical_bound(formula: Formula, algebra: FLAlgebra) -> int:
     """State-count bound sufficient for exhaustive validity checking.
 
     Equals |algebra| ** |closure of the formula|; arbitrary precision, so
-    it is often far beyond anything enumerable. Counts the whole closure:
-    `closure_size` caps the count.
+    it is often far beyond anything enumerable. Past CLOSURE_CAP closure formulas it makes
+    no more and raises BudgetExceeded with a {"closure": CLOSURE_CAP + 1} frontier.
     """
-    return algebra.size ** closure_size(formula, None)
+    count = closure_size(formula, CLOSURE_CAP)
+    if count > CLOSURE_CAP:
+        raise BudgetExceeded(f"closure has more than {CLOSURE_CAP} formulas",
+                             frontier={"closure": count}, models_evaluated=0)
+    return algebra.size ** count
 
 
 @dataclass(frozen=True)
@@ -533,12 +536,10 @@ def _enumerate(formula: Formula, algebra: FLAlgebra, max_states: int, budget: in
     atoms, vars_, plan = _plan(formula, algebra)
     size, holds = algebra.size, algebra.arrays.leq[algebra.one]
     # past the bound the filtration lemma leaves nothing to search; only whether it passes
-    # max_states matters, so the closure is counted no further than that
-    bound, checked, evaluated, settled = 1, 0, 0, False
-    for _ in iter_closure([formula]):
-        bound *= size
-        if bound > max_states:
-            break
+    # max_states matters, and over two or more elements size ** c passes it once c passes
+    # max_states.bit_length(), so the closure is counted no further than that
+    bound = size ** closure_size(formula, max_states.bit_length())
+    checked, evaluated, settled = 0, 0, False
     for n in range(1, min(max_states, bound) + 1):
         if n == 2 and checked < budget:
             settled = proved_valid()

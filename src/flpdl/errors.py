@@ -71,12 +71,19 @@ class AtomBudgetExceeded(FLPDLError):
 
 
 class BudgetExceeded(FLPDLError):
-    """Bounded search ran out of its model budget before finishing.
+    """Work ran out of its budget or cap before finishing.
 
-    `frontier` records how far the enumeration got: a dict with the state
-    count being processed, the index of the next candidate at that state
-    count, and the total number of models checked. `models_evaluated`
-    counts those of them the evaluator actually ran on.
+    `frontier` records how far the work got, as a dict of one of three shapes:
+    - the bounded scan's {"states", "next_index", "models_checked",
+      "max_states"}: the state count being processed, the index of the next
+      candidate at that state count, the models checked in all, and the
+      state count asked for;
+    - `decide_exact`'s {"types", "round"}: the types alive, or to be made,
+      and the elimination round, 0 before the first;
+    - `theoretical_bound`'s {"closure": CLOSURE_CAP + 1}: the closure
+      formulas made, one past the cap.
+    `models_evaluated` counts the candidates the evaluator actually ran on,
+    0 outside the scan.
     """
 
     def __init__(self, message: str, frontier: dict, models_evaluated: int):

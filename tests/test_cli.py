@@ -562,8 +562,9 @@ def test_bounds_past_the_int_to_text_digit_cap_print_in_full(capsys, tmp_path, m
     assert sys.get_int_max_str_digits() == cap
 
 
-def _decide_in_a_gibibyte(*argv: str) -> subprocess.CompletedProcess:
-    """`fl-pdl decide` with argv, in a child process whose address space is capped at 1 GiB."""
+def _in_a_gibibyte(command: str, *argv: str) -> subprocess.CompletedProcess:
+    """`fl-pdl <command>` with argv, in a child process whose address space is capped at
+    1 GiB."""
     resource = pytest.importorskip("resource")
     limit = 1 << 30
 
@@ -572,7 +573,7 @@ def _decide_in_a_gibibyte(*argv: str) -> subprocess.CompletedProcess:
 
     src = str(Path(flpdl.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    return subprocess.run([sys.executable, "-m", "flpdl.cli", "decide", *argv],
+    return subprocess.run([sys.executable, "-m", "flpdl.cli", command, *argv],
                           env=env, capture_output=True, text=True, timeout=120,
                           preexec_fn=cap_address_space)
 
@@ -584,26 +585,49 @@ def test_decide_under_nested_plus_counts_the_closure_only_to_the_cap():
     them gives up at the budget of 10, and so does the scan (exit 3)."""
     argv = ("--formula", "[a0" + "+" * 26 + "]#one", "--algebra", "builtin:bool2",
             "--budget", "10", "--max-states")
-    done = _decide_in_a_gibibyte(*argv, "1")
+    done = _in_a_gibibyte("decide", *argv, "1")
     assert done.returncode == 0, done.stderr[-2000:]
     assert json.loads(done.stdout) == {
         "outcome": "no-countermodel", "max_states": 1, "models_checked": 2,
         "models_evaluated": 2, "exhaustive": True,
         "theoretical_bound": f"at least 2 ** {CLOSURE_CAP + 1}"}
-    done = _decide_in_a_gibibyte(*argv, "2")
+    done = _in_a_gibibyte("decide", *argv, "2")
     assert done.returncode == 3, done.stderr[-2000:]
     assert json.loads(done.stdout) == {
         "outcome": "budget-exceeded", "models_evaluated": 9,
         "frontier": {"states": 2, "next_index": 8, "models_checked": 10, "max_states": 2}}
 
 
+def test_filter_under_nested_plus_stops_at_the_cap(tmp_path):
+    """A seed of 26 nested `+` has 2 ** 27 closure formulas: filter counts them only to
+    CLOSURE_CAP and ends in the typed error, exit 3, before any closure is made."""
+    one_state = tmp_path / "one.json"
+    one_state.write_text(json.dumps({"algebra": "builtin:bool2", "states": 1,
+                                     "relations": {"a0": [[1]]}, "valuation": {"p0": [1]}}))
+    done = _in_a_gibibyte("filter", "--model", str(one_state),
+                          "--seed-formula", "[a0" + "+" * 26 + "]p0")
+    assert (done.returncode, done.stdout) == (3, ""), done.stderr[-2000:]
+    assert done.stderr == f"error: closure has more than {CLOSURE_CAP} formulas\n"
+
+
+def test_decide_over_one_element_counts_the_closure_only_to_the_state_count():
+    """Over one element the class-count bound is 1 ** |closure| = 1 whatever the closure, so
+    the 26-plus formula is valid by exhaustion after its one 1-state model, its closure
+    counted only to max_states.bit_length() formulas."""
+    done = _in_a_gibibyte("decide", "--formula", "[a0" + "+" * 26 + "]#0",
+                          "--algebra", "builtin:cost:1", "--max-states", "3")
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout) == {"outcome": "valid-by-exhaustion", "bound": 1,
+                                       "models_checked": 1, "models_evaluated": 1}
+
+
 def test_decide_at_a_large_budget_caps_the_exact_attempt():
     """p0 -> [a0]^23 p0 has 24 base coordinates: its 2 ** 24 types would take about 1 GiB
     at a budget of 10 ** 9, but the exact attempt spends at most decision._EXACT units and
     gives up, and the scan finds the countermodel at two states (exit 1)."""
-    done = _decide_in_a_gibibyte("--formula", "p0 -> " + "[a0]" * 23 + "p0",
-                                 "--algebra", "builtin:bool2", "--max-states", "2",
-                                 "--budget", str(10 ** 9))
+    done = _in_a_gibibyte("decide", "--formula", "p0 -> " + "[a0]" * 23 + "p0",
+                          "--algebra", "builtin:bool2", "--max-states", "2",
+                          "--budget", str(10 ** 9))
     assert done.returncode == 1, done.stderr[-2000:]
     out = json.loads(done.stdout)
     assert (out["outcome"], out["models_checked"], out["witness_state"]) == (

@@ -15,7 +15,7 @@ from conftest import give_up, godel_chain
 from flpdl import decision, kernel, syntax
 from flpdl.algebra import bool2, cost_chain, is_commutative, is_integral
 from flpdl.algebra_search import find_non_commutative, find_non_integral, iter_algebras
-from flpdl.decision import (Countermodel, NoCountermodelUpTo,
+from flpdl.decision import (CLOSURE_CAP, Countermodel, NoCountermodelUpTo,
                             ValidByExhaustion, decide_bounded, decide_exact,
                             default_budget, theoretical_bound)
 from flpdl.errors import BudgetExceeded
@@ -172,7 +172,9 @@ def test_hit_on_a_deep_formula_built_in_code_is_verified(B):
 
 
 def test_search_under_nested_plus_enumerates_only_the_closure_it_needs(B, monkeypatch):
-    """[a0 + 40 x '+']p0 has 2 ** 41 closure formulas; one state needs size ** 1 > 1 of them."""
+    """[a0 + 40 x '+']p0 has 2 ** 41 closure formulas; one state needs size ** 1 > 1 of them,
+    the class-count bound at most CLOSURE_CAP + 1, and a scan over one element at most
+    max_states.bit_length() + 1."""
     taken = []
 
     def counted(formulas):
@@ -181,10 +183,25 @@ def test_search_under_nested_plus_enumerates_only_the_closure_it_needs(B, monkey
             yield f
 
     monkeypatch.setattr(decision, "iter_closure", counted)
-    out = decide_bounded(parse_formula("[a0" + "+" * 40 + "]p0", B), B, 1, budget=10)
+    text = "[a0" + "+" * 40 + "]p0"
+    out = decide_bounded(parse_formula(text, B), B, 1, budget=10)
     assert isinstance(out, Countermodel)
     assert (out.model.frame.size, out.models_checked, out.value) == (1, 3, 0)
     assert 0 < len(taken) < 100
+    # the class-count bound stops at CLOSURE_CAP, in the typed error
+    taken.clear()
+    with pytest.raises(BudgetExceeded) as raised:
+        theoretical_bound(parse_formula(text, B), B)
+    assert raised.value.frontier == {"closure": CLOSURE_CAP + 1}
+    assert 0 < len(taken) <= CLOSURE_CAP + 1
+    # over one element the bound is 1 at any closure size, and the scan counts the closure
+    # only to max_states.bit_length() formulas
+    C1 = cost_chain(1)
+    for max_states in (1, 3, 1000):
+        taken.clear()
+        out = decide_bounded(parse_formula(text, C1), C1, max_states, budget=10)
+        assert out == ValidByExhaustion(bound=1, models_checked=1, models_evaluated=1)
+        assert 0 < len(taken) <= max_states.bit_length() + 1
 
 
 def test_decide_bounded_refuses_an_action_before_searching(B, monkeypatch):
